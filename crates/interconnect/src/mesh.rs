@@ -2,9 +2,11 @@
 //! two routing algorithms (Venice's non-minimal fully-adaptive scout walk,
 //! and dimension-order XY used by NoSSD).
 
+use std::sync::OnceLock;
+
 use venice_sim::rng::Lfsr2;
 
-use crate::router::{Port, ReservationTable};
+use crate::router::{Port, ReservationEntry};
 use crate::{Direction, LinkId, Mesh2D, NodeId};
 
 /// A reserved circuit through the mesh: the ordered nodes and links from the
@@ -93,13 +95,104 @@ pub struct ScoutOutcome {
     pub lfsr_draws: u32,
 }
 
+/// Livelock bound: a scout may enter a router at most `1 + 3` times (ports
+/// minus the entry port, per the paper's §4.3 footnote).
+const MAX_ENTRIES_PER_ROUTER: u8 = 4;
+
+/// High bit of a walk-local router byte: the router holds a reservation row
+/// for the walking packet (a frame on the DFS stack, or an older circuit of
+/// the same packet) or lies off the mesh. The low bits count the scout's
+/// entries, so a far router is enterable when its byte is below
+/// [`MAX_ENTRIES_PER_ROUTER`] and cap-pruned when it equals it.
+const HELD: u8 = 0x80;
+
+/// Choice-table flag: the step takes the port in bits 0–1.
+const CHOSEN: u8 = 0x40;
+/// Choice-table flag: the chosen port is a misroute (non-minimal).
+const MISROUTE: u8 = 0x80;
+
+/// The mask bit of one router port.
+const fn port_bit(d: Direction) -> u8 {
+    1 << d.encoding()
+}
+
+/// Index into [`choice_table`].
+fn choice_index(usable: u8, minimal: u8, lfsr_state: u8, allow_misroute: bool) -> usize {
+    usize::from(usable & 0xF)
+        | usize::from(minimal & 0xF) << 4
+        | usize::from(lfsr_state & 0b11) << 8
+        | usize::from(allow_misroute) << 10
+}
+
+/// Algorithm 1's port choice for every (usable ports, minimal ports, LFSR
+/// state, misroute allowed) a DFS step can see. An entry holds the chosen
+/// direction's encoding in bits 0–1 when [`CHOSEN`] is set (clear: dead
+/// end), the LFSR state after the step in bits 2–3, the bits drawn in bits
+/// 4–5, and [`MISROUTE`]. Built once by running [`Lfsr2`] itself through
+/// the selection rules, so the walk's tie-breaks are the register's.
+fn choice_table() -> &'static [u8; 2048] {
+    static TABLE: OnceLock<[u8; 2048]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        // Algorithm 1 lists the minimal ports x first, then y.
+        const X_THEN_Y: [Direction; 4] = [
+            Direction::Right,
+            Direction::Left,
+            Direction::Down,
+            Direction::Up,
+        ];
+        let nth = |mask: u8, order: &[Direction], n: usize| {
+            let mut ports = order.iter().filter(|&&d| mask & port_bit(d) != 0);
+            ports.nth(n).copied()
+        };
+        let mut table = [0u8; 2048];
+        for (i, slot) in table.iter_mut().enumerate() {
+            let (usable, minimal) = (i as u8 & 0xF, (i >> 4) as u8 & 0xF);
+            let allow_misroute = i >> 10 & 1 == 1;
+            let mut lfsr = Lfsr2::with_seed((i >> 8) as u8);
+            let mut draws = 0u8;
+            let mut draw = |lfsr: &mut Lfsr2| {
+                draws += 1;
+                usize::from(lfsr.next_bit())
+            };
+            let candidates = usable & minimal;
+            let (choice, misroute) = match candidates.count_ones() {
+                // Two minimal candidates: LFSR tie-break (Alg. 1 line 28).
+                2 => (nth(candidates, &X_THEN_Y, draw(&mut lfsr)), false),
+                1 => (nth(candidates, &X_THEN_Y, 0), false),
+                // No minimal port: misroute through any free port, picked
+                // with two successive LFSR bits — the cheap hardware
+                // equivalent of a uniform pick (Alg. 1 lines 34–45).
+                _ if allow_misroute && usable != 0 => {
+                    let idx = draw(&mut lfsr) * 2 + draw(&mut lfsr);
+                    let n = usable.count_ones() as usize;
+                    (nth(usable, &Direction::ALL, idx % n), true)
+                }
+                _ => (None, false),
+            };
+            *slot = choice.map_or(0, |d| CHOSEN | d.encoding())
+                | if misroute { MISROUTE } else { 0 }
+                | lfsr.state() << 2
+                | draws << 4;
+        }
+        table
+    })
+}
+
 /// One DFS frame of a scout walk.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Frame {
-    node: NodeId,
-    entry: Port,
-    /// Output directions already attempted from this frame.
-    tried: [bool; 4],
+    /// The router's cell in the padded walk grid ([`MeshState::walk`]).
+    cell: u32,
+    /// The router's node id.
+    node: u16,
+    /// The router's mesh row.
+    row: u16,
+    /// The router's mesh column.
+    col: u16,
+    /// Output ports already attempted from this frame ([`port_bit`]s).
+    tried: u8,
+    /// Encoding of the port taken to the next frame (frames below the top).
+    exit: u8,
 }
 
 /// Mutable reservation state of a 2D-mesh interconnect: per-link owner and
@@ -110,7 +203,7 @@ struct Frame {
 /// simulation's perspective; the caller charges the appropriate wire
 /// latencies.
 ///
-/// The mesh owns reusable scout scratch (per-router entry counters, the DFS
+/// The mesh owns reusable scout scratch (walk-local router bytes, the DFS
 /// stack) and a pool of [`ReservedPath`] buffers, so steady-state routing
 /// performs no heap allocation.
 #[derive(Clone, Debug)]
@@ -118,19 +211,30 @@ pub struct MeshState {
     topo: Mesh2D,
     /// `Some(packet_id)` when reserved.
     links: Vec<Option<u8>>,
-    routers: Vec<ReservationTable>,
     controllers: usize,
-    /// Scout scratch: per-router entry counts (livelock bound), zeroed at
-    /// the start of every walk.
-    scout_entries: Vec<u8>,
+    /// Per router, one byte of output-port state a scout step reads instead
+    /// of three arrays per port. The low nibble has the [`port_bit`] of
+    /// every port that is *closed*: it leaves the mesh, or its link or the
+    /// router across it is down (`sync_closed_ports`, on fault events). The
+    /// high nibble has the port bits shifted by 4 of every port whose link
+    /// is reserved (`set_link_owner`, on every reservation and release).
+    ports: Vec<u8>,
+    /// The router reservation tables (Figure 7), packet-major:
+    /// `rows[packet * node_count + node]` is the packet's
+    /// [`ReservationEntry::pack`]ed row in that router, 0 when empty. One
+    /// packet's rows over the whole mesh form one contiguous slice, which a
+    /// walk seeds its [`HELD`] bits from.
+    rows: Vec<u8>,
+    /// Scout scratch: the walk-local router bytes ([`HELD`] plus the entry
+    /// count) over the mesh padded by a ring of off-mesh cells; router
+    /// `(row, col)` lives at cell `(row + 1) * (cols + 2) + col + 1`. The
+    /// ring is [`HELD`] forever — the off-mesh sentinel that lets a step
+    /// read all four neighbours without an edge test.
+    walk: Vec<u8>,
     /// Scout scratch: the DFS stack.
-    scout_stack: Vec<Frame>,
+    stack: Vec<Frame>,
     /// Recycled `ReservedPath` buffers.
     path_pool: Vec<ReservedPath>,
-    /// Precomputed adjacency: `adj[node][dir]` is the neighbor and
-    /// connecting link, or `None` at the mesh edge. Avoids the row/column
-    /// arithmetic of [`Mesh2D::neighbor`] in the scout inner loop.
-    adj: Vec<[Option<(NodeId, LinkId)>; 4]>,
     /// Fault mask: `true` for links taken down by a fault event. A downed
     /// link rejects new reservations (scout walks and XY circuits alike)
     /// until repaired; a circuit already holding the link drains normally
@@ -141,8 +245,8 @@ pub struct MeshState {
     /// [`MeshState::try_reserve_path`] rejects paths crossing one.
     router_down: Vec<bool>,
     /// Monotone change sequence: bumped once per reservation-state change
-    /// (a circuit installed or released). Failed scout walks restore every
-    /// link they touched and do **not** bump it.
+    /// (a circuit installed or released). Failed scout walks write no
+    /// shared state and do **not** bump it.
     change_seq: u64,
     /// Per-router generation stamp: the [`MeshState::change_seq`] value of
     /// the last reservation change that touched the router. A region whose
@@ -160,25 +264,22 @@ pub struct MeshState {
 impl MeshState {
     /// Creates an idle mesh with `controllers` packet IDs per router table.
     pub fn new(topo: Mesh2D, controllers: usize) -> Self {
+        let edges = |n| {
+            Direction::ALL
+                .into_iter()
+                .filter(|&d| topo.neighbor(n, d).is_none())
+                .fold(0, |mask, d| mask | port_bit(d))
+        };
+        let padded = (usize::from(topo.rows()) + 2) * (usize::from(topo.cols()) + 2);
         MeshState {
             topo,
             links: vec![None; topo.link_count()],
-            routers: (0..topo.node_count())
-                .map(|_| ReservationTable::new(controllers))
-                .collect(),
             controllers,
-            scout_entries: vec![0; topo.node_count()],
-            scout_stack: Vec::new(),
+            ports: topo.nodes().map(edges).collect(),
+            rows: vec![0; controllers * topo.node_count()],
+            walk: vec![HELD; padded],
+            stack: Vec::new(),
             path_pool: Vec::new(),
-            adj: (0..topo.node_count())
-                .map(|n| {
-                    Direction::ALL.map(|d| {
-                        let nb = topo.neighbor(NodeId(n as u16), d)?;
-                        let link = topo.link(NodeId(n as u16), d)?;
-                        Some((nb, link))
-                    })
-                })
-                .collect(),
             link_down: vec![false; topo.link_count()],
             router_down: vec![false; topo.node_count()],
             change_seq: 0,
@@ -313,16 +414,17 @@ impl MeshState {
     /// (a downed link can newly block a walk; a repaired one can un-block
     /// it). Returns `false` when `a` and `b` are not adjacent.
     pub fn set_link_state(&mut self, a: NodeId, b: NodeId, up: bool) -> bool {
-        let Some(link) = Direction::ALL
+        let Some(dir) = Direction::ALL
             .into_iter()
             .find(|&d| self.topo.neighbor(a, d) == Some(b))
-            .and_then(|d| self.topo.link(a, d))
         else {
             return false;
         };
+        let link = self.topo.link(a, dir).expect("adjacent nodes share a link");
         let down = !up;
         if self.link_down[link.0 as usize] != down {
             self.link_down[link.0 as usize] = down;
+            self.sync_closed_ports(link, a, b);
             self.stamp_nodes(&[a, b]);
         }
         true
@@ -343,7 +445,8 @@ impl MeshState {
         let mut touched = [n; 5];
         let mut count = 1;
         for d in Direction::ALL {
-            if let Some((nb, _)) = self.adj[n.0 as usize][d.index()] {
+            if let (Some(nb), Some(link)) = (self.topo.neighbor(n, d), self.topo.link(n, d)) {
+                self.sync_closed_ports(link, n, nb);
                 touched[count] = nb;
                 count += 1;
             }
@@ -361,9 +464,76 @@ impl MeshState {
         self.links.iter().filter(|l| l.is_some()).count()
     }
 
-    /// Read access to a router's reservation table (for diagnostics/tests).
-    pub fn router(&self, n: NodeId) -> &ReservationTable {
-        &self.routers[n.0 as usize]
+    /// The reservation-table row packet `packet_id` holds in router `n`, if
+    /// any (for diagnostics/tests). `None` for a packet id beyond the
+    /// controller count.
+    pub fn reservation(&self, n: NodeId, packet_id: u8) -> Option<ReservationEntry> {
+        let row = self.rows.get(self.row_index(packet_id, n))?;
+        ReservationEntry::unpack(packet_id, *row)
+    }
+
+    /// Index of packet `packet_id`'s row in router `n` within
+    /// [`MeshState::rows`].
+    fn row_index(&self, packet_id: u8, n: NodeId) -> usize {
+        usize::from(packet_id) * self.topo.node_count() + usize::from(n.0)
+    }
+
+    /// Installs packet `packet_id`'s row in router `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the packet already holds a row there: a circuit visits a
+    /// router once.
+    fn install_row(&mut self, packet_id: u8, n: NodeId, entry: Port, exit: Port) {
+        let i = self.row_index(packet_id, n);
+        let held = self.rows[i] != 0;
+        assert!(!held, "router {n} already holds packet {packet_id}'s row");
+        self.rows[i] = ReservationEntry::pack(entry, exit);
+    }
+
+    /// The two router ports `link` joins, as `[(router, port bit); 2]`;
+    /// `a` and `b` are its routers, in either order.
+    fn link_ports(&self, link: LinkId, a: NodeId, b: NodeId) -> [(usize, u8); 2] {
+        // Links are numbered horizontal first (`Mesh2D::link`). A horizontal
+        // link joins the Right port of its lower-numbered router to the Left
+        // port of the other, a vertical one Down to Up. Down and Up sit two
+        // encodings from Right and Left, so a shift picks the pair without a
+        // direction branch.
+        let horizontal = usize::from(self.topo.rows()) * usize::from(self.topo.cols() - 1);
+        let shift = 2 * u8::from(link.0 as usize >= horizontal);
+        let (low, high) = (usize::from(a.0.min(b.0)), usize::from(a.0.max(b.0)));
+        [
+            (low, port_bit(Direction::Right) << shift),
+            (high, port_bit(Direction::Left) >> shift),
+        ]
+    }
+
+    /// Sets the owner of `link`, which joins routers `a` and `b` (either
+    /// order), and its reserved bit in both routers' [`MeshState::ports`].
+    fn set_link_owner(&mut self, link: LinkId, a: NodeId, b: NodeId, owner: Option<u8>) {
+        self.links[link.0 as usize] = owner;
+        for (router, port) in self.link_ports(link, a, b) {
+            let reserved = port << 4;
+            let mask = &mut self.ports[router];
+            *mask = if owner.is_some() {
+                *mask | reserved
+            } else {
+                *mask & !reserved
+            };
+        }
+    }
+
+    /// Recomputes `link`'s closed bit in both routers' [`MeshState::ports`]
+    /// after a fault or repair of the link or of one of its routers `a` and
+    /// `b` (either order).
+    fn sync_closed_ports(&mut self, link: LinkId, a: NodeId, b: NodeId) {
+        let down = self.link_down[link.0 as usize];
+        let [low, high] = self.link_ports(link, a, b);
+        for ((router, port), (across, _)) in [(low, high), (high, low)] {
+            let closed = down | self.router_down[across];
+            let mask = &mut self.ports[router];
+            *mask = (*mask & !port) | (port * u8::from(closed));
+        }
     }
 
     /// Reserves an explicit node path for `packet_id` (test/scenario setup;
@@ -375,6 +545,10 @@ impl MeshState {
     /// reserved, or a router already holds a row for this packet.
     pub fn reserve_explicit(&mut self, packet_id: u8, nodes: &[NodeId]) -> ReservedPath {
         assert!(!nodes.is_empty(), "path must contain at least one node");
+        assert!(
+            usize::from(packet_id) < self.controllers,
+            "packet id out of range"
+        );
         let mut links = Vec::with_capacity(nodes.len().saturating_sub(1));
         let mut entry = Port::Injection;
         for w in nodes.windows(2) {
@@ -384,17 +558,13 @@ impl MeshState {
                 .expect("consecutive nodes must be adjacent");
             let link = self.topo.link(w[0], dir).expect("adjacent nodes share a link");
             assert!(self.link_free(link), "link {link} already reserved");
-            self.links[link.0 as usize] = Some(packet_id);
-            self.routers[w[0].0 as usize]
-                .insert(packet_id, entry, Port::Mesh(dir))
-                .expect("router row free");
+            self.set_link_owner(link, w[0], w[1], Some(packet_id));
+            self.install_row(packet_id, w[0], entry, Port::Mesh(dir));
             entry = Port::Mesh(dir.opposite());
             links.push(link);
         }
         let last = *nodes.last().expect("non-empty");
-        self.routers[last.0 as usize]
-            .insert(packet_id, entry, Port::Ejection)
-            .expect("router row free");
+        self.install_row(packet_id, last, entry, Port::Ejection);
         self.stamp_nodes(nodes);
         ReservedPath {
             packet_id,
@@ -410,12 +580,14 @@ impl MeshState {
     /// Panics (debug) if the path's links were not owned by its packet —
     /// that would indicate reservation bookkeeping corruption.
     pub fn release(&mut self, path: &ReservedPath) {
-        for &l in &path.links {
+        for (hop, &l) in path.nodes.windows(2).zip(&path.links) {
             debug_assert_eq!(self.links[l.0 as usize], Some(path.packet_id));
-            self.links[l.0 as usize] = None;
+            self.set_link_owner(l, hop[0], hop[1], None);
         }
+        let nodes = self.topo.node_count();
+        let rows = &mut self.rows[usize::from(path.packet_id) * nodes..][..nodes];
         for &n in &path.nodes {
-            self.routers[n.0 as usize].remove(path.packet_id);
+            rows[usize::from(n.0)] = 0;
         }
         self.stamp_nodes(&path.nodes);
     }
@@ -471,8 +643,8 @@ impl MeshState {
         if !path.links.iter().all(|&l| self.link_free(l)) {
             return false;
         }
-        for &l in &path.links {
-            self.links[l.0 as usize] = Some(packet_id);
+        for (hop, &l) in path.nodes.windows(2).zip(&path.links) {
+            self.set_link_owner(l, hop[0], hop[1], Some(packet_id));
         }
         // NoSSD routers are buffered and have no reservation table; rows are
         // only maintained for the Venice walk, so nothing to record here.
@@ -515,6 +687,11 @@ impl MeshState {
     /// [`MeshState::scout_walk`] with the non-minimal misrouting stage made
     /// optional (`allow_misroute = false` restricts the scout to minimal
     /// ports plus backtracking — the ablation of §4.3's key technique).
+    ///
+    /// The walk keeps its tentative circuit in walk-local scratch and writes
+    /// link owners, rows and stamps only once it reaches `dst`; it observes
+    /// exactly what a walk reserving hop by hop would (see
+    /// `docs/ARCHITECTURE.md`, "Packed scout walk").
     pub fn scout_walk_opts(
         &mut self,
         packet_id: u8,
@@ -531,42 +708,82 @@ impl MeshState {
         );
 
         // Reusable scratch: take the buffers out of `self` for the duration
-        // of the walk (the walk itself needs `&mut self` for reservations).
-        let mut entries = std::mem::take(&mut self.scout_entries);
-        let mut stack = std::mem::take(&mut self.scout_stack);
-        let result =
-            self.scout_walk_dfs(packet_id, src, dst, lfsr, allow_misroute, &mut entries, &mut stack);
-        self.scout_entries = entries;
-        self.scout_stack = stack;
+        // of the walk (installing the circuit needs `&mut self`).
+        let mut walk = std::mem::take(&mut self.walk);
+        let mut stack = std::mem::take(&mut self.stack);
+        let result = self
+            .scout_dfs(
+                packet_id,
+                src,
+                dst,
+                lfsr,
+                allow_misroute,
+                &mut walk,
+                &mut stack,
+            )
+            .map(|outcome| (self.install(packet_id, &stack), outcome));
+        self.walk = walk;
+        self.stack = stack;
         result
     }
 
-    /// The DFS body of [`MeshState::scout_walk_opts`], operating on the
-    /// caller-provided scratch buffers.
+    /// The DFS body of [`MeshState::scout_walk_opts`]. It reads the shared
+    /// state and writes only the caller-provided scratch: on success `stack`
+    /// holds the path's frames for [`MeshState::install`].
+    ///
+    /// The tentative circuit needs no shared mark. Its routers are exactly
+    /// the frames on the stack, flagged [`HELD`] in `walk`. Its links need
+    /// none either: the only one touching the top frame leads to the
+    /// parent, which is [`HELD`] and so refused anyway.
     #[allow(clippy::too_many_arguments)]
-    fn scout_walk_dfs(
-        &mut self,
+    fn scout_dfs(
+        &self,
         packet_id: u8,
         src: NodeId,
         dst: NodeId,
         lfsr: &mut Lfsr2,
         allow_misroute: bool,
-        entries: &mut Vec<u8>,
+        walk: &mut [u8],
         stack: &mut Vec<Frame>,
-    ) -> Result<(ReservedPath, ScoutOutcome), ScoutFailure> {
-        // Livelock bound: a scout may enter a router at most `1 + 3` times
-        // (ports minus the entry port, per the paper's §4.3 footnote).
-        const MAX_ENTRIES_PER_ROUTER: u8 = 4;
-        entries.clear();
-        entries.resize(self.topo.node_count(), 0);
-        entries[src.0 as usize] = 1;
-
+    ) -> Result<ScoutOutcome, ScoutFailure> {
+        let cols = self.topo.cols();
+        let width = usize::from(cols) + 2;
+        // Seed the walk-local bytes: HELD where the packet already holds a
+        // row, no entries anywhere. The off-mesh ring is never rewritten.
+        let nodes = self.topo.node_count();
+        let held = &self.rows[usize::from(packet_id) * nodes..][..nodes];
+        for (r, held_row) in held.chunks_exact(usize::from(cols)).enumerate() {
+            let cells = &mut walk[(r + 1) * width + 1..][..usize::from(cols)];
+            for (w, &row) in cells.iter_mut().zip(held_row) {
+                *w = if row == 0 { 0 } else { HELD };
+            }
+        }
+        let frame_at = |n: NodeId| {
+            let (row, col) = (self.topo.row(n), self.topo.col(n));
+            let cell = (usize::from(row) + 1) * width + usize::from(col) + 1;
+            Frame {
+                cell: cell as u32,
+                node: n.0,
+                row,
+                col,
+                tried: 0,
+                exit: 0,
+            }
+        };
+        let source = frame_at(src);
+        let target = frame_at(dst);
+        walk[source.cell as usize] = HELD | 1;
         stack.clear();
-        stack.push(Frame {
-            node: src,
-            entry: Port::Injection,
-            tried: [false; 4],
-        });
+        stack.push(source);
+
+        // Per-direction moves, indexed by `Direction::encoding`.
+        let cell_step = [1, (width as u32).wrapping_neg(), width as u32, u32::MAX];
+        let node_step = [1, cols.wrapping_neg(), cols, u16::MAX];
+        const ROW_STEP: [u16; 4] = [0, u16::MAX, 1, 0];
+        const COL_STEP: [u16; 4] = [1, 0, 0, u16::MAX];
+        let table = choice_table();
+
+        let mut lfsr_state = lfsr.state();
         let mut steps: u32 = 0;
         let mut detoured = false;
         let mut advanced = false;
@@ -574,11 +791,179 @@ impl MeshState {
         let mut lfsr_draws: u32 = 0;
         let mut cap_pruned = false;
         // Bounding box of entered routers (the fast-fail cache's extent).
-        let (src_r, src_c) = (self.topo.row(src), self.topo.col(src));
-        let mut extent = (src_r, src_r, src_c, src_c);
+        let mut extent = (source.row, source.row, source.col, source.col);
         // Hard safety net: the DFS tries each (router, port) pair at most
         // once per episode, so steps are bounded; guard against logic bugs.
-        let step_cap = (self.topo.node_count() as u32) * 16 + 64;
+        let step_cap = (nodes as u32) * 16 + 64;
+
+        let result = loop {
+            steps += 1;
+            assert!(steps <= step_cap, "scout walk exceeded step bound");
+            let top = *stack.last().expect("stack never empties before return");
+            if top.cell == target.cell {
+                break Ok(ScoutOutcome {
+                    steps,
+                    detoured,
+                    misroutes,
+                    lfsr_draws,
+                });
+            }
+
+            // Port usability, with the livelock-cap rejection reported
+            // separately: a cap rejection makes the walk's exploration
+            // order-dependent, which disqualifies its failure from the
+            // fast-fail cache (see `ScoutFailure::cap_pruned`).
+            let ports = self.ports[usize::from(top.node)];
+            let open = !(ports | ports >> 4 | top.tried);
+            let c = top.cell as usize;
+            let far = [walk[c + 1], walk[c - width], walk[c + width], walk[c - 1]];
+            let (mut usable, mut capped) = (0u8, 0u8);
+            for (d, &byte) in far.iter().enumerate() {
+                usable |= u8::from(byte < MAX_ENTRIES_PER_ROUTER) << d;
+                capped |= u8::from(byte == MAX_ENTRIES_PER_ROUTER) << d;
+            }
+            let (usable, capped) = (usable & open, capped & open);
+            // Candidate output ports, Algorithm 1: minimal first. Row index
+            // grows downward, so a target below means Down.
+            let minimal = u8::from(top.col < target.col)
+                | u8::from(top.row > target.row) << 1
+                | u8::from(top.row < target.row) << 2
+                | u8::from(top.col > target.col) << 3;
+            // Algorithm 1 checks the minimal ports, then every port once it
+            // falls through to misrouting.
+            let checked = if usable & minimal == 0 && allow_misroute {
+                0xF
+            } else {
+                minimal
+            };
+            cap_pruned |= (capped & checked) != 0;
+
+            let pick = table[choice_index(usable, minimal, lfsr_state, allow_misroute)];
+            lfsr_state = pick >> 2 & 0b11;
+            lfsr_draws += u32::from(pick >> 4 & 0b11);
+            if pick & CHOSEN != 0 {
+                let d = usize::from(pick & 0b11);
+                let misroute = pick & MISROUTE != 0;
+                detoured |= misroute;
+                misroutes += u32::from(misroute);
+                let frame = stack.last_mut().expect("nonempty");
+                frame.tried |= 1 << d;
+                frame.exit = d as u8;
+                let next = Frame {
+                    cell: top.cell.wrapping_add(cell_step[d]),
+                    node: top.node.wrapping_add(node_step[d]),
+                    row: top.row.wrapping_add(ROW_STEP[d]),
+                    col: top.col.wrapping_add(COL_STEP[d]),
+                    tried: 0,
+                    exit: 0,
+                };
+                let byte = &mut walk[next.cell as usize];
+                *byte = (*byte + 1) | HELD;
+                advanced = true;
+                extent = (
+                    extent.0.min(next.row),
+                    extent.1.max(next.row),
+                    extent.2.min(next.col),
+                    extent.3.max(next.col),
+                );
+                stack.push(next);
+            } else {
+                // Dead end: backtrack in cancel mode (Alg. 1 line 47). The
+                // router leaves the tentative circuit; its entry count
+                // stays.
+                detoured = true;
+                stack.pop();
+                walk[c] &= !HELD;
+                if stack.is_empty() {
+                    // Scout arrived back at the controller: failure. The
+                    // walk wrote no shared state, so no generation stamp
+                    // moves — that is what lets the fast-fail cache treat
+                    // "stamps unchanged" as "this exact failure replays".
+                    break Err(ScoutFailure {
+                        steps,
+                        advanced,
+                        misroutes,
+                        lfsr_draws,
+                        cap_pruned,
+                        extent,
+                    });
+                }
+            }
+        };
+        *lfsr = Lfsr2::with_seed(lfsr_state);
+        result
+    }
+
+    /// Writes a successful walk's circuit into the shared state: link
+    /// owners, one reservation row per router (ejection at the
+    /// destination), and the generation stamps.
+    fn install(&mut self, packet_id: u8, frames: &[Frame]) -> ReservedPath {
+        let mut path = self.pooled_path(packet_id);
+        let mut entry = Port::Injection;
+        for hop in frames.windows(2) {
+            let (f, node, next) = (hop[0], NodeId(hop[0].node), NodeId(hop[1].node));
+            let dir = Direction::from_encoding(f.exit);
+            let link = self
+                .topo
+                .link_at(f.row, f.col, dir)
+                .expect("path stays in the mesh");
+            self.set_link_owner(link, node, next, Some(packet_id));
+            self.install_row(packet_id, node, entry, Port::Mesh(dir));
+            path.nodes.push(node);
+            path.links.push(link);
+            entry = Port::Mesh(dir.opposite());
+        }
+        let last = NodeId(frames.last().expect("a walk holds its source").node);
+        self.install_row(packet_id, last, entry, Port::Ejection);
+        path.nodes.push(last);
+        self.stamp_nodes(&path.nodes);
+        path
+    }
+}
+
+#[cfg(test)]
+impl MeshState {
+    /// The straightforward DFS the packed walk replaced, kept as its
+    /// lockstep reference: per-port checks against the shared link, fault
+    /// and row state, and a link and row write on every forward step and
+    /// backtrack.
+    fn scout_walk_reference(
+        &mut self,
+        packet_id: u8,
+        src: NodeId,
+        dst: NodeId,
+        lfsr: &mut Lfsr2,
+        allow_misroute: bool,
+    ) -> Result<(ReservedPath, ScoutOutcome), ScoutFailure> {
+        struct RefFrame {
+            node: NodeId,
+            entry: Port,
+            tried: [bool; 4],
+        }
+        #[derive(Clone, Copy, PartialEq, Eq)]
+        enum PortCheck {
+            Usable,
+            Blocked,
+            CapPruned,
+        }
+
+        let topo = self.topo;
+        let mut entries = vec![0u8; topo.node_count()];
+        entries[src.0 as usize] = 1;
+        let mut stack = vec![RefFrame {
+            node: src,
+            entry: Port::Injection,
+            tried: [false; 4],
+        }];
+        let mut steps: u32 = 0;
+        let mut detoured = false;
+        let mut advanced = false;
+        let mut misroutes: u32 = 0;
+        let mut lfsr_draws: u32 = 0;
+        let mut cap_pruned = false;
+        let (src_r, src_c) = (topo.row(src), topo.col(src));
+        let mut extent = (src_r, src_r, src_c, src_c);
+        let step_cap = (topo.node_count() as u32) * 16 + 64;
 
         loop {
             steps += 1;
@@ -587,23 +972,15 @@ impl MeshState {
             let cur = frame.node;
 
             if cur == dst {
-                // Destination reached: install the ejection row and return.
-                self.routers[cur.0 as usize]
-                    .insert(packet_id, frame.entry, Port::Ejection)
-                    .expect("destination router row must be free");
+                self.install_row(packet_id, cur, frame.entry, Port::Ejection);
                 let mut path = self.pooled_path(packet_id);
                 path.nodes.extend(stack.iter().map(|f| f.node));
-                // Each non-source frame's entry port names the link taken
-                // from its parent.
-                for (i, f) in stack.iter().enumerate().skip(1) {
-                    let Port::Mesh(entry_dir) = f.entry else {
+                for hop in stack.windows(2) {
+                    let Port::Mesh(entry_dir) = hop[1].entry else {
                         unreachable!("non-source frames enter on a mesh port")
                     };
-                    let (nb, link) = self.adj[stack[i - 1].node.0 as usize]
-                        [entry_dir.opposite().index()]
-                    .expect("path steps are adjacent");
-                    debug_assert_eq!(nb, f.node);
-                    path.links.push(link);
+                    let link = topo.link(hop[0].node, entry_dir.opposite());
+                    path.links.push(link.expect("path steps are adjacent"));
                 }
                 self.stamp_nodes(&path.nodes);
                 return Ok((
@@ -617,59 +994,31 @@ impl MeshState {
                 ));
             }
 
-            // Candidate output ports, Algorithm 1: minimal first.
-            let diff_x = i32::from(self.topo.col(dst)) - i32::from(self.topo.col(cur));
-            let diff_y = i32::from(self.topo.row(dst)) - i32::from(self.topo.row(cur));
-            let mut minimal: [Option<Direction>; 2] = [None, None];
-            let mut n_min = 0;
-            // Row index grows downward, so positive diff_y means Down.
-            let mut push_min = |d: Direction| {
-                minimal[n_min] = Some(d);
-                n_min += 1;
-            };
+            let diff_x = i32::from(topo.col(dst)) - i32::from(topo.col(cur));
+            let diff_y = i32::from(topo.row(dst)) - i32::from(topo.row(cur));
+            let mut minimal = Vec::new();
             if diff_x > 0 {
-                push_min(Direction::Right);
+                minimal.push(Direction::Right);
             } else if diff_x < 0 {
-                push_min(Direction::Left);
+                minimal.push(Direction::Left);
             }
             if diff_y > 0 {
-                push_min(Direction::Down);
+                minimal.push(Direction::Down);
             } else if diff_y < 0 {
-                push_min(Direction::Up);
+                minimal.push(Direction::Up);
             }
 
-            // Port usability, with the livelock-cap rejection reported
-            // separately: a cap rejection makes the walk's exploration
-            // order-dependent, which disqualifies its failure from the
-            // fast-fail cache (see `ScoutFailure::cap_pruned`).
-            #[derive(Clone, Copy, PartialEq, Eq)]
-            enum PortCheck {
-                Usable,
-                Blocked,
-                CapPruned,
-            }
-            let check = |state: &Self,
-                         frame: &Frame,
-                         entries: &[u8],
-                         d: Direction|
-             -> PortCheck {
+            let check = |state: &Self, frame: &RefFrame, entries: &[u8], d: Direction| {
                 if frame.tried[d.index()] {
                     return PortCheck::Blocked;
                 }
-                let Some((nb, link)) = state.adj[cur.0 as usize][d.index()] else {
+                let (Some(nb), Some(link)) = (topo.neighbor(cur, d), topo.link(cur, d)) else {
                     return PortCheck::Blocked;
                 };
-                // Fault mask: a downed router is never entered (and
-                // `link_free` below already folds in downed links).
-                if state.router_down[nb.0 as usize] {
-                    return PortCheck::Blocked;
-                }
-                if !state.link_free(link) {
-                    return PortCheck::Blocked; // incl. our own partial path
-                }
-                // A circuit may cross a router only once (one table row per
-                // packet), and the livelock rule bounds re-entries.
-                if state.routers[nb.0 as usize].entry(packet_id).is_some() {
+                if state.router_down[nb.0 as usize]
+                    || !state.link_free(link)
+                    || state.reservation(nb, packet_id).is_some()
+                {
                     return PortCheck::Blocked;
                 }
                 if entries[nb.0 as usize] >= MAX_ENTRIES_PER_ROUTER {
@@ -678,56 +1027,39 @@ impl MeshState {
                 PortCheck::Usable
             };
 
-            let mut candidates: [Option<Direction>; 2] = [None, None];
-            let mut n_cand = 0;
-            for d in minimal.iter().flatten().copied() {
-                match check(self, frame, entries, d) {
-                    PortCheck::Usable => {
-                        candidates[n_cand] = Some(d);
-                        n_cand += 1;
-                    }
+            let mut candidates = Vec::new();
+            for &d in &minimal {
+                match check(self, frame, &entries, d) {
+                    PortCheck::Usable => candidates.push(d),
                     PortCheck::CapPruned => cap_pruned = true,
                     PortCheck::Blocked => {}
                 }
             }
-
-            let choice = match n_cand {
+            let choice = match candidates.len() {
                 2 => {
-                    // Two minimal candidates: LFSR tie-break (Alg. 1 line 28).
                     lfsr_draws += 1;
-                    let pick = usize::from(lfsr.next_bit());
-                    Some(candidates[pick].expect("two candidates present"))
+                    Some(candidates[usize::from(lfsr.next_bit())])
                 }
-                1 => Some(candidates[0].expect("one candidate present")),
+                1 => Some(candidates[0]),
                 _ => {
-                    // No minimal port: misroute through any free port
-                    // (Alg. 1 lines 34–45). Gather and pick pseudo-randomly.
-                    let mut non_min: [Option<Direction>; 4] = [None; 4];
-                    let mut n_non_min = 0usize;
+                    let mut non_min = Vec::new();
                     if allow_misroute {
                         for d in Direction::ALL {
-                            match check(self, frame, entries, d) {
-                                PortCheck::Usable => {
-                                    non_min[n_non_min] = Some(d);
-                                    n_non_min += 1;
-                                }
+                            match check(self, frame, &entries, d) {
+                                PortCheck::Usable => non_min.push(d),
                                 PortCheck::CapPruned => cap_pruned = true,
                                 PortCheck::Blocked => {}
                             }
                         }
                     }
-                    if n_non_min == 0 {
+                    if non_min.is_empty() {
                         None
                     } else {
                         detoured = true;
                         misroutes += 1;
-                        // Select with successive LFSR bits: cheap hardware
-                        // equivalent of a uniform pick among ≤ 4 options.
                         lfsr_draws += 2;
-                        let mut idx = usize::from(lfsr.next_bit()) * 2
-                            + usize::from(lfsr.next_bit());
-                        idx %= n_non_min;
-                        Some(non_min[idx].expect("counted candidate"))
+                        let idx = usize::from(lfsr.next_bit()) * 2 + usize::from(lfsr.next_bit());
+                        Some(non_min[idx % non_min.len()])
                     }
                 }
             };
@@ -736,37 +1068,30 @@ impl MeshState {
                 Some(dir) => {
                     let frame = stack.last_mut().expect("nonempty");
                     frame.tried[dir.index()] = true;
-                    let (nb, link) =
-                        self.adj[cur.0 as usize][dir.index()].expect("usable link exists");
-                    self.links[link.0 as usize] = Some(packet_id);
-                    self.routers[cur.0 as usize]
-                        .insert(packet_id, frame.entry, Port::Mesh(dir))
-                        .expect("row free: circuit visits a router once");
+                    let entry = frame.entry;
+                    let nb = topo.neighbor(cur, dir).expect("usable port");
+                    let link = topo.link(cur, dir).expect("usable port");
+                    self.set_link_owner(link, cur, nb, Some(packet_id));
+                    self.install_row(packet_id, cur, entry, Port::Mesh(dir));
                     entries[nb.0 as usize] += 1;
                     advanced = true;
-                    let (r, c) = (self.topo.row(nb), self.topo.col(nb));
+                    let (r, c) = (topo.row(nb), topo.col(nb));
                     extent = (
                         extent.0.min(r),
                         extent.1.max(r),
                         extent.2.min(c),
                         extent.3.max(c),
                     );
-                    stack.push(Frame {
+                    stack.push(RefFrame {
                         node: nb,
                         entry: Port::Mesh(dir.opposite()),
                         tried: [false; 4],
                     });
                 }
                 None => {
-                    // Dead end: backtrack in cancel mode (Alg. 1 line 47).
                     detoured = true;
                     let dead = stack.pop().expect("nonempty");
-                    if stack.is_empty() {
-                        // Scout arrived back at the controller: failure.
-                        // The walk restored every link it touched, so no
-                        // generation stamp moves — that is what lets the
-                        // fast-fail cache treat "stamps unchanged" as "this
-                        // exact failure replays".
+                    let Some(parent) = stack.last() else {
                         return Err(ScoutFailure {
                             steps,
                             advanced,
@@ -775,20 +1100,17 @@ impl MeshState {
                             cap_pruned,
                             extent,
                         });
-                    }
-                    let parent = stack.last().expect("nonempty after pop");
-                    // Cancel the parent's row and free the link we came over:
-                    // the dead frame's entry port names that link's far end.
+                    };
+                    // Cancel the parent's row and free the link back to it.
                     let Port::Mesh(entry_dir) = dead.entry else {
                         unreachable!("non-source frames enter on a mesh port")
                     };
-                    let (nb, link) = self.adj[parent.node.0 as usize]
-                        [entry_dir.opposite().index()]
-                    .expect("parent adjacent to dead end");
-                    debug_assert_eq!(nb, dead.node);
-                    debug_assert_eq!(self.links[link.0 as usize], Some(packet_id));
-                    self.links[link.0 as usize] = None;
-                    self.routers[parent.node.0 as usize].remove(packet_id);
+                    let (parent, dir) = (parent.node, entry_dir.opposite());
+                    let link = topo.link(parent, dir).expect("parent adjacent to dead end");
+                    assert_eq!(self.links[link.0 as usize], Some(packet_id));
+                    self.set_link_owner(link, parent, dead.node, None);
+                    let i = self.row_index(packet_id, parent);
+                    self.rows[i] = 0;
                 }
             }
         }
@@ -798,6 +1120,7 @@ impl MeshState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use venice_sim::rng::Xorshift64Star;
 
     fn mesh(rows: u16, cols: u16) -> MeshState {
         MeshState::new(Mesh2D::new(rows, cols), rows as usize)
@@ -813,6 +1136,207 @@ mod tests {
         // Every link owned by the packet.
         for &l in &p.links {
             assert_eq!(m.link_owner(l), Some(p.packet_id));
+        }
+    }
+
+    /// Port bytes recomputed from scratch out of the mesh edges, the link
+    /// and router faults (low nibble) and the link owners (high nibble).
+    fn expected_ports(m: &MeshState) -> Vec<u8> {
+        let topo = m.topology();
+        topo.nodes()
+            .map(|n| {
+                Direction::ALL.into_iter().fold(0, |mask, d| {
+                    let (closed, reserved) = match (topo.neighbor(n, d), topo.link(n, d)) {
+                        (Some(nb), Some(l)) => (
+                            m.link_is_down(l) || m.router_is_down(nb),
+                            m.link_owner(l).is_some(),
+                        ),
+                        _ => (true, false),
+                    };
+                    mask | (u8::from(closed) | u8::from(reserved) << 4) << d.encoding()
+                })
+            })
+            .collect()
+    }
+
+    /// Asserts the shared state a walk or release may write is identical in
+    /// both meshes, and that `a`'s port masks agree with its link state.
+    fn assert_same_state(a: &MeshState, b: &MeshState, ctx: &str) {
+        assert_eq!(a.links, b.links, "link owners: {ctx}");
+        assert_eq!(a.rows, b.rows, "reservation rows: {ctx}");
+        assert_eq!(a.stamps, b.stamps, "node stamps: {ctx}");
+        assert_eq!(a.row_stamps, b.row_stamps, "row stamps: {ctx}");
+        assert_eq!(a.change_seq, b.change_seq, "change_seq: {ctx}");
+        assert_eq!(a.ports, b.ports, "port bytes: {ctx}");
+        assert_eq!(a.ports, expected_ports(a), "stale port bytes: {ctx}");
+    }
+
+    /// Reserves a random self-avoiding circuit of up to `max_hops` hops for
+    /// `packet_id` from `start`, over free links and routers where the
+    /// packet holds no row. `None` when `start` already holds one.
+    fn random_circuit(
+        m: &mut MeshState,
+        rng: &mut Xorshift64Star,
+        packet_id: u8,
+        start: NodeId,
+        max_hops: u64,
+    ) -> Option<ReservedPath> {
+        if m.reservation(start, packet_id).is_some() {
+            return None;
+        }
+        let topo = m.topology();
+        let mut nodes = vec![start];
+        for _ in 0..rng.next_bounded(max_hops + 1) {
+            let cur = *nodes.last().expect("non-empty");
+            let options: Vec<NodeId> = Direction::ALL
+                .into_iter()
+                .filter_map(|d| {
+                    let (nb, link) = (topo.neighbor(cur, d)?, topo.link(cur, d)?);
+                    let open = m.link_free(link)
+                        && !nodes.contains(&nb)
+                        && m.reservation(nb, packet_id).is_none();
+                    open.then_some(nb)
+                })
+                .collect();
+            if options.is_empty() {
+                break;
+            }
+            nodes.push(options[rng.next_bounded(options.len() as u64) as usize]);
+        }
+        Some(m.reserve_explicit(packet_id, &nodes))
+    }
+
+    /// Flips one random link or router fault mask in both meshes.
+    fn random_fault(a: &mut MeshState, b: &mut MeshState, rng: &mut Xorshift64Star, up: bool) {
+        let topo = a.topology();
+        let n = NodeId(rng.next_bounded(topo.node_count() as u64) as u16);
+        if rng.next_bool(0.3) {
+            a.set_router_state(n, up);
+            b.set_router_state(n, up);
+        } else if let Some(nb) = topo.neighbor(n, Direction::ALL[rng.next_bounded(4) as usize]) {
+            a.set_link_state(n, nb, up);
+            b.set_link_state(n, nb, up);
+        }
+    }
+
+    #[test]
+    fn packed_walk_matches_the_reference_dfs() {
+        // Lines both ways, non-square meshes up to 32×32, and 96 controllers
+        // (more than one u64 of packet ids).
+        const SHAPES: [(u16, u16); 10] = [
+            (1, 1),
+            (1, 12),
+            (12, 1),
+            (2, 9),
+            (7, 3),
+            (5, 6),
+            (8, 8),
+            (13, 17),
+            (32, 32),
+            (96, 2),
+        ];
+        let mut rng = Xorshift64Star::new(0x5C0_7A1C);
+        // Successes, failures, advanced failures, capped failures,
+        // misrouting walks, minimal-only walks, and walks by a packet
+        // holding rows away from its source.
+        let mut seen = [0u32; 7];
+        for case in 0..200 {
+            let (rows, cols) = SHAPES[case % SHAPES.len()];
+            let topo = Mesh2D::new(rows, cols);
+            let nodes = topo.node_count() as u64;
+            let controllers = usize::from(rows).max(4);
+            let mut packed = MeshState::new(topo, controllers);
+            let mut reference = packed.clone();
+            for _ in 0..rng.next_bounded(nodes / 16 + 2) {
+                random_fault(&mut packed, &mut reference, &mut rng, false);
+            }
+            // Circuits of random packets, light to heavy.
+            let circuits = nodes * (1 + rng.next_bounded(4)) / 8;
+            let mut live: Vec<(ReservedPath, ReservedPath)> = Vec::new();
+            for _ in 0..circuits {
+                let packet = rng.next_bounded(controllers as u64) as u8;
+                let start = NodeId(rng.next_bounded(nodes) as u16);
+                let max_hops = 1 + rng.next_bounded(u64::from(rows) + u64::from(cols));
+                if let Some(p) = random_circuit(&mut packed, &mut rng, packet, start, max_hops) {
+                    live.push((p.clone(), reference.reserve_explicit(packet, &p.nodes)));
+                }
+            }
+            assert_same_state(&packed, &reference, &format!("case {case} setup"));
+
+            for walk in 0..24u32 {
+                let packet = rng.next_bounded(controllers as u64) as u8;
+                let src = NodeId(rng.next_bounded(nodes) as u16);
+                let dst = NodeId(rng.next_bounded(nodes) as u16);
+                if packed.reservation(src, packet).is_some() {
+                    continue; // a circuit visits a router once
+                }
+                let phase = 1 + (walk % 3) as u8;
+                let allow_misroute = rng.next_bool(0.75);
+                let ctx = format!(
+                    "case {case} walk {walk}: {rows}x{cols}, packet {packet} {src}->{dst}, \
+                     phase {phase}, misroute {allow_misroute}"
+                );
+                let holds_rows = packed.rows[packed.row_index(packet, NodeId(0))..]
+                    [..topo.node_count()]
+                    .iter()
+                    .any(|&r| r != 0);
+                let mut lfsr_packed = Lfsr2::with_seed(phase);
+                let mut lfsr_ref = lfsr_packed.clone();
+                let got =
+                    packed.scout_walk_opts(packet, src, dst, &mut lfsr_packed, allow_misroute);
+                let want =
+                    reference.scout_walk_reference(packet, src, dst, &mut lfsr_ref, allow_misroute);
+                assert_eq!(got, want, "{ctx}");
+                assert_eq!(lfsr_packed, lfsr_ref, "LFSR end state: {ctx}");
+                assert_same_state(&packed, &reference, &ctx);
+
+                seen[4] += u32::from(match &got {
+                    Ok((_, out)) => out.misroutes > 0,
+                    Err(fail) => fail.misroutes > 0,
+                });
+                seen[5] += u32::from(!allow_misroute);
+                seen[6] += u32::from(holds_rows);
+                match (got, want) {
+                    (Ok((p, _)), Ok((r, _))) => {
+                        seen[0] += 1;
+                        if rng.next_bool(0.5) {
+                            packed.release_owned(p);
+                            reference.release_owned(r);
+                            assert_same_state(&packed, &reference, &format!("{ctx}, released"));
+                        } else {
+                            live.push((p, r));
+                        }
+                    }
+                    (Err(fail), _) => {
+                        seen[1] += 1;
+                        seen[2] += u32::from(fail.advanced);
+                        seen[3] += u32::from(fail.cap_pruned);
+                    }
+                    _ => unreachable!("verdicts compared equal"),
+                }
+                if !live.is_empty() && rng.next_bool(0.3) {
+                    let (p, r) = live.swap_remove(rng.next_bounded(live.len() as u64) as usize);
+                    packed.release_owned(p);
+                    reference.release_owned(r);
+                    assert_same_state(&packed, &reference, &format!("{ctx}, older release"));
+                }
+                if rng.next_bool(0.1) {
+                    let up = rng.next_bool(0.5);
+                    random_fault(&mut packed, &mut reference, &mut rng, up);
+                    assert_same_state(&packed, &reference, &format!("{ctx}, fault flip"));
+                }
+            }
+        }
+        for (count, what) in seen.iter().zip([
+            "successes",
+            "failures",
+            "advanced failures",
+            "cap-pruned failures",
+            "misrouting walks",
+            "minimal-only walks",
+            "walks holding rows elsewhere",
+        ]) {
+            assert!(*count > 0, "no {what} exercised: {seen:?}");
         }
     }
 
@@ -838,9 +1362,9 @@ mod tests {
         let (p, _) = m.scout_walk(0, n, n, &mut lfsr).unwrap();
         assert_eq!(p.hops(), 0);
         // Ejection row installed even for the trivial path.
-        assert!(m.router(n).entry(0).is_some());
+        assert!(m.reservation(n, 0).is_some());
         m.release(&p);
-        assert!(m.router(n).entry(0).is_none());
+        assert!(m.reservation(n, 0).is_none());
     }
 
     #[test]
@@ -886,7 +1410,7 @@ mod tests {
         let err = m.scout_walk(2, src, m2.node_at(1, 2), &mut lfsr).unwrap_err();
         assert!(err.steps >= 1);
         // Failure must leave no residue for packet 2.
-        assert!(m.router(src).entry(2).is_none());
+        assert!(m.reservation(src, 2).is_none());
         for l in 0..m2.link_count() as u32 {
             assert_ne!(m.link_owner(LinkId(l)), Some(2));
         }
@@ -960,11 +1484,11 @@ mod tests {
             .scout_walk(2, t.node_at(2, 0), t.node_at(0, 3), &mut lfsr)
             .unwrap();
         for &n in &p.nodes {
-            assert!(m.router(n).entry(2).is_some());
+            assert!(m.reservation(n, 2).is_some());
         }
         m.release(&p);
         for &n in &p.nodes {
-            assert!(m.router(n).entry(2).is_none());
+            assert!(m.reservation(n, 2).is_none());
         }
     }
 
@@ -1172,7 +1696,7 @@ mod tests {
         let mut m = mesh(4, 4);
         let t = m.topology();
         let mut lfsr = Lfsr2::new();
-        let mut rng = venice_sim::rng::Xorshift64Star::new(99);
+        let mut rng = Xorshift64Star::new(99);
         let mut live: Vec<ReservedPath> = Vec::new();
         for round in 0..500 {
             if !live.is_empty() && rng.next_bool(0.4) {

@@ -8,6 +8,10 @@
 //! entry port is circuit-connected to which exit port. The table has one row
 //! per flash controller because the packet ID equals the source controller
 //! ID, bounding the number of simultaneous reservations.
+//!
+//! [`crate::mesh::MeshState`] keeps every router's table in one packed
+//! array, one byte per (packet, router) row; read a row back with
+//! [`crate::mesh::MeshState::reservation`].
 
 use crate::Direction;
 
@@ -22,6 +26,27 @@ pub enum Port {
     Ejection,
     /// The local port from the attached flash controller into the mesh.
     Injection,
+}
+
+impl Port {
+    /// 3-bit code: a mesh port's 2-bit direction encoding, then ejection
+    /// (4) and injection (5).
+    const fn code(self) -> u8 {
+        match self {
+            Port::Mesh(d) => d.encoding(),
+            Port::Ejection => 4,
+            Port::Injection => 5,
+        }
+    }
+
+    /// Decodes [`Port::code`].
+    const fn from_code(code: u8) -> Port {
+        match code {
+            4 => Port::Ejection,
+            5 => Port::Injection,
+            c => Port::Mesh(Direction::from_encoding(c)),
+        }
+    }
 }
 
 impl std::fmt::Display for Port {
@@ -46,108 +71,23 @@ pub struct ReservationEntry {
     pub exit: Port,
 }
 
-/// The router reservation table: at most one row per flash controller.
-///
-/// # Example
-///
-/// ```
-/// use venice_interconnect::router::{Port, ReservationTable};
-/// use venice_interconnect::Direction;
-///
-/// let mut t = ReservationTable::new(8);
-/// t.insert(5, Port::Mesh(Direction::Left), Port::Mesh(Direction::Right))
-///     .unwrap();
-/// assert!(t.entry(5).is_some());
-/// t.remove(5);
-/// assert!(t.entry(5).is_none());
-/// ```
-#[derive(Clone, Debug)]
-pub struct ReservationTable {
-    rows: Vec<Option<ReservationEntry>>,
-}
+impl ReservationEntry {
+    /// Packs a row's two ports into one byte. The result is never zero, so
+    /// zero marks an empty row.
+    pub(crate) const fn pack(entry: Port, exit: Port) -> u8 {
+        0x40 | entry.code() << 3 | exit.code()
+    }
 
-/// Error inserting into a full or conflicting reservation table.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReservationError {
-    /// The packet already holds a reservation in this router; a circuit may
-    /// pass through a router only once per packet at any instant.
-    AlreadyReserved(u8),
-    /// Packet ID beyond the table capacity.
-    PacketIdOutOfRange(u8),
-}
-
-impl std::fmt::Display for ReservationError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReservationError::AlreadyReserved(id) => {
-                write!(f, "packet {id} already reserved in this router")
-            }
-            ReservationError::PacketIdOutOfRange(id) => {
-                write!(f, "packet id {id} out of table range")
-            }
+    /// Unpacks a row byte of packet `packet_id`; `None` for an empty row.
+    pub(crate) const fn unpack(packet_id: u8, row: u8) -> Option<ReservationEntry> {
+        if row == 0 {
+            return None;
         }
-    }
-}
-
-impl std::error::Error for ReservationError {}
-
-impl ReservationTable {
-    /// Creates a table with one row per flash controller.
-    pub fn new(controllers: usize) -> Self {
-        ReservationTable {
-            rows: vec![None; controllers],
-        }
-    }
-
-    /// Number of rows (the controller count).
-    pub fn capacity(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Number of valid rows.
-    pub fn occupied(&self) -> usize {
-        self.rows.iter().filter(|r| r.is_some()).count()
-    }
-
-    /// Looks up the reservation held by `packet_id`, if any.
-    pub fn entry(&self, packet_id: u8) -> Option<ReservationEntry> {
-        self.rows.get(usize::from(packet_id)).copied().flatten()
-    }
-
-    /// Records a bidirectional entry↔exit connection for `packet_id`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the packet already holds a row here (a legal circuit visits
-    /// a router at most once at any instant) or the ID is out of range.
-    pub fn insert(&mut self, packet_id: u8, entry: Port, exit: Port) -> Result<(), ReservationError> {
-        let slot = self
-            .rows
-            .get_mut(usize::from(packet_id))
-            .ok_or(ReservationError::PacketIdOutOfRange(packet_id))?;
-        if slot.is_some() {
-            return Err(ReservationError::AlreadyReserved(packet_id));
-        }
-        *slot = Some(ReservationEntry {
+        Some(ReservationEntry {
             packet_id,
-            entry,
-            exit,
-        });
-        Ok(())
-    }
-
-    /// Clears the reservation of `packet_id` (cancel mode / circuit release).
-    /// Removing an absent row is a no-op, mirroring the idempotent cancel
-    /// behavior of the hardware.
-    pub fn remove(&mut self, packet_id: u8) {
-        if let Some(slot) = self.rows.get_mut(usize::from(packet_id)) {
-            *slot = None;
-        }
-    }
-
-    /// Iterates over the valid rows.
-    pub fn iter(&self) -> impl Iterator<Item = &ReservationEntry> {
-        self.rows.iter().filter_map(|r| r.as_ref())
+            entry: Port::from_code(row >> 3 & 0b111),
+            exit: Port::from_code(row & 0b111),
+        })
     }
 }
 
@@ -156,56 +96,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_lookup_remove() {
-        let mut t = ReservationTable::new(8);
-        t.insert(3, Port::Mesh(Direction::Left), Port::Ejection)
-            .unwrap();
-        let e = t.entry(3).unwrap();
-        assert_eq!(e.packet_id, 3);
-        assert_eq!(e.entry, Port::Mesh(Direction::Left));
-        assert_eq!(e.exit, Port::Ejection);
-        assert_eq!(t.occupied(), 1);
-        t.remove(3);
-        assert_eq!(t.occupied(), 0);
-        assert!(t.entry(3).is_none());
-    }
-
-    #[test]
-    fn double_insert_rejected() {
-        let mut t = ReservationTable::new(4);
-        t.insert(1, Port::Injection, Port::Mesh(Direction::Right))
-            .unwrap();
-        assert_eq!(
-            t.insert(1, Port::Injection, Port::Mesh(Direction::Up)),
-            Err(ReservationError::AlreadyReserved(1))
-        );
-    }
-
-    #[test]
-    fn out_of_range_packet_rejected() {
-        let mut t = ReservationTable::new(4);
-        assert_eq!(
-            t.insert(4, Port::Injection, Port::Ejection),
-            Err(ReservationError::PacketIdOutOfRange(4))
-        );
-    }
-
-    #[test]
-    fn remove_is_idempotent() {
-        let mut t = ReservationTable::new(2);
-        t.remove(0);
-        t.remove(7); // out of range: still a no-op
-        assert_eq!(t.occupied(), 0);
-    }
-
-    #[test]
-    fn capacity_bounds_simultaneous_packets() {
-        let mut t = ReservationTable::new(8);
-        for id in 0..8u8 {
-            t.insert(id, Port::Injection, Port::Ejection).unwrap();
+    fn packed_rows_roundtrip_every_port_pair() {
+        let ports = Direction::ALL
+            .map(Port::Mesh)
+            .into_iter()
+            .chain([Port::Ejection, Port::Injection]);
+        for entry in ports.clone() {
+            for exit in ports.clone() {
+                let row = ReservationEntry::pack(entry, exit);
+                assert_ne!(row, 0, "a held row never packs to the empty marker");
+                assert_eq!(
+                    ReservationEntry::unpack(7, row),
+                    Some(ReservationEntry {
+                        packet_id: 7,
+                        entry,
+                        exit
+                    })
+                );
+            }
         }
-        assert_eq!(t.occupied(), 8);
-        assert_eq!(t.capacity(), 8);
-        assert_eq!(t.iter().count(), 8);
+        assert_eq!(ReservationEntry::unpack(7, 0), None);
     }
 }

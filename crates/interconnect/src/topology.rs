@@ -200,7 +200,12 @@ impl Mesh2D {
     /// The bidirectional link leaving `n` in direction `dir`, or `None` at
     /// the mesh edge.
     pub fn link(&self, n: NodeId, dir: Direction) -> Option<LinkId> {
-        let (r, c) = (self.row(n), self.col(n));
+        self.link_at(self.row(n), self.col(n), dir)
+    }
+
+    /// [`Mesh2D::link`] for the node at `(r, c)`, without the row/column
+    /// division.
+    pub(crate) fn link_at(&self, r: u16, c: u16, dir: Direction) -> Option<LinkId> {
         let h_count = u32::from(self.rows) * u32::from(self.cols - 1);
         match dir {
             Direction::Right if c + 1 < self.cols => {

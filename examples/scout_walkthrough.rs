@@ -51,7 +51,7 @@ fn main() {
 
     // Each router along the path now holds a reservation-table row.
     for node in &path.nodes {
-        let entry = mesh.router(*node).entry(3).expect("row installed");
+        let entry = mesh.reservation(*node, 3).expect("row installed");
         println!(
             "  router {node}: packet {} entry={} exit={}",
             entry.packet_id, entry.entry, entry.exit
