@@ -753,3 +753,59 @@ fn main() {
         write_rebuild_ablation(&outcome, &results.join("rebuild_ablation.json"));
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// FNV-1a 64 over `bytes` from `seed` (an own copy, so the pin does not
+    /// depend on the code it checks).
+    fn fnv1a(bytes: &[u8], seed: u64) -> u64 {
+        bytes.iter().fold(seed, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    /// One hash over everything a resumed sweep or `sweep_diff` matches on:
+    /// the definition JSON (the `grid.json` stamp behind `grid_hash`) and
+    /// every point's id, label and file name.
+    fn expansion_hash(grid: &SweepGrid) -> u64 {
+        let def = fnv1a(grid.definition_json().as_bytes(), 0xcbf2_9ce4_8422_2325);
+        grid.build_points().iter().fold(def, |h, p| {
+            let line = format!("{}|{}|{}\n", p.id, p.label, p.file_name());
+            fnv1a(line.as_bytes(), h)
+        })
+    }
+
+    /// Every named grid expands byte-identically to the constants below,
+    /// both at its default request budget and at `--requests 123`. The
+    /// default case of the grids without their own budget reads
+    /// `VENICE_REQUESTS`, so this test expects that variable unset.
+    #[test]
+    fn named_grids_expand_byte_identically() {
+        const PINS: [(&str, u64, u64); 14] = [
+            ("mini", 0x4344_2fae_bd1b_f532, 0xa1c9_a6f9_d6d6_8248),
+            ("table2", 0x93e9_281f_48fc_4eb8, 0x7056_5e59_398c_6703),
+            ("mixes", 0xc102_e15f_7682_c05a, 0x717a_ac8c_cdc2_935f),
+            ("shapes", 0x4a12_f2ed_e9f9_08e7, 0x2fd6_ef5b_dd61_1afe),
+            ("nand", 0x97b2_dedb_22db_8b28, 0x42ee_6177_75cb_d8e3),
+            ("qd", 0x1115_ae19_6e4c_cf57, 0x4de1_8617_ecef_bdd2),
+            ("design", 0xa009_1278_e782_c4b5, 0x009c_f479_6d54_b0ee),
+            ("policy", 0x2896_daa3_4ca9_6a61, 0x07ac_5f6c_ffec_580d),
+            ("bigmesh", 0xf384_58bf_c098_aad7, 0x2afd_e318_8192_19f3),
+            ("scoutcache", 0xdb23_bfd6_37c6_d63d, 0xae82_e221_d3c4_5695),
+            ("faults", 0x1092_ce67_3cc3_0ff1, 0xd256_59b9_bf94_4c65),
+            ("tenants", 0x0093_78de_0d45_e6f8, 0x16b8_dc8f_dd8b_9fea),
+            ("resilience", 0x83e0_21f3_b7ca_376b, 0xd83f_ac1e_a409_f2c3),
+            ("rebuild", 0x6bb0_5beb_7ab8_53d4, 0x058c_8b90_82f6_b95c),
+        ];
+        let got = GRID_NAMES.map(|name| {
+            let hash = |requests| expansion_hash(&named_grid(name, requests).expect("named grid"));
+            (name, hash(None), hash(Some(123)))
+        });
+        assert_eq!(
+            got, PINS,
+            "a named grid no longer expands byte-identically (VENICE_REQUESTS must be unset)"
+        );
+    }
+}
