@@ -21,14 +21,8 @@
 use std::path::{Path, PathBuf};
 
 use venice_bench::microbench::{json_f64_fields, json_str_fields};
+use venice_bench::sweep::{fnv1a, FNV_OFFSET};
 use venice_ssd::report::{f2, json_str};
-
-/// FNV-1a 64-bit over `bytes` (the artifact fingerprint).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-    })
-}
 
 /// `git describe --always --dirty` (provenance only, never compared).
 fn git_describe() -> String {
@@ -64,7 +58,7 @@ fn entry_for(source: &Path, throughput_key: &str) -> Result<String, String> {
         "  {{\"git\": {}, \"fingerprint\": \"{:016x}\", \"scenarios\": {scenarios}, \
          \"mean_speedup\": {}, \"mean_{throughput_key}\": {}}}",
         json_str(&git_describe()),
-        fnv1a(json.as_bytes()),
+        fnv1a(json.as_bytes(), FNV_OFFSET),
         f2(mean(&speedups).unwrap_or(0.0)),
         f2(mean(&throughput).unwrap_or(0.0)),
     ))

@@ -44,14 +44,15 @@
 //! re-run.
 //!
 //! Flags: `--grid <name>`, `--requests <n>` (default: `VENICE_REQUESTS`,
-//! except `mini`/`policy`/`bigmesh`/`scoutcache` which have their own
-//! defaults), `--par <n>` (dedicated pool size; default: the shared pool),
+//! except `mini`/`policy`/`bigmesh`/`scoutcache`/`faults`/`tenants`/
+//! `resilience`/`rebuild`, which have their own defaults), `--par <n>`
+//! (dedicated pool size; default: the shared pool),
 //! `--systems a,b,c` (override the fabric axis by label, e.g.
 //! `Baseline,Venice`), `--scout-cache <off|on|checked>` (override the
 //! scout fast-fail-cache axis), `--fresh`, `--list`.
 
 use venice_bench::report_resumed;
-use venice_bench::sweep::{ResumedSweep, SweepGrid, WorkerPool};
+use venice_bench::sweep::{Knob, ResumedSweep, SweepGrid, WorkerPool};
 use venice_interconnect::FabricKind;
 use venice_nand::NandTiming;
 use venice_ssd::report::{json_f64, json_str};
@@ -91,7 +92,13 @@ fn named_grid(name: &str, requests: Option<usize>) -> Option<SweepGrid> {
             .fabrics(&all_systems()),
         "shapes" => SweepGrid::new("shapes")
             .workloads(subset_axes())
-            .shapes(&[(4, 16), (8, 8), (16, 4), (16, 16), (32, 32)])
+            .knobs([
+                Knob::Shape(4, 16),
+                Knob::Shape(8, 8),
+                Knob::Shape(16, 4),
+                Knob::Shape(16, 16),
+                Knob::Shape(32, 32),
+            ])
             .fabrics(&[
                 FabricKind::Baseline,
                 FabricKind::NoSsd,
@@ -100,36 +107,36 @@ fn named_grid(name: &str, requests: Option<usize>) -> Option<SweepGrid> {
             ]),
         "nand" => SweepGrid::new("nand")
             .workloads(subset_axes())
-            .timings(&[NandTiming::z_nand(), NandTiming::tlc_3d()])
+            .knobs([NandTiming::z_nand(), NandTiming::tlc_3d()].map(Knob::Timing))
             .fabrics(&[FabricKind::Baseline, FabricKind::Venice, FabricKind::Ideal]),
         "qd" => SweepGrid::new("qd")
             .workloads(subset_axes())
-            .queue_depths(&[2, 8, 32])
+            .knobs([2, 8, 32].map(Knob::QueueDepth))
             .fabrics(&[FabricKind::Baseline, FabricKind::Venice]),
         "design" => SweepGrid::new("design")
             .workloads(subset_axes())
-            .shapes(&[(4, 16), (8, 8), (16, 4)])
-            .timings(&[NandTiming::z_nand(), NandTiming::tlc_3d()])
-            .queue_depths(&[4, 16])
+            .knobs([Knob::Shape(4, 16), Knob::Shape(8, 8), Knob::Shape(16, 4)])
+            .knobs([NandTiming::z_nand(), NandTiming::tlc_3d()].map(Knob::Timing))
+            .knobs([4, 16].map(Knob::QueueDepth))
             .fabrics(&[FabricKind::Baseline, FabricKind::Venice]),
         "policy" => SweepGrid::new("policy")
             .workload(WorkloadAxis::congested())
             .workload(WorkloadAxis::catalog("src2_1").expect("catalog"))
             .workload(WorkloadAxis::catalog("YCSB_B").expect("catalog"))
-            .policies(&DispatchPolicyKind::ALL)
+            .knobs(DispatchPolicyKind::ALL.map(Knob::Policy))
             .fabrics(&[FabricKind::Baseline, FabricKind::Venice])
             .requests(requests.unwrap_or(800)),
         "bigmesh" => SweepGrid::new("bigmesh")
             .workload(WorkloadAxis::congested())
             .workload(WorkloadAxis::catalog("src2_1").expect("catalog"))
-            .shapes(&[(8, 8), (16, 16), (32, 32)])
-            .policies(&[DispatchPolicyKind::RetryAll, DispatchPolicyKind::Auto])
+            .knobs([Knob::Shape(8, 8), Knob::Shape(16, 16), Knob::Shape(32, 32)])
+            .knobs([DispatchPolicyKind::RetryAll, DispatchPolicyKind::Auto].map(Knob::Policy))
             .fabrics(&[FabricKind::Baseline, FabricKind::NoSsd, FabricKind::Venice])
             .requests(requests.unwrap_or(400)),
         "faults" => SweepGrid::new("faults")
             .workload(WorkloadAxis::congested())
             .workload(WorkloadAxis::catalog("src2_1").expect("catalog"))
-            .fault_plans(&FaultPlan::ALL)
+            .knobs(FaultPlan::ALL.map(Knob::Fault))
             .fabrics(&[
                 FabricKind::Baseline,
                 FabricKind::Pssd,
@@ -142,8 +149,8 @@ fn named_grid(name: &str, requests: Option<usize>) -> Option<SweepGrid> {
             .workload(WorkloadAxis::victim_solo())
             .workload(WorkloadAxis::noisy_neighbor())
             .workload(WorkloadAxis::noisy_neighbor_trio())
-            .queue_depths(&[32])
-            .tenant_sets(&TenantSet::presets())
+            .knobs([Knob::QueueDepth(32)])
+            .knobs(TenantSet::presets().into_iter().map(Knob::Tenants))
             .fabrics(&[
                 FabricKind::Baseline,
                 FabricKind::Pssd,
@@ -154,9 +161,9 @@ fn named_grid(name: &str, requests: Option<usize>) -> Option<SweepGrid> {
         "resilience" => SweepGrid::new("resilience")
             .workload(WorkloadAxis::congested())
             .workload(WorkloadAxis::catalog("src2_1").expect("catalog"))
-            .fault_plans(&[FaultPlan::None, FaultPlan::Link, FaultPlan::Storm])
-            .tenant_sets(&[TenantSet::single(), TenantSet::deadline_split()])
-            .resilience_policies(&ResiliencePolicy::ALL)
+            .knobs([FaultPlan::None, FaultPlan::Link, FaultPlan::Storm].map(Knob::Fault))
+            .knobs([TenantSet::single(), TenantSet::deadline_split()].map(Knob::Tenants))
+            .knobs(ResiliencePolicy::ALL.map(Knob::Resilience))
             .fabrics(&[
                 FabricKind::Baseline,
                 FabricKind::Pssd,
@@ -167,9 +174,9 @@ fn named_grid(name: &str, requests: Option<usize>) -> Option<SweepGrid> {
             .requests(requests.unwrap_or(800)),
         "rebuild" => SweepGrid::new("rebuild")
             .workload(WorkloadAxis::congested())
-            .fault_plans(&[FaultPlan::Chip, FaultPlan::ChipAndLink])
-            .resilience_policies(&[ResiliencePolicy::DeadlineRetry])
-            .redundancy_kinds(&RedundancyKind::ALL)
+            .knobs([FaultPlan::Chip, FaultPlan::ChipAndLink].map(Knob::Fault))
+            .knobs([Knob::Resilience(ResiliencePolicy::DeadlineRetry)])
+            .knobs(RedundancyKind::ALL.map(Knob::Redundancy))
             .fabrics(&[
                 FabricKind::Baseline,
                 FabricKind::Pssd,
@@ -181,22 +188,19 @@ fn named_grid(name: &str, requests: Option<usize>) -> Option<SweepGrid> {
         "scoutcache" => SweepGrid::new("scoutcache")
             .workload(WorkloadAxis::congested())
             .workload(WorkloadAxis::catalog("src2_1").expect("catalog"))
-            .shapes(&[(16, 16), (32, 32)])
-            .policies(&[DispatchPolicyKind::RetryAll, DispatchPolicyKind::Auto])
-            .scout_caches(&[ScoutCacheKind::Off, ScoutCacheKind::On])
+            .knobs([Knob::Shape(16, 16), Knob::Shape(32, 32)])
+            .knobs([DispatchPolicyKind::RetryAll, DispatchPolicyKind::Auto].map(Knob::Policy))
+            .knobs([ScoutCacheKind::Off, ScoutCacheKind::On].map(Knob::ScoutCache))
             .fabrics(&[FabricKind::Venice])
             .requests(requests.unwrap_or(400)),
         _ => return None,
     };
+    // Re-applying a budget is idempotent, so this only matters for the
+    // grids without their own default.
     let grid = grid.config(SsdConfig::performance_optimized());
-    let own_default = matches!(
-        name,
-        "mini" | "policy" | "bigmesh" | "scoutcache" | "faults" | "tenants" | "resilience"
-            | "rebuild"
-    );
     Some(match requests {
-        Some(r) if !own_default => grid.requests(r),
-        _ => grid,
+        Some(r) => grid.requests(r),
+        None => grid,
     })
 }
 
@@ -236,10 +240,10 @@ fn write_fault_ablation(outcome: &ResumedSweep, path: &std::path::Path) {
             json_str(&p.label),
             json_str(&p.workload),
             json_str(p.fabric.label()),
-            json_str(p.fault_plan.label()),
+            json_str(p.config.fault_plan.label()),
             json_f64(avail),
         ));
-        let key = (p.fault_plan.label(), p.fabric.label());
+        let key = (p.config.fault_plan.label(), p.fabric.label());
         match agg.iter_mut().find(|(k, _)| *k == key) {
             Some((_, (sum, n))) => {
                 *sum += avail;
@@ -337,13 +341,14 @@ fn write_tenant_isolation(outcome: &ResumedSweep, path: &std::path::Path) {
              \"fairness_index\": {}}}",
             json_str(&p.label),
             json_str(&p.workload),
-            json_str(&p.tenants),
+            json_str(p.config.tenants.label()),
             json_str(p.fabric.label()),
             json_f64(victim),
             aggressor.map_or("null".to_string(), |a| json_f64(a).to_string()),
             json_f64(fairness),
         ));
-        victim_p99.push(((p.workload.as_str(), p.tenants.as_str(), p.fabric.label()), victim));
+        let key = (p.workload.as_str(), p.config.tenants.label(), p.fabric.label());
+        victim_p99.push((key, victim));
     }
     let lookup = |workload: &str, tenants: &str, fabric: &str| {
         victim_p99
@@ -445,15 +450,15 @@ fn write_resilience_ablation(outcome: &ResumedSweep, path: &std::path::Path) {
             json_str(&p.label),
             json_str(&p.workload),
             json_str(p.fabric.label()),
-            json_str(p.fault_plan.label()),
-            json_str(p.resilience.label()),
-            json_str(&p.tenants),
+            json_str(p.config.fault_plan.label()),
+            json_str(p.config.resilience.label()),
+            json_str(p.config.tenants.label()),
             json_f64(goodput),
         ));
         let key = (
-            p.fault_plan.label(),
-            p.resilience.label(),
-            p.tenants.as_str(),
+            p.config.fault_plan.label(),
+            p.config.resilience.label(),
+            p.config.tenants.label(),
             p.fabric.label(),
         );
         match agg.iter_mut().find(|(k, _)| *k == key) {
@@ -606,16 +611,16 @@ fn write_rebuild_ablation(outcome: &ResumedSweep, path: &std::path::Path) {
              \"foreground_goodput\": {}}}",
             json_str(&p.label),
             json_str(&p.workload),
-            json_str(p.fault_plan.label()),
+            json_str(p.config.fault_plan.label()),
             json_str(p.fabric.label()),
-            json_str(&p.redundancy.label()),
+            json_str(&p.config.redundancy.label()),
             completed as u64,
             json_f64(mttr_ns),
             json_f64(goodput),
         ));
         cells.push(RebuildCell {
-            fault: p.fault_plan.label(),
-            redundancy: p.redundancy.label(),
+            fault: p.config.fault_plan.label(),
+            redundancy: p.config.redundancy.label(),
             fabric: p.fabric.label(),
             data_loss,
             goodput,
@@ -732,7 +737,7 @@ fn main() {
         grid = grid.replace_fabrics(&systems);
     }
     if let Some(cache) = scout_cache {
-        grid = grid.replace_scout_caches(&[cache]);
+        grid = grid.replace_knobs([Knob::ScoutCache(cache)]);
     }
     let results = venice_bench::results_dir();
     let outcome = match par {
@@ -791,7 +796,7 @@ mod tests {
             ("nand", 0x97b2_dedb_22db_8b28, 0x42ee_6177_75cb_d8e3),
             ("qd", 0x1115_ae19_6e4c_cf57, 0x4de1_8617_ecef_bdd2),
             ("design", 0xa009_1278_e782_c4b5, 0x009c_f479_6d54_b0ee),
-            ("policy", 0x2896_daa3_4ca9_6a61, 0x07ac_5f6c_ffec_580d),
+            ("policy", 0x1d72_ba17_0766_c6bf, 0x5962_7516_91e0_bde3),
             ("bigmesh", 0xf384_58bf_c098_aad7, 0x2afd_e318_8192_19f3),
             ("scoutcache", 0xdb23_bfd6_37c6_d63d, 0xae82_e221_d3c4_5695),
             ("faults", 0x1092_ce67_3cc3_0ff1, 0xd256_59b9_bf94_4c65),

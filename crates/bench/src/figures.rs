@@ -17,7 +17,7 @@ use venice_ssd::report::{f2, f3, Table};
 use venice_ssd::{all_systems, RunMetrics, SsdConfig};
 use venice_workloads::{catalog, mix, WorkloadAxis};
 
-use crate::sweep::SweepGrid;
+use crate::sweep::{Knob, SweepGrid};
 use crate::{metrics, requests, results_dir, run_catalog, run_trace, speedup, CatalogRow};
 
 /// Table 1: the evaluated SSD configurations and Venice design parameters.
@@ -574,13 +574,17 @@ pub fn fig15() {
     let outcome = SweepGrid::new("fig15")
         .config(SsdConfig::performance_optimized())
         .workloads(WorkloadAxis::table2())
-        .shapes(&shapes)
+        .knobs(shapes.map(|(rows, cols)| Knob::Shape(rows, cols)))
         .fabrics(&systems)
         .requests(requests())
         .run();
     let shape_rows: Vec<((u16, u16), Vec<CatalogRow>)> = shapes
         .iter()
-        .map(|&shape| (shape, outcome.rows_by_workload(|p| p.shape == shape)))
+        .map(|&shape| {
+            let rows =
+                outcome.rows_by_workload(|p| (p.config.fabric.rows, p.config.fabric.cols) == shape);
+            (shape, rows)
+        })
         .collect();
     render_fig15(&shape_rows);
 }
@@ -643,8 +647,8 @@ pub fn repro_all() {
         outcome.manifest_fingerprint()
     );
 
-    let perf_rows = outcome.rows_by_workload(|p| p.config_name == "performance-optimized");
-    let cost_rows = outcome.rows_by_workload(|p| p.config_name == "cost-optimized");
+    let perf_rows = outcome.rows_by_workload(|p| p.config.name == "performance-optimized");
+    let cost_rows = outcome.rows_by_workload(|p| p.config.name == "cost-optimized");
     let workload_row = |name: &str| -> &Vec<RunMetrics> {
         &perf_rows
             .iter()

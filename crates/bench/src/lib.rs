@@ -225,32 +225,6 @@ pub fn run_trace(config: &SsdConfig, systems: &[FabricKind], trace: &Trace) -> V
     )
 }
 
-/// The non-fabric coordinates of a sweep point — the key the report
-/// tables use to find a point's Baseline sibling. Keyed on the workload
-/// axis *index* (not the display name): axis names are user-supplied and
-/// need not be unique.
-fn point_coord(
-    p: &sweep::SweepPoint,
-) -> (
-    &'static str,
-    usize,
-    (u16, u16),
-    String,
-    usize,
-    venice_ssd::DispatchPolicyKind,
-    venice_ssd::FaultPlan,
-) {
-    (
-        p.config_name,
-        p.workload_idx,
-        p.shape,
-        p.timing_name.clone(),
-        p.queue_depth,
-        p.policy,
-        p.fault_plan,
-    )
-}
-
 /// Renders `(point, metrics)` rows as the per-point markdown table both
 /// sweep reports share, with speedup over the Baseline row at the same
 /// grid coordinates when one is present.
@@ -259,7 +233,7 @@ fn point_table(rows: &[(&sweep::SweepPoint, &RunMetrics)]) -> venice_ssd::report
     let baselines: Vec<(_, &RunMetrics)> = rows
         .iter()
         .filter(|(p, _)| p.fabric == FabricKind::Baseline)
-        .map(|&(p, m)| (point_coord(p), m))
+        .map(|&(p, m)| (p.coord(), m))
         .collect();
     let mut t = Table::new(
         ["point", "exec (ms)", "kIOPS", "conflict %", "vs Baseline"]
@@ -269,7 +243,7 @@ fn point_table(rows: &[(&sweep::SweepPoint, &RunMetrics)]) -> venice_ssd::report
     for &(p, m) in rows {
         let vs_baseline = baselines
             .iter()
-            .find(|(c, _)| *c == point_coord(p))
+            .find(|(c, _)| *c == p.coord())
             .map_or_else(|| "-".to_string(), |(_, b)| format!("{}x", f2(m.speedup_over(b))));
         t.row(vec![
             p.label.clone(),
@@ -377,6 +351,53 @@ mod tests {
         assert_eq!(results.len(), 2);
         assert!(speedup(&results, FabricKind::Venice) > 0.0);
         assert_eq!(metrics(&results, FabricKind::Venice).system, FabricKind::Venice);
+    }
+
+    /// Every Baseline row of a sweep report reads `1.00x`, and every other
+    /// row's ratio uses the Baseline with the same redundancy scheme and
+    /// tenant set.
+    #[test]
+    fn report_ratios_use_the_same_coordinate_baseline() {
+        use sweep::Knob;
+        use venice_ssd::report::f2;
+        use venice_ssd::{FaultPlan, RedundancyKind, TenantSet};
+
+        let outcome = SweepGrid::new("unit-report")
+            .workload(WorkloadAxis::congested())
+            .knobs([Knob::Fault(FaultPlan::Chip)])
+            .knobs(RedundancyKind::ALL.map(Knob::Redundancy))
+            .knobs([TenantSet::single(), TenantSet::pair_fair()].map(Knob::Tenants))
+            .fabrics(&[FabricKind::Baseline, FabricKind::Venice])
+            .requests(100)
+            .run_on(&WorkerPool::new(2));
+        let rows: Vec<(&sweep::SweepPoint, &RunMetrics)> = outcome
+            .records()
+            .iter()
+            .map(|r| (&r.point, &r.metrics))
+            .collect();
+        assert_eq!(rows.len(), 8);
+        let table = point_table(&rows).to_markdown();
+        let ratios: Vec<&str> = table
+            .lines()
+            .skip(2)
+            .filter_map(|line| line.trim_end_matches(" |").rsplit(" | ").next())
+            .collect();
+        assert_eq!(ratios.len(), rows.len());
+        for (&(p, m), ratio) in rows.iter().zip(ratios) {
+            let (_, base) = rows
+                .iter()
+                .find(|(b, _)| {
+                    b.fabric == FabricKind::Baseline
+                        && b.config.redundancy.label() == p.config.redundancy.label()
+                        && b.config.tenants.label() == p.config.tenants.label()
+                })
+                .expect("same-coordinate Baseline");
+            let expected = format!("{}x", f2(m.speedup_over(base)));
+            assert_eq!(ratio, expected, "{}", p.label);
+            if p.fabric == FabricKind::Baseline {
+                assert_eq!(ratio, "1.00x", "{}", p.label);
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! The design-space sweep engine: grids of (config × workload × shape ×
-//! timing × queue-depth × fabric) points executed on one shared worker
-//! pool, with reproducible JSON artifacts.
+//! The design-space sweep engine: grids of (config × workload × config
+//! axes × fabric) points executed on one shared worker pool, with
+//! reproducible JSON artifacts. The config axes — shape, NAND timing,
+//! queue depth, dispatch policy, scout cache, fault plan, tenant set,
+//! resilience and redundancy — are one [`Knob`] table.
 //!
 //! This module is the process's single arbiter of simulation parallelism.
 //! PR 1 had two independent fan-out levels — `run_systems` spawned one
@@ -23,12 +25,13 @@
 //! # Example
 //!
 //! ```no_run
-//! use venice_bench::sweep::SweepGrid;
+//! use venice_bench::sweep::{Knob, SweepGrid};
 //! use venice_interconnect::FabricKind;
 //! use venice_workloads::WorkloadAxis;
 //!
 //! let outcome = SweepGrid::new("demo")
 //!     .workload(WorkloadAxis::catalog("hm_0").unwrap())
+//!     .knobs([Knob::QueueDepth(4), Knob::QueueDepth(16)])
 //!     .fabrics(&[FabricKind::Baseline, FabricKind::Venice])
 //!     .requests(500)
 //!     .run();
@@ -158,33 +161,146 @@ impl WorkerPool {
     }
 }
 
+/// One value on one config axis of a [`SweepGrid`].
+///
+/// The variants are the grid's nine config axes, in expansion order, and
+/// this enum's `AXES` table and four matches — `axis`, `of`, `apply` and
+/// `label` — are the only place an axis is named: adding an axis is one
+/// variant, one table row and one arm in each match.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Knob {
+    /// Array shape (`rows × cols` controller layout). Shapes preserving the
+    /// base config's chip count reshape it (the Figure 15 sweep); larger
+    /// meshes — 16×16, 32×32 — resize the chip array with the fabric
+    /// (`SsdConfig::with_mesh`), putting big-mesh scaling on the grid.
+    Shape(u16, u16),
+    /// NAND operation latencies.
+    Timing(NandTiming),
+    /// Submission-queue depth.
+    QueueDepth(usize),
+    /// Dispatch policy.
+    Policy(DispatchPolicyKind),
+    /// Venice scout fast-fail cache mode (the cache ablation).
+    ScoutCache(ScoutCacheKind),
+    /// Scripted fault plan (the degraded-mode ablation).
+    Fault(FaultPlan),
+    /// Tenant set: tenant→queue partitioning, WRR weights and per-tenant
+    /// queue-depth caps (the multi-tenant QoS ablation).
+    Tenants(TenantSet),
+    /// Host-resilience preset: request deadlines, bounded host retry and
+    /// submission-side admission control.
+    Resilience(ResiliencePolicy),
+    /// Die-level redundancy scheme (the RAIN rebuild ablation).
+    Redundancy(RedundancyKind),
+}
+
+impl Knob {
+    /// Each axis's key in the grid definition JSON and prefix in point
+    /// labels, indexed by [`Knob::axis`] — which is also the expansion
+    /// order.
+    pub(crate) const AXES: [(&'static str, &'static str); 9] = [
+        ("shapes", ""),
+        ("timings", ""),
+        ("queue_depths", "qd"),
+        ("policies", ""),
+        ("scout_caches", ""),
+        ("faults", ""),
+        ("tenants", ""),
+        ("resilience", ""),
+        ("redundancy", ""),
+    ];
+
+    /// This value's axis: its index into [`Knob::AXES`].
+    pub(crate) fn axis(&self) -> usize {
+        match self {
+            Knob::Shape(..) => 0,
+            Knob::Timing(_) => 1,
+            Knob::QueueDepth(_) => 2,
+            Knob::Policy(_) => 3,
+            Knob::ScoutCache(_) => 4,
+            Knob::Fault(_) => 5,
+            Knob::Tenants(_) => 6,
+            Knob::Resilience(_) => 7,
+            Knob::Redundancy(_) => 8,
+        }
+    }
+
+    /// `config`'s own value on `axis` — what an axis the grid leaves unset
+    /// sweeps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `axis` is not an index into [`Knob::AXES`].
+    pub(crate) fn of(axis: usize, config: &SsdConfig) -> Knob {
+        match axis {
+            0 => Knob::Shape(config.fabric.rows, config.fabric.cols),
+            1 => Knob::Timing(config.timing),
+            2 => Knob::QueueDepth(config.hil.queue_depth),
+            3 => Knob::Policy(config.dispatch),
+            4 => Knob::ScoutCache(config.scout_cache()),
+            5 => Knob::Fault(config.fault_plan),
+            6 => Knob::Tenants(config.tenants.clone()),
+            7 => Knob::Resilience(config.resilience),
+            8 => Knob::Redundancy(config.redundancy),
+            _ => panic!("no config axis {axis}"),
+        }
+    }
+
+    /// `config` with this value set.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a degenerate shape (zero rows/cols or a chip count beyond
+    /// the u16 id space), like `SsdConfig::with_mesh`.
+    pub(crate) fn apply(&self, config: SsdConfig) -> SsdConfig {
+        match self {
+            Knob::Shape(rows, cols) => config.with_mesh(*rows, *cols),
+            Knob::Timing(timing) => config.with_timing(*timing),
+            Knob::QueueDepth(depth) => config.with_queue_depth(*depth),
+            Knob::Policy(policy) => config.with_dispatch_policy(*policy),
+            Knob::ScoutCache(cache) => config.with_scout_cache(*cache),
+            Knob::Fault(plan) => config.with_fault_plan(*plan),
+            Knob::Tenants(set) => config.with_tenants(set.clone()),
+            Knob::Resilience(policy) => config.with_resilience(*policy),
+            Knob::Redundancy(kind) => config.with_redundancy(*kind),
+        }
+    }
+
+    /// The value's name in point labels and the definition JSON (`8x8`,
+    /// `z-nand`, `32`, `retry-all`, ...; a timing that is no preset reads
+    /// `custom`).
+    pub(crate) fn label(&self) -> String {
+        match self {
+            Knob::Shape(rows, cols) => format!("{rows}x{cols}"),
+            Knob::Timing(timing) => timing.preset_name().unwrap_or("custom").to_string(),
+            Knob::QueueDepth(depth) => depth.to_string(),
+            Knob::Policy(policy) => policy.label().to_string(),
+            Knob::ScoutCache(cache) => cache.label().to_string(),
+            Knob::Fault(plan) => plan.label().to_string(),
+            Knob::Tenants(set) => set.label().to_string(),
+            Knob::Resilience(policy) => policy.label().to_string(),
+            Knob::Redundancy(kind) => kind.label(),
+        }
+    }
+}
+
 /// A design-space grid: axes that expand into a deterministic, id-stamped
 /// list of [`SweepPoint`]s.
 ///
 /// Empty axes fall back to the base: no `configs` means the Table 1
 /// performance-optimized preset, no `fabrics` means all six systems, no
-/// `workloads` means the whole Table 2 catalog, and no `shapes` /
-/// `timings` / `queue_depths` / `policies` / `scout_caches` / `faults` /
-/// `resiliences` / `redundancies` means each config's own values.
-/// Expansion order is fixed — configs ▸ workloads ▸ shapes ▸ timings ▸
-/// queue depths ▸ policies ▸ scout caches ▸ fault plans ▸ tenant sets ▸
-/// resilience policies ▸ redundancy schemes ▸ fabrics (innermost) — so
-/// point ids are stable for a given grid.
+/// `workloads` means the whole Table 2 catalog, and a config axis with no
+/// [`Knob`] sweeps each config's own value. Expansion order is fixed —
+/// configs ▸ workloads ▸ the config axes in [`Knob`] variant order ▸
+/// fabrics (innermost) — so point ids are stable for a given grid.
 #[derive(Clone, Debug)]
 pub struct SweepGrid {
     name: String,
     requests: usize,
     configs: Vec<SsdConfig>,
     workloads: Vec<WorkloadAxis>,
-    shapes: Vec<(u16, u16)>,
-    timings: Vec<NandTiming>,
-    queue_depths: Vec<usize>,
-    policies: Vec<DispatchPolicyKind>,
-    scout_caches: Vec<ScoutCacheKind>,
-    faults: Vec<FaultPlan>,
-    tenant_sets: Vec<TenantSet>,
-    resiliences: Vec<ResiliencePolicy>,
-    redundancies: Vec<RedundancyKind>,
+    /// The values of each config axis, indexed by [`Knob::axis`].
+    knobs: [Vec<Knob>; Knob::AXES.len()],
     fabrics: Vec<FabricKind>,
 }
 
@@ -207,15 +323,7 @@ impl SweepGrid {
             requests: crate::requests(),
             configs: Vec::new(),
             workloads: Vec::new(),
-            shapes: Vec::new(),
-            timings: Vec::new(),
-            queue_depths: Vec::new(),
-            policies: Vec::new(),
-            scout_caches: Vec::new(),
-            faults: Vec::new(),
-            tenant_sets: Vec::new(),
-            resiliences: Vec::new(),
-            redundancies: Vec::new(),
+            knobs: Default::default(),
             fabrics: Vec::new(),
         }
     }
@@ -262,79 +370,24 @@ impl SweepGrid {
         self
     }
 
-    /// Extends the array-shape axis (`rows × cols` controller layouts).
-    /// Shapes preserving the base config's chip count reshape it (the
-    /// Figure 15 sweep); larger meshes — 16×16, 32×32 — resize the chip
-    /// array with the fabric (`SsdConfig::with_mesh`), putting big-mesh
-    /// scaling on the grid.
-    pub fn shapes(mut self, shapes: &[(u16, u16)]) -> Self {
-        self.shapes.extend_from_slice(shapes);
+    /// Extends the config axes: each knob is appended to its own axis.
+    pub fn knobs(mut self, knobs: impl IntoIterator<Item = Knob>) -> Self {
+        for knob in knobs {
+            self.knobs[knob.axis()].push(knob);
+        }
         self
     }
 
-    /// Extends the NAND-timing axis.
-    pub fn timings(mut self, timings: &[NandTiming]) -> Self {
-        self.timings.extend_from_slice(timings);
-        self
-    }
-
-    /// Extends the submission-queue-depth axis.
-    pub fn queue_depths(mut self, depths: &[usize]) -> Self {
-        self.queue_depths.extend_from_slice(depths);
-        self
-    }
-
-    /// Extends the dispatch-policy axis.
-    pub fn policies(mut self, policies: &[DispatchPolicyKind]) -> Self {
-        self.policies.extend_from_slice(policies);
-        self
-    }
-
-    /// Extends the scout fast-fail-cache axis (the Venice cache ablation).
-    pub fn scout_caches(mut self, caches: &[ScoutCacheKind]) -> Self {
-        self.scout_caches.extend_from_slice(caches);
-        self
-    }
-
-    /// Replaces the scout fast-fail-cache axis wholesale (the CLI
-    /// `--scout-cache` override — like [`SweepGrid::replace_fabrics`],
-    /// so overriding a grid that already sets the axis restricts it
-    /// instead of appending duplicate points).
-    pub fn replace_scout_caches(mut self, caches: &[ScoutCacheKind]) -> Self {
-        self.scout_caches.clear();
-        self.scout_caches.extend_from_slice(caches);
-        self
-    }
-
-    /// Extends the fault-plan axis (the degraded-mode ablation: each plan
-    /// scripts a deterministic sequence of fabric/chip/NAND faults).
-    pub fn fault_plans(mut self, plans: &[FaultPlan]) -> Self {
-        self.faults.extend_from_slice(plans);
-        self
-    }
-
-    /// Extends the tenant-set axis (the multi-tenant QoS ablation: each
-    /// set defines tenant→queue partitioning, WRR weights, and per-tenant
-    /// queue-depth caps).
-    pub fn tenant_sets(mut self, sets: &[TenantSet]) -> Self {
-        self.tenant_sets.extend_from_slice(sets);
-        self
-    }
-
-    /// Extends the host-resilience axis (the resilience ablation: each
-    /// preset arms a combination of request deadlines, bounded host retry,
-    /// and submission-side admission control).
-    pub fn resilience_policies(mut self, policies: &[ResiliencePolicy]) -> Self {
-        self.resiliences.extend_from_slice(policies);
-        self
-    }
-
-    /// Extends the redundancy-scheme axis (the RAIN rebuild ablation: each
-    /// scheme stripes pages into die-level parity groups, arming degraded
-    /// reads and the background rebuild engine on chip death).
-    pub fn redundancy_kinds(mut self, kinds: &[RedundancyKind]) -> Self {
-        self.redundancies.extend_from_slice(kinds);
-        self
+    /// Replaces every config axis `knobs` names with just these values (a
+    /// CLI override such as `--scout-cache`: like
+    /// [`SweepGrid::replace_fabrics`], overriding an axis the grid already
+    /// sets restricts it instead of appending duplicate points).
+    pub fn replace_knobs(mut self, knobs: impl IntoIterator<Item = Knob>) -> Self {
+        let knobs: Vec<Knob> = knobs.into_iter().collect();
+        for knob in &knobs {
+            self.knobs[knob.axis()].clear();
+        }
+        self.knobs(knobs)
     }
 
     /// Resolved workload axis (Table 2 catalog when none was set).
@@ -372,138 +425,54 @@ impl SweepGrid {
     /// chip count beyond the u16 id space) — fail-fast, before any
     /// simulation runs.
     pub fn build_points(&self) -> Vec<SweepPoint> {
-        let configs = self.effective_configs();
         let workloads = self.effective_workloads();
         let fabrics = self.effective_fabrics();
         let mut points = Vec::new();
-        for base in &configs {
-            let shapes: Vec<(u16, u16)> = if self.shapes.is_empty() {
-                vec![(base.fabric.rows, base.fabric.cols)]
+        for base in &self.effective_configs() {
+            // Sweeps run unattended: arm the generous runaway-run watchdog
+            // unless the base config set its own ceilings.
+            let armed = if base.max_events.is_none() && base.max_sim_ns.is_none() {
+                base.clone()
+                    .with_watchdog(Some(SWEEP_MAX_EVENTS), Some(SWEEP_MAX_SIM_NS))
             } else {
-                self.shapes.clone()
+                base.clone()
             };
-            let timings: Vec<NandTiming> = if self.timings.is_empty() {
-                vec![base.timing]
-            } else {
-                self.timings.clone()
-            };
-            let depths: Vec<usize> = if self.queue_depths.is_empty() {
-                vec![base.hil.queue_depth]
-            } else {
-                self.queue_depths.clone()
-            };
-            let policies: Vec<DispatchPolicyKind> = if self.policies.is_empty() {
-                vec![base.dispatch]
-            } else {
-                self.policies.clone()
-            };
-            let caches: Vec<ScoutCacheKind> = if self.scout_caches.is_empty() {
-                vec![base.scout_cache()]
-            } else {
-                self.scout_caches.clone()
-            };
-            let faults: Vec<FaultPlan> = if self.faults.is_empty() {
-                vec![base.fault_plan]
-            } else {
-                self.faults.clone()
-            };
-            let tenant_sets: Vec<TenantSet> = if self.tenant_sets.is_empty() {
-                vec![base.tenants.clone()]
-            } else {
-                self.tenant_sets.clone()
-            };
-            let resiliences: Vec<ResiliencePolicy> = if self.resiliences.is_empty() {
-                vec![base.resilience]
-            } else {
-                self.resiliences.clone()
-            };
-            let redundancies: Vec<RedundancyKind> = if self.redundancies.is_empty() {
-                vec![base.redundancy]
-            } else {
-                self.redundancies.clone()
-            };
+            // The cartesian product of the config axes, last axis fastest:
+            // one resolved config and its label segments per coordinate.
+            let mut coords = vec![(armed, String::new())];
+            for (axis, set) in self.knobs.iter().enumerate() {
+                let values = if set.is_empty() {
+                    vec![Knob::of(axis, base)]
+                } else {
+                    set.clone()
+                };
+                let (_, prefix) = Knob::AXES[axis];
+                coords = coords
+                    .iter()
+                    .flat_map(|(config, segments)| {
+                        values.iter().map(move |knob| {
+                            let segment = format!("{segments}/{prefix}{}", knob.label());
+                            (knob.apply(config.clone()), segment)
+                        })
+                    })
+                    .collect();
+            }
             for (workload_idx, workload) in workloads.iter().enumerate() {
-                for &(rows, cols) in &shapes {
-                    for &timing in &timings {
-                        for &depth in &depths {
-                            for &policy in &policies {
-                                for &scout_cache in &caches {
-                                    for &fault_plan in &faults {
-                                        for tenant_set in &tenant_sets {
-                                        for &resilience in &resiliences {
-                                        for &redundancy in &redundancies {
-                                        for &fabric in &fabrics {
-                                            let config = base
-                                                .clone()
-                                                .with_mesh(rows, cols)
-                                                .with_timing(timing)
-                                                .with_queue_depth(depth)
-                                                .with_dispatch_policy(policy)
-                                                .with_scout_cache(scout_cache)
-                                                .with_fault_plan(fault_plan)
-                                                .with_tenants(tenant_set.clone())
-                                                .with_resilience(resilience)
-                                                .with_redundancy(redundancy);
-                                            // Sweeps run unattended: arm the
-                                            // generous runaway-run watchdog
-                                            // unless the base config set its
-                                            // own ceilings.
-                                            let config = if config.max_events.is_none()
-                                                && config.max_sim_ns.is_none()
-                                            {
-                                                config.with_watchdog(
-                                                    Some(SWEEP_MAX_EVENTS),
-                                                    Some(SWEEP_MAX_SIM_NS),
-                                                )
-                                            } else {
-                                                config
-                                            };
-                                            let timing_name = timing
-                                                .preset_name()
-                                                .unwrap_or("custom")
-                                                .to_string();
-                                            let label = format!(
-                                                "{}/{}/{}x{}/{}/qd{}/{}/{}/{}/{}/{}/{}/{}",
-                                                base.name,
-                                                workload.name(),
-                                                rows,
-                                                cols,
-                                                timing_name,
-                                                depth,
-                                                policy.label(),
-                                                scout_cache.label(),
-                                                fault_plan.label(),
-                                                tenant_set.label(),
-                                                resilience.label(),
-                                                redundancy.label(),
-                                                fabric.label()
-                                            );
-                                            points.push(SweepPoint {
-                                                id: points.len(),
-                                                label,
-                                                workload_idx,
-                                                workload: workload.name().to_string(),
-                                                config_name: base.name,
-                                                shape: (rows, cols),
-                                                timing_name,
-                                                queue_depth: depth,
-                                                policy,
-                                                scout_cache,
-                                                fault_plan,
-                                                tenants: tenant_set.label().to_string(),
-                                                resilience,
-                                                redundancy,
-                                                fabric,
-                                                config,
-                                            });
-                                        }
-                                        }
-                                        }
-                                        }
-                                    }
-                                }
-                            }
-                        }
+                for (config, segments) in &coords {
+                    for &fabric in &fabrics {
+                        points.push(SweepPoint {
+                            id: points.len(),
+                            label: format!(
+                                "{}/{}{segments}/{}",
+                                base.name,
+                                workload.name(),
+                                fabric.label()
+                            ),
+                            workload_idx,
+                            workload: workload.name().to_string(),
+                            fabric,
+                            config: config.clone(),
+                        });
                     }
                 }
             }
@@ -681,7 +650,8 @@ impl SweepGrid {
     }
 
     /// The grid definition as one stable JSON object (embedded in the
-    /// manifest and hashed into [`SweepOutcome::grid_hash`]).
+    /// manifest and hashed into [`SweepOutcome::grid_hash`]). An unset
+    /// config axis lists `"base"`.
     pub fn definition_json(&self) -> String {
         let configs: Vec<String> = self
             .effective_configs()
@@ -698,84 +668,23 @@ impl SweepGrid {
             .iter()
             .map(|f| f.label().to_string())
             .collect();
-        let shapes: Vec<String> = if self.shapes.is_empty() {
-            vec!["base".to_string()]
-        } else {
-            self.shapes.iter().map(|(r, c)| format!("{r}x{c}")).collect()
-        };
-        let timings: Vec<String> = if self.timings.is_empty() {
-            vec!["base".to_string()]
-        } else {
-            self.timings
-                .iter()
-                .map(|t| t.preset_name().unwrap_or("custom").to_string())
-                .collect()
-        };
-        let depths: Vec<String> = if self.queue_depths.is_empty() {
-            vec!["base".to_string()]
-        } else {
-            self.queue_depths.iter().map(|d| d.to_string()).collect()
-        };
-        let policies: Vec<String> = if self.policies.is_empty() {
-            vec!["base".to_string()]
-        } else {
-            self.policies.iter().map(|p| p.label().to_string()).collect()
-        };
-        let caches: Vec<String> = if self.scout_caches.is_empty() {
-            vec!["base".to_string()]
-        } else {
-            self.scout_caches
-                .iter()
-                .map(|c| c.label().to_string())
-                .collect()
-        };
-        let faults: Vec<String> = if self.faults.is_empty() {
-            vec!["base".to_string()]
-        } else {
-            self.faults.iter().map(|f| f.label().to_string()).collect()
-        };
-        let tenants: Vec<String> = if self.tenant_sets.is_empty() {
-            vec!["base".to_string()]
-        } else {
-            self.tenant_sets
-                .iter()
-                .map(|t| t.label().to_string())
-                .collect()
-        };
-        let resiliences: Vec<String> = if self.resiliences.is_empty() {
-            vec!["base".to_string()]
-        } else {
-            self.resiliences
-                .iter()
-                .map(|r| r.label().to_string())
-                .collect()
-        };
-        let redundancies: Vec<String> = if self.redundancies.is_empty() {
-            vec!["base".to_string()]
-        } else {
-            self.redundancies.iter().map(|r| r.label()).collect()
-        };
-        format!(
-            "{{\"name\": {}, \"requests\": {}, \"configs\": {}, \
-             \"workloads\": {}, \"shapes\": {}, \"timings\": {}, \
-             \"queue_depths\": {}, \"policies\": {}, \"scout_caches\": {}, \
-             \"faults\": {}, \"tenants\": {}, \"resilience\": {}, \
-             \"redundancy\": {}, \"fabrics\": {}}}",
+        let mut json = format!(
+            "{{\"name\": {}, \"requests\": {}, \"configs\": {}, \"workloads\": {}",
             json_str(&self.name),
             self.requests,
             json_str_list(&configs),
             json_str_list(&workloads),
-            json_str_list(&shapes),
-            json_str_list(&timings),
-            json_str_list(&depths),
-            json_str_list(&policies),
-            json_str_list(&caches),
-            json_str_list(&faults),
-            json_str_list(&tenants),
-            json_str_list(&resiliences),
-            json_str_list(&redundancies),
-            json_str_list(&fabrics),
-        )
+        );
+        for ((key, _), set) in Knob::AXES.iter().zip(&self.knobs) {
+            let values: Vec<String> = if set.is_empty() {
+                vec!["base".to_string()]
+            } else {
+                set.iter().map(Knob::label).collect()
+            };
+            json.push_str(&format!(", \"{key}\": {}", json_str_list(&values)));
+        }
+        json.push_str(&format!(", \"fabrics\": {}}}", json_str_list(&fabrics)));
+        json
     }
 }
 
@@ -786,42 +695,32 @@ pub struct SweepPoint {
     /// Position in the grid's deterministic expansion order (also the
     /// result order and the point-file numbering).
     pub id: usize,
-    /// Human-readable coordinates, e.g.
-    /// `performance-optimized/hm_0/8x8/z-nand/qd8/Venice`.
+    /// Human-readable coordinates — config, workload, one segment per
+    /// config axis in [`Knob`] variant order, fabric — e.g.
+    /// `performance-optimized/hm_0/8x8/z-nand/qd8/retry-all/cache-off/none/single/none/none/Venice`.
     pub label: String,
     /// Index into the grid's workload axis (shared-trace lookup).
     pub workload_idx: usize,
     /// Workload axis value name.
     pub workload: String,
-    /// Base configuration preset name.
-    pub config_name: &'static str,
-    /// Array shape (`rows`, `cols`).
-    pub shape: (u16, u16),
-    /// NAND-timing axis value name (`"z-nand"`, `"tlc-3d"`, or `"custom"`).
-    pub timing_name: String,
-    /// Submission-queue depth.
-    pub queue_depth: usize,
-    /// Dispatch policy under test.
-    pub policy: DispatchPolicyKind,
-    /// Scout fast-fail cache mode under test.
-    pub scout_cache: ScoutCacheKind,
-    /// Fault plan under test (`FaultPlan::None` on fault-free grids).
-    pub fault_plan: FaultPlan,
-    /// Tenant-set axis value label (`"single"` on single-tenant grids).
-    pub tenants: String,
-    /// Host-resilience policy under test (`ResiliencePolicy::None` on
-    /// resilience-free grids).
-    pub resilience: ResiliencePolicy,
-    /// Redundancy scheme under test (`RedundancyKind::None` on
-    /// redundancy-free grids).
-    pub redundancy: RedundancyKind,
     /// The fabric under test.
     pub fabric: FabricKind,
-    /// The fully resolved configuration this point simulates.
+    /// The fully resolved configuration this point simulates (its config
+    /// name and every config-axis value live here).
     pub config: SsdConfig,
 }
 
 impl SweepPoint {
+    /// Every coordinate but the fabric: the workload-axis index (axis
+    /// names need not be unique) and the label minus its fabric segment.
+    /// Points that differ only in fabric share it — it keys the rows of
+    /// [`SweepOutcome::rows_by_workload`] and the report tables' Baseline
+    /// lookup.
+    pub fn coord(&self) -> (usize, &str) {
+        let end = self.label.rfind('/').unwrap_or(self.label.len());
+        (self.workload_idx, &self.label[..end])
+    }
+
     /// The point's result file name inside the sweep directory
     /// (`points/p<id>-<sanitized label>.json`).
     pub fn file_name(&self) -> String {
@@ -932,37 +831,19 @@ impl SweepOutcome {
     /// for points matching `filter`, preserving point order — the shape the
     /// figure renderers consume.
     ///
-    /// A row is one full non-fabric coordinate — (config, workload, shape,
-    /// timing, queue depth, policy, scout cache, fault plan, tenant set,
-    /// resilience policy, redundancy scheme) — so metrics from different
-    /// configurations are never merged into one row: on a grid where
-    /// `filter` leaves several configs/shapes/timings/depths/policies/
-    /// caches/tenant-sets/resilience/redundancy presets, the same workload
-    /// name simply appears once per coordinate. Within a row, metrics are
-    /// in fabric-axis order.
+    /// A row is one [`SweepPoint::coord`] — every coordinate but the
+    /// fabric — so metrics from different configurations are never merged
+    /// into one row: on a grid where `filter` leaves several configs or
+    /// config-axis values, the same workload name simply appears once per
+    /// coordinate. Within a row, metrics are in fabric-axis order.
     pub fn rows_by_workload(
         &self,
         filter: impl Fn(&SweepPoint) -> bool,
     ) -> Vec<CatalogRow> {
-        let coord = |p: &SweepPoint| {
-            (
-                p.config_name,
-                p.workload_idx,
-                p.shape,
-                p.timing_name.clone(),
-                p.queue_depth,
-                p.policy,
-                p.scout_cache,
-                p.fault_plan,
-                p.tenants.clone(),
-                p.resilience,
-                p.redundancy,
-            )
-        };
         let mut rows: Vec<CatalogRow> = Vec::new();
         let mut last_coord = None;
         for r in self.records.iter().filter(|r| filter(&r.point)) {
-            let key = Some(coord(&r.point));
+            let key = Some(r.point.coord());
             if last_coord != key {
                 rows.push((r.point.workload.clone(), Vec::new()));
                 last_coord = key;
@@ -1176,7 +1057,7 @@ fn run_point_guarded(point: &SweepPoint, trace: &Trace) -> RunMetrics {
             "warning: sweep point {} panicked; recording a failed placeholder",
             point.label
         );
-        RunMetrics::failed(point.fabric, &point.workload, point.config_name)
+        RunMetrics::failed(point.fabric, &point.workload, point.config.name)
     })
 }
 
@@ -1192,12 +1073,12 @@ fn json_status(json: &str) -> &'static str {
     }
 }
 
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit offset basis (the seed of an unchained hash).
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// One FNV-1a 64-bit round over `bytes`, continuing from `seed` so hashes
 /// can be chained across records.
-fn fnv1a(bytes: &[u8], seed: u64) -> u64 {
+pub fn fnv1a(bytes: &[u8], seed: u64) -> u64 {
     bytes.iter().fold(seed, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
     })
@@ -1378,165 +1259,92 @@ mod tests {
         let grid = SweepGrid::new("axes")
             .workload(WorkloadAxis::catalog("hm_0").expect("catalog"))
             .fabrics(&[FabricKind::Venice])
-            .shapes(&[(4, 16), (8, 8)])
-            .timings(&[NandTiming::z_nand(), NandTiming::tlc_3d()])
-            .queue_depths(&[4, 16])
+            .knobs([
+                Knob::Shape(4, 16),
+                Knob::Shape(8, 8),
+                Knob::Timing(NandTiming::z_nand()),
+                Knob::Timing(NandTiming::tlc_3d()),
+                Knob::QueueDepth(4),
+                Knob::QueueDepth(16),
+            ])
             .requests(50);
         let points = grid.build_points();
         assert_eq!(points.len(), 8); // 1 × 2 shapes × 2 timings × 2 depths
-        assert_eq!(points[0].shape, (4, 16));
-        assert_eq!(points[0].timing_name, "z-nand");
-        assert_eq!(points[0].queue_depth, 4);
+        let first = &points[0];
+        assert!(first.label.contains("/4x16/z-nand/qd4/"), "{}", first.label);
         let last = points.last().expect("non-empty");
-        assert_eq!(last.shape, (8, 8));
-        assert_eq!(last.timing_name, "tlc-3d");
-        assert_eq!(last.queue_depth, 16);
+        assert!(last.label.contains("/8x8/tlc-3d/qd16/"), "{}", last.label);
         assert_eq!(last.config.hil.queue_depth, 16);
         assert_eq!(last.config.fabric.rows, 8);
+        assert_eq!(last.config.timing, NandTiming::tlc_3d());
+        // The coordinate is the label minus its fabric segment.
+        let coord =
+            "performance-optimized/hm_0/4x16/z-nand/qd4/retry-all/cache-off/none/single/none/none";
+        assert_eq!(first.coord(), (0, coord));
     }
 
     #[test]
-    fn policy_axis_expands_and_round_trips_through_the_manifest() {
-        let grid = SweepGrid::new("policy-axis")
+    fn every_config_axis_expands_and_reaches_the_config() {
+        let base = SsdConfig::performance_optimized();
+        let tenants: Vec<Knob> = TenantSet::presets()
+            .into_iter()
+            .map(Knob::Tenants)
+            .collect();
+        let axes: [Vec<Knob>; Knob::AXES.len()] = [
+            vec![Knob::Shape(4, 16), Knob::Shape(16, 16)],
+            vec![Knob::Timing(NandTiming::tlc_3d())],
+            vec![Knob::QueueDepth(2), Knob::QueueDepth(32)],
+            DispatchPolicyKind::ALL.map(Knob::Policy).to_vec(),
+            vec![Knob::ScoutCache(ScoutCacheKind::On)],
+            FaultPlan::ALL.map(Knob::Fault).to_vec(),
+            tenants,
+            ResiliencePolicy::ALL.map(Knob::Resilience).to_vec(),
+            RedundancyKind::ALL.map(Knob::Redundancy).to_vec(),
+        ];
+        for (axis, values) in axes.iter().enumerate() {
+            assert_eq!(Knob::of(axis, &base).axis(), axis, "axis {axis}");
+            let grid = SweepGrid::new("axis")
+                .workload(WorkloadAxis::catalog("hm_0").expect("catalog"))
+                .knobs(values.clone())
+                .fabrics(&[FabricKind::Venice])
+                .requests(50);
+            let points = grid.build_points();
+            assert_eq!(points.len(), values.len());
+            for (p, knob) in points.iter().zip(values) {
+                assert_eq!(knob.axis(), axis, "{knob:?} sits on its own axis");
+                assert_eq!(&Knob::of(axis, &p.config), knob, "{}", p.label);
+                assert!(p.label.contains(&knob.label()), "label {}", p.label);
+            }
+            let labels: Vec<String> = values.iter().map(Knob::label).collect();
+            let entry = format!("\"{}\": {}", Knob::AXES[axis].0, json_str_list(&labels));
+            let def = grid.definition_json();
+            assert!(def.contains(&entry), "{entry} missing from {def}");
+        }
+        // An unset axis serializes as the base marker and sweeps the base
+        // config's own value.
+        let plain = SweepGrid::new("plain")
             .workload(WorkloadAxis::catalog("hm_0").expect("catalog"))
-            .policies(&DispatchPolicyKind::ALL)
-            .fabrics(&[FabricKind::Venice])
             .requests(50);
-        let points = grid.build_points();
+        let def = plain.definition_json();
+        for (key, _) in Knob::AXES {
+            assert!(def.contains(&format!("\"{key}\": [\"base\"]")), "{def}");
+        }
+        let point = &plain.build_points()[0];
+        for axis in 0..Knob::AXES.len() {
+            assert_eq!(Knob::of(axis, &point.config), Knob::of(axis, &base));
+        }
+        // A replaced axis keeps only the override; other axes are untouched.
+        let replaced = SweepGrid::new("replaced")
+            .workload(WorkloadAxis::catalog("hm_0").expect("catalog"))
+            .knobs(DispatchPolicyKind::ALL.map(Knob::Policy))
+            .knobs([ScoutCacheKind::Off, ScoutCacheKind::On].map(Knob::ScoutCache))
+            .replace_knobs([Knob::ScoutCache(ScoutCacheKind::Checked)])
+            .fabrics(&[FabricKind::Venice]);
+        let points = replaced.build_points();
         assert_eq!(points.len(), DispatchPolicyKind::ALL.len());
-        for (p, kind) in points.iter().zip(DispatchPolicyKind::ALL) {
-            assert_eq!(p.policy, kind);
-            assert_eq!(p.config.dispatch, kind, "policy must reach the config");
-            assert!(p.label.contains(kind.label()), "label {}", p.label);
-            // Round-trip: every label the manifest stores resolves back to
-            // the same axis value.
-            assert_eq!(DispatchPolicyKind::by_label(kind.label()), Some(kind));
-        }
-        let def = grid.definition_json();
-        assert!(
-            def.contains(
-                "\"policies\": [\"retry-all\", \"conflict-backoff\", \"round-robin-quota\", \
-                 \"auto\"]"
-            ),
-            "definition must carry the policy axis: {def}"
-        );
-        // An unset axis serializes as the base marker, like the other axes.
-        let plain = SweepGrid::new("no-policy")
-            .workload(WorkloadAxis::catalog("hm_0").expect("catalog"))
-            .requests(50);
-        assert!(plain.definition_json().contains("\"policies\": [\"base\"]"));
-        assert_eq!(plain.build_points()[0].policy, DispatchPolicyKind::RetryAll);
-    }
-
-    #[test]
-    fn tenant_axis_expands_and_reaches_the_config() {
-        let grid = SweepGrid::new("tenant-axis")
-            .workload(WorkloadAxis::catalog("hm_0").expect("catalog"))
-            .tenant_sets(&TenantSet::presets())
-            .fabrics(&[FabricKind::Venice])
-            .requests(50);
-        let points = grid.build_points();
-        assert_eq!(points.len(), TenantSet::presets().len());
-        for (p, set) in points.iter().zip(TenantSet::presets()) {
-            assert_eq!(p.tenants, set.label());
-            assert_eq!(p.config.tenants, set, "tenant set must reach the config");
-            assert!(p.label.contains(set.label()), "label {}", p.label);
-            assert_eq!(
-                TenantSet::by_label(set.label()),
-                Some(set),
-                "manifest labels must round-trip"
-            );
-        }
-        let def = grid.definition_json();
-        assert!(
-            def.contains("\"tenants\": [\"single\", \"pair-fair\", \"victim-boost\", \"trio-weighted\"]"),
-            "definition must carry the tenant axis: {def}"
-        );
-        // An unset axis serializes as the base marker, like the other axes.
-        let plain = SweepGrid::new("no-tenants")
-            .workload(WorkloadAxis::catalog("hm_0").expect("catalog"))
-            .requests(50);
-        assert!(plain.definition_json().contains("\"tenants\": [\"base\"]"));
-        assert!(plain.build_points()[0].config.tenants.is_single());
-    }
-
-    #[test]
-    fn resilience_axis_expands_and_reaches_the_config() {
-        let grid = SweepGrid::new("resilience-axis")
-            .workload(WorkloadAxis::catalog("hm_0").expect("catalog"))
-            .resilience_policies(&ResiliencePolicy::ALL)
-            .fabrics(&[FabricKind::Venice])
-            .requests(50);
-        let points = grid.build_points();
-        assert_eq!(points.len(), ResiliencePolicy::ALL.len());
-        for (p, policy) in points.iter().zip(ResiliencePolicy::ALL) {
-            assert_eq!(p.resilience, policy);
-            assert_eq!(
-                p.config.resilience, policy,
-                "resilience policy must reach the config"
-            );
-            assert!(p.label.contains(policy.label()), "label {}", p.label);
-            assert_eq!(
-                ResiliencePolicy::by_label(policy.label()),
-                Some(policy),
-                "manifest labels must round-trip"
-            );
-        }
-        let def = grid.definition_json();
-        assert!(
-            def.contains(
-                "\"resilience\": [\"none\", \"deadline\", \"retry\", \"deadline-retry\", \
-                 \"shed\", \"full\"]"
-            ),
-            "definition must carry the resilience axis: {def}"
-        );
-        // An unset axis serializes as the base marker, like the other axes.
-        let plain = SweepGrid::new("no-resilience")
-            .workload(WorkloadAxis::catalog("hm_0").expect("catalog"))
-            .requests(50);
-        assert!(plain.definition_json().contains("\"resilience\": [\"base\"]"));
-        assert_eq!(
-            plain.build_points()[0].config.resilience,
-            ResiliencePolicy::None
-        );
-    }
-
-    #[test]
-    fn redundancy_axis_expands_and_reaches_the_config() {
-        let grid = SweepGrid::new("redundancy-axis")
-            .workload(WorkloadAxis::catalog("hm_0").expect("catalog"))
-            .redundancy_kinds(&RedundancyKind::ALL)
-            .fabrics(&[FabricKind::Venice])
-            .requests(50);
-        let points = grid.build_points();
-        assert_eq!(points.len(), RedundancyKind::ALL.len());
-        for (p, kind) in points.iter().zip(RedundancyKind::ALL) {
-            assert_eq!(p.redundancy, kind);
-            assert_eq!(
-                p.config.redundancy, kind,
-                "redundancy scheme must reach the config"
-            );
-            assert!(p.label.contains(&kind.label()), "label {}", p.label);
-            assert_eq!(
-                RedundancyKind::by_label(&kind.label()),
-                Some(kind),
-                "manifest labels must round-trip"
-            );
-        }
-        let def = grid.definition_json();
-        assert!(
-            def.contains("\"redundancy\": [\"none\", \"parity4\"]"),
-            "definition must carry the redundancy axis: {def}"
-        );
-        // An unset axis serializes as the base marker, like the other axes.
-        let plain = SweepGrid::new("no-redundancy")
-            .workload(WorkloadAxis::catalog("hm_0").expect("catalog"))
-            .requests(50);
-        assert!(plain.definition_json().contains("\"redundancy\": [\"base\"]"));
-        assert_eq!(
-            plain.build_points()[0].config.redundancy,
-            RedundancyKind::None
-        );
+        assert!(points
+            .iter()
+            .all(|p| p.config.scout_cache() == ScoutCacheKind::Checked));
     }
 
     #[test]

@@ -17,14 +17,13 @@
 //!   ([`AcquireError::ChannelBusy`]) or "no controller free" never back
 //!   off — the structured [`ConflictReason`] from the fabric is what makes
 //!   the distinction possible.
-//! * [`DispatchPolicyKind::RoundRobinQuota`] — caps acquisition attempts
-//!   per chip per round at [`ATTEMPT_QUOTA`], bounding the worst-case cost
-//!   of one dispatch round regardless of queue depth.
+//! * [`DispatchPolicyKind::Auto`] — backoff on the mesh fabrics, retry-all
+//!   on the bus designs.
 //!
-//! Both non-default policies honor a starvation guard: a chip whose oldest
-//! queued transaction is older than [`STARVATION_NS`] (per the TSU's
-//! queue-age probe) is always attempted, so no chip can be deferred
-//! indefinitely by its own bad luck.
+//! Backoff honors a starvation guard: a chip whose oldest queued
+//! transaction is older than [`STARVATION_NS`] (per the TSU's queue-age
+//! probe) is always attempted, so no chip can be deferred indefinitely by
+//! its own bad luck.
 //!
 //! # Conflict-accounting invariant
 //!
@@ -48,10 +47,6 @@ use venice_interconnect::{AcquireError, FabricKind};
 /// Maximum rounds a chip can be backed off for (cap of the exponential).
 pub const BACKOFF_MAX_ROUNDS: u64 = 64;
 
-/// Acquisition attempts allowed per chip per round under
-/// [`DispatchPolicyKind::RoundRobinQuota`].
-pub const ATTEMPT_QUOTA: u32 = 4;
-
 /// Queue age (ns) past which a chip is considered starving and exempt from
 /// policy skips (2 ms ≈ two tBERS of the performance-optimized flash).
 pub const STARVATION_NS: u64 = 2_000_000;
@@ -65,8 +60,6 @@ pub enum DispatchPolicyKind {
     RetryAll,
     /// Exponential per-chip backoff after path-conflict failures.
     ConflictBackoff,
-    /// At most [`ATTEMPT_QUOTA`] acquisition attempts per chip per round.
-    RoundRobinQuota,
     /// Pick the best measured policy for the fabric under test: mesh
     /// designs run [`DispatchPolicyKind::ConflictBackoff`] (1.43× engine
     /// events/sec on congested Venice for a ~6% simulated-exec-time cost —
@@ -83,10 +76,9 @@ pub enum DispatchPolicyKind {
 
 impl DispatchPolicyKind {
     /// All policies, in presentation order.
-    pub const ALL: [DispatchPolicyKind; 4] = [
+    pub const ALL: [DispatchPolicyKind; 3] = [
         DispatchPolicyKind::RetryAll,
         DispatchPolicyKind::ConflictBackoff,
-        DispatchPolicyKind::RoundRobinQuota,
         DispatchPolicyKind::Auto,
     ];
 
@@ -95,7 +87,6 @@ impl DispatchPolicyKind {
         match self {
             DispatchPolicyKind::RetryAll => "retry-all",
             DispatchPolicyKind::ConflictBackoff => "conflict-backoff",
-            DispatchPolicyKind::RoundRobinQuota => "round-robin-quota",
             DispatchPolicyKind::Auto => "auto",
         }
     }
@@ -143,7 +134,7 @@ pub struct DispatchStats {
     pub rounds: u64,
     /// Acquisition attempts issued to the fabric.
     pub attempts: u64,
-    /// Attempts suppressed by the policy (backoff or quota).
+    /// Attempts suppressed by the policy's backoff.
     pub skipped_backoff: u64,
     /// Attempts that failed with a path conflict (failed scout walks on
     /// mesh fabrics, bus conflicts on channel fabrics).
@@ -194,10 +185,6 @@ pub(crate) struct PolicyState {
     backoff_until: Vec<u64>,
     /// ConflictBackoff: consecutive-failure exponent, reset on success.
     backoff_exp: Vec<u8>,
-    /// RoundRobinQuota: round stamp of `quota_used` (avoids per-round clears).
-    quota_round: Vec<u64>,
-    /// RoundRobinQuota: attempts consumed this round.
-    quota_used: Vec<u32>,
     /// Whether this round suppressed at least one attempt.
     skipped_this_round: bool,
     /// Whether this round acquired at least one path.
@@ -215,8 +202,6 @@ impl PolicyState {
             round: 0,
             backoff_until: vec![0; chips],
             backoff_exp: vec![0; chips],
-            quota_round: vec![u64::MAX; chips],
-            quota_used: vec![0; chips],
             skipped_this_round: false,
             dispatched_this_round: false,
             stats: DispatchStats::default(),
@@ -247,8 +232,8 @@ impl PolicyState {
     /// Asks whether the dispatcher may issue one acquisition attempt for
     /// `chip` (whose oldest queued transaction is `queue_age_ns` old).
     /// Returns false when the policy suppresses the attempt; a true return
-    /// *consumes* the attempt (it is counted, and it decrements the chip's
-    /// round quota), so call it only immediately before `try_acquire`.
+    /// *consumes* the attempt (it is counted), so call it only immediately
+    /// before `try_acquire`.
     #[inline]
     pub(crate) fn try_attempt(&mut self, chip: u16, queue_age_ns: u64) -> bool {
         let c = usize::from(chip);
@@ -267,18 +252,6 @@ impl PolicyState {
                         return false;
                     }
                 }
-            }
-            DispatchPolicyKind::RoundRobinQuota => {
-                if self.quota_round[c] != self.round {
-                    self.quota_round[c] = self.round;
-                    self.quota_used[c] = 0;
-                }
-                if self.quota_used[c] >= ATTEMPT_QUOTA && queue_age_ns <= STARVATION_NS {
-                    self.stats.skipped_backoff += 1;
-                    self.skipped_this_round = true;
-                    return false;
-                }
-                self.quota_used[c] += 1;
             }
             DispatchPolicyKind::Auto => {
                 unreachable!("Auto resolves to a concrete policy at construction")
@@ -371,11 +344,7 @@ mod tests {
             assert_eq!(p.kind(), DispatchPolicyKind::Auto, "metrics report `auto`");
             assert_eq!(p.resolved(), expect, "{fabric}");
             // Concrete kinds resolve to themselves on every fabric.
-            for kind in [
-                DispatchPolicyKind::RetryAll,
-                DispatchPolicyKind::ConflictBackoff,
-                DispatchPolicyKind::RoundRobinQuota,
-            ] {
+            for kind in [DispatchPolicyKind::RetryAll, DispatchPolicyKind::ConflictBackoff] {
                 assert_eq!(kind.resolve_for(fabric), kind);
             }
         }
@@ -470,20 +439,6 @@ mod tests {
             p.try_attempt(0, STARVATION_NS + 1),
             "starvation guard overrides backoff"
         );
-    }
-
-    #[test]
-    fn quota_caps_attempts_per_round() {
-        let mut p = PolicyState::new(DispatchPolicyKind::RoundRobinQuota, FabricKind::Venice, 2);
-        p.begin_round();
-        for _ in 0..ATTEMPT_QUOTA {
-            assert!(p.try_attempt(0, 0));
-        }
-        assert!(!p.try_attempt(0, 0), "quota exhausted");
-        assert!(p.try_attempt(0, STARVATION_NS + 1), "starving chip exempt");
-        assert!(p.try_attempt(1, 0), "other chips unaffected");
-        p.begin_round();
-        assert!(p.try_attempt(0, 0), "quota refills each round");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * [`SsdSim`] — the event-driven SSD model (request lifecycle per the
 //!   paper's Figure 3),
 //! * [`DispatchPolicyKind`] — pluggable dispatcher retry strategies
-//!   (retry-all, conflict-aware backoff, round-robin attempt quota),
+//!   (retry-all, conflict-aware backoff, per-fabric auto),
 //! * [`ExperimentBuilder`] / [`run_systems`] — run workloads across the six
 //!   systems (Baseline, pSSD, pnSSD, NoSSD, Venice, Ideal),
 //! * [`RunMetrics`] — execution time, IOPS, tail latency, conflict rate,
@@ -51,8 +51,7 @@ mod ssd;
 
 pub use config::{SsdConfig, StaticPower};
 pub use dispatch::{
-    DispatchPolicyKind, DispatchScanKind, DispatchStats, ATTEMPT_QUOTA, BACKOFF_MAX_ROUNDS,
-    STARVATION_NS,
+    DispatchPolicyKind, DispatchScanKind, DispatchStats, BACKOFF_MAX_ROUNDS, STARVATION_NS,
 };
 pub use experiment::{
     all_systems, enter_shared_pool, run_single, run_systems, shared_pool_active,

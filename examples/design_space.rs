@@ -10,7 +10,7 @@
 use venice::interconnect::FabricKind;
 use venice::ssd::SsdConfig;
 use venice::workloads::{WorkloadAxis, WorkloadSpec};
-use venice_bench::sweep::SweepGrid;
+use venice_bench::sweep::{Knob, SweepGrid};
 
 fn main() {
     // A read-heavy bursty workload at three arrival intensities: one
@@ -30,7 +30,7 @@ fn main() {
     let outcome = SweepGrid::new("design_space")
         .config(SsdConfig::performance_optimized())
         .workloads(workloads)
-        .shapes(&shapes)
+        .knobs(shapes.map(|(rows, cols)| Knob::Shape(rows, cols)))
         .fabrics(&[
             FabricKind::Baseline,
             FabricKind::NoSsd,
@@ -45,8 +45,9 @@ fn main() {
         println!("\n== mean inter-arrival {interarrival_us} µs ==");
         println!("{:<7} {:>8} {:>8} {:>8}", "shape", "NoSSD", "Venice", "Ideal");
         for &shape in &shapes {
-            let rows = outcome
-                .rows_by_workload(|p| p.workload == name && p.shape == shape);
+            let rows = outcome.rows_by_workload(|p| {
+                p.workload == name && (p.config.fabric.rows, p.config.fabric.cols) == shape
+            });
             let results = &rows.first().expect("point row in outcome").1;
             let base = &results[0];
             println!(

@@ -155,7 +155,7 @@ fn sweep_grid_is_bit_identical_across_pool_sizes() {
     // one-thread pool and a four-thread pool must produce bit-identical
     // per-point RunMetrics (and therefore identical JSON records and
     // manifest fingerprints) — pool size may only change wall-clock time.
-    use venice_bench::sweep::{SweepGrid, WorkerPool};
+    use venice_bench::sweep::{Knob, SweepGrid, WorkerPool};
     use venice_workloads::WorkloadAxis;
 
     let grid = SweepGrid::new("determinism")
@@ -164,7 +164,7 @@ fn sweep_grid_is_bit_identical_across_pool_sizes() {
         .workload(WorkloadAxis::catalog("src2_1").expect("catalog"))
         .workload(WorkloadAxis::mix("mix1").expect("table 3"))
         .fabrics(&[SystemKind::Baseline, SystemKind::Venice, SystemKind::Ideal])
-        .queue_depths(&[4, 8])
+        .knobs([Knob::QueueDepth(4), Knob::QueueDepth(8)])
         .requests(120);
     let serial = grid.run_on(&WorkerPool::new(1));
     let pooled = grid.run_on(&WorkerPool::new(4));
@@ -243,22 +243,25 @@ fn retry_all_is_bit_identical_to_the_pre_refactor_engine() {
 #[test]
 fn policies_are_deterministic_across_pool_sizes() {
     use venice::ssd::DispatchPolicyKind;
-    use venice_bench::sweep::{SweepGrid, WorkerPool};
+    use venice_bench::sweep::{Knob, SweepGrid, WorkerPool};
     use venice_workloads::WorkloadAxis;
 
     let grid = SweepGrid::new("policy-determinism")
         .config(SsdConfig::performance_optimized())
         .workload(WorkloadAxis::congested())
         .workload(WorkloadAxis::catalog("src2_1").expect("catalog"))
-        .policies(&DispatchPolicyKind::ALL)
+        .knobs(DispatchPolicyKind::ALL.map(Knob::Policy))
         .fabrics(&[SystemKind::Baseline, SystemKind::Venice])
         .requests(150);
     let serial = grid.run_on(&WorkerPool::new(1));
     let pooled = grid.run_on(&WorkerPool::new(4));
-    assert_eq!(serial.records().len(), 16); // 2 workloads × 4 policies × 2 fabrics
+    assert_eq!(serial.records().len(), 12); // 2 workloads × 3 policies × 2 fabrics
     for (a, b) in serial.records().iter().zip(pooled.records()) {
-        assert_eq!(a.point.policy, b.point.policy);
-        assert_eq!(a.metrics.policy, a.point.policy, "metrics must carry the policy");
+        assert_eq!(a.point.config.dispatch, b.point.config.dispatch);
+        assert_eq!(
+            a.metrics.policy, a.point.config.dispatch,
+            "metrics must carry the policy"
+        );
         assert_eq!(a.metrics.completed_requests, 150, "{}", a.point.label);
         assert_eq!(
             a.metrics, b.metrics,
@@ -279,10 +282,10 @@ fn policies_are_deterministic_across_pool_sizes() {
         .iter()
         .filter(|r| r.point.fabric == SystemKind::Venice && r.point.workload == "congested")
         .collect();
-    assert_eq!(venice_congested.len(), 4);
+    assert_eq!(venice_congested.len(), 3);
     let backoff = venice_congested
         .iter()
-        .find(|r| r.point.policy == DispatchPolicyKind::ConflictBackoff)
+        .find(|r| r.point.config.dispatch == DispatchPolicyKind::ConflictBackoff)
         .expect("backoff point");
     assert!(
         backoff.metrics.dispatch.skipped_backoff > 0,
@@ -292,7 +295,7 @@ fn policies_are_deterministic_across_pool_sizes() {
     // the explicit backoff point, differing only in the reported policy.
     let auto = venice_congested
         .iter()
-        .find(|r| r.point.policy == DispatchPolicyKind::Auto)
+        .find(|r| r.point.config.dispatch == DispatchPolicyKind::Auto)
         .expect("auto point");
     assert_eq!(auto.metrics.policy, DispatchPolicyKind::Auto);
     assert_eq!(auto.metrics.execution_time, backoff.metrics.execution_time);
@@ -304,7 +307,7 @@ fn policies_are_deterministic_across_pool_sizes() {
         .find(|r| {
             r.point.fabric == SystemKind::Baseline
                 && r.point.workload == "congested"
-                && r.point.policy == DispatchPolicyKind::Auto
+                && r.point.config.dispatch == DispatchPolicyKind::Auto
         })
         .expect("baseline auto point");
     let base_retry = serial
@@ -313,7 +316,7 @@ fn policies_are_deterministic_across_pool_sizes() {
         .find(|r| {
             r.point.fabric == SystemKind::Baseline
                 && r.point.workload == "congested"
-                && r.point.policy == DispatchPolicyKind::RetryAll
+                && r.point.config.dispatch == DispatchPolicyKind::RetryAll
         })
         .expect("baseline retry-all point");
     assert_eq!(
@@ -433,7 +436,7 @@ fn a_panicking_point_is_isolated_and_reported_failed() {
     let outcome = grid.run_on(&pool);
     assert_eq!(outcome.records().len(), 4);
     for r in outcome.records() {
-        if r.point.config_name == "poisoned" {
+        if r.point.config.name == "poisoned" {
             assert_eq!(r.metrics.status, RunStatus::Failed, "{}", r.point.label);
             assert_eq!(r.metrics.completed_requests, 0, "{}", r.point.label);
             assert!(

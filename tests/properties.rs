@@ -193,7 +193,7 @@ fn incremental_dispatch_matches_the_full_scan_reference() {
     for case in 0..4u64 {
         // Rotate through the policy table so every policy sees random
         // traffic on every fabric across the case set.
-        let policy = DispatchPolicyKind::ALL[(case % 4) as usize];
+        let policy = DispatchPolicyKind::ALL[case as usize % DispatchPolicyKind::ALL.len()];
         let read_pct = 40.0 + rng.next_f64() * 60.0;
         let kb = 4.0 + rng.next_f64() * 28.0;
         let us = 1.0 + rng.next_f64() * 15.0;
@@ -279,7 +279,8 @@ fn scout_fastfail_cache_is_bit_identical_and_checked() {
 
     let mut rng = Xorshift64Star::new(0xCAC4E);
     for case in 0..4u64 {
-        let policy = venice::ssd::DispatchPolicyKind::ALL[(case % 4) as usize];
+        let policies = venice::ssd::DispatchPolicyKind::ALL;
+        let policy = policies[case as usize % policies.len()];
         let read_pct = 40.0 + rng.next_f64() * 60.0;
         let kb = 4.0 + rng.next_f64() * 28.0;
         let us = 1.0 + rng.next_f64() * 10.0;
@@ -433,13 +434,13 @@ fn fault_injection_is_sound_on_every_fabric() {
 
     // (d) Fingerprints are pool-size-stable with faults on.
     {
-        use venice_bench::sweep::{SweepGrid, WorkerPool};
+        use venice_bench::sweep::{Knob, SweepGrid, WorkerPool};
         use venice::workloads::WorkloadAxis;
 
         let grid = SweepGrid::new("fault-determinism")
             .config(venice::ssd::SsdConfig::performance_optimized())
             .workload(WorkloadAxis::congested())
-            .fault_plans(&[FaultPlan::Link, FaultPlan::LinkRepair, FaultPlan::Storm])
+            .knobs([FaultPlan::Link, FaultPlan::LinkRepair, FaultPlan::Storm].map(Knob::Fault))
             .fabrics(&[
                 venice::ssd::SystemKind::Baseline,
                 venice::ssd::SystemKind::NoSsd,
@@ -611,12 +612,12 @@ fn tenant_qos_invariants_under_random_tenancy() {
     // RunMetrics comparison — are pool-size-stable.
     {
         use venice::workloads::WorkloadAxis;
-        use venice_bench::sweep::{SweepGrid, WorkerPool};
+        use venice_bench::sweep::{Knob, SweepGrid, WorkerPool};
 
         let grid = SweepGrid::new("tenant-determinism")
             .config(SsdConfig::performance_optimized())
             .workload(WorkloadAxis::noisy_neighbor())
-            .tenant_sets(&TenantSet::presets())
+            .knobs(TenantSet::presets().into_iter().map(Knob::Tenants))
             .fabrics(&[
                 venice::ssd::SystemKind::Baseline,
                 venice::ssd::SystemKind::Venice,
@@ -741,13 +742,13 @@ fn host_resilience_is_sound_on_every_fabric() {
     // (d) Resilience-axis sweeps are pool-size-stable.
     {
         use venice::workloads::WorkloadAxis;
-        use venice_bench::sweep::{SweepGrid, WorkerPool};
+        use venice_bench::sweep::{Knob, SweepGrid, WorkerPool};
 
         let grid = SweepGrid::new("resilience-determinism")
             .config(SsdConfig::performance_optimized())
             .workload(WorkloadAxis::congested())
-            .fault_plans(&[FaultPlan::None, FaultPlan::Storm])
-            .resilience_policies(&ResiliencePolicy::ALL)
+            .knobs([Knob::Fault(FaultPlan::None), Knob::Fault(FaultPlan::Storm)])
+            .knobs(ResiliencePolicy::ALL.map(Knob::Resilience))
             .fabrics(&[venice::ssd::SystemKind::Baseline, venice::ssd::SystemKind::Venice])
             .requests(150);
         let serial = grid.run_on(&WorkerPool::new(1));
@@ -840,13 +841,13 @@ fn rebuild_is_sound_on_every_fabric() {
     // (e) Redundancy-axis sweeps are pool-size-stable.
     {
         use venice::workloads::WorkloadAxis;
-        use venice_bench::sweep::{SweepGrid, WorkerPool};
+        use venice_bench::sweep::{Knob, SweepGrid, WorkerPool};
 
         let grid = SweepGrid::new("rebuild-determinism")
             .config(SsdConfig::performance_optimized().with_mesh(4, 4))
             .workload(WorkloadAxis::congested())
-            .fault_plans(&[FaultPlan::Chip])
-            .redundancy_kinds(&RedundancyKind::ALL)
+            .knobs([Knob::Fault(FaultPlan::Chip)])
+            .knobs(RedundancyKind::ALL.map(Knob::Redundancy))
             .fabrics(&[venice::ssd::SystemKind::Baseline, venice::ssd::SystemKind::Venice])
             .requests(150);
         let serial = grid.run_on(&WorkerPool::new(1));
