@@ -8,19 +8,21 @@
 //! ```
 //!
 //! Each argument is a sweep directory (containing `manifest.json`) or a
-//! manifest path. Points are matched **by label**; for every pair the tool
-//! reports deltas in the headline metrics (execution time, events, and —
-//! when the per-point records are readable — conflicted requests and
-//! energy), plus the manifests' grid/metrics fingerprints. Use it to diff
-//! the same grid before and after an engine change, or — with
-//! `--ignore-scout-cache`, which folds the label's scout-cache segment so
-//! a `--scout-cache on` run lines up with a `--scout-cache off` run — a
-//! cache-on vs cache-off big-mesh sweep, where every simulated-behavior
-//! metric must come out identical.
+//! manifest path. Points are matched **by label**, and a matched pair is
+//! identical only when its two point records are byte-identical (records
+//! carry no wall-clock field). Every differing pair is reported with its
+//! execution-time, event and conflicted-request deltas and the first
+//! record key that differs; an unreadable record counts as differing. The
+//! manifests' grid and metrics fingerprints are printed for reference.
+//! Use it to diff the same grid before and after an engine change, or —
+//! with `--ignore-scout-cache`, which folds the label's scout-cache
+//! segment and masks the three fields the cache may change
+//! ([`SCOUT_CACHE_FIELDS`]) — a cache-on vs cache-off big-mesh sweep,
+//! where every simulated-behavior field must come out identical.
 //!
-//! Exit status: 0 when every matched point's compared metrics are equal
-//! and the point sets match, 1 otherwise *only* under `--strict` (without
-//! it the tool is purely informational and always exits 0).
+//! Exit status: 0 when every matched point is identical and the point
+//! sets match, 1 otherwise *only* under `--strict` (without it the tool is
+//! purely informational and always exits 0).
 
 use std::path::{Path, PathBuf};
 
@@ -62,15 +64,6 @@ fn json_u64_field(json: &str, key: &str) -> Option<u64> {
         .take_while(|c| c.is_ascii_digit())
         .collect();
     digits.parse().ok()
-}
-
-/// Extracts the raw token (number) after the first `"key": ` occurrence.
-fn json_raw_field(json: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\": ");
-    let at = json.find(&needle)?;
-    let rest = &json[at + needle.len()..];
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    Some(rest[..end].trim().to_string())
 }
 
 fn load_manifest(arg: &str) -> Manifest {
@@ -136,6 +129,66 @@ fn fold_cache_segment(label: &str) -> String {
     out
 }
 
+/// The point-record fields `--ignore-scout-cache` masks before comparing:
+/// the cache label and its two effort counters, the only fields the
+/// scout fast-fail cache may change (perfbench's `check_cache_twin`
+/// excuses the same three).
+const SCOUT_CACHE_FIELDS: [&str; 3] = [
+    "scout_cache",
+    "scout_fastfails",
+    "scout_cache_invalidations",
+];
+
+/// Replaces the value of every `"key": value` field named in `keys` with
+/// `*` (a quoted string or a bare token up to the next `,`, `}` or line
+/// end).
+fn mask_fields(record: &str, keys: &[&str]) -> String {
+    let mut out = record.to_string();
+    for key in keys {
+        let needle = format!("\"{key}\": ");
+        let mut from = 0;
+        while let Some(at) = out[from..].find(&needle) {
+            let start = from + at + needle.len();
+            let rest = &out[start..];
+            let len = if let Some(quoted) = rest.strip_prefix('"') {
+                quoted.find('"').map_or(rest.len(), |q| q + 2)
+            } else {
+                rest.find([',', '}', '\n']).unwrap_or(rest.len())
+            };
+            out.replace_range(start..start + len, "*");
+            from = start + 1;
+        }
+    }
+    out
+}
+
+/// Compares two point records byte for byte after masking `masked` (see
+/// [`mask_fields`]): `None` when identical, otherwise the first key whose
+/// field differs (the last key in `a` that starts at or before the first
+/// differing byte; `""` when the records differ before any key).
+fn first_difference(a: &str, b: &str, masked: &[&str]) -> Option<String> {
+    let (a, b) = (mask_fields(a, masked), mask_fields(b, masked));
+    if a == b {
+        return None;
+    }
+    let at = a
+        .bytes()
+        .zip(b.bytes())
+        .position(|(x, y)| x != y)
+        .unwrap_or(a.len().min(b.len()));
+    let mut key = "";
+    let mut from = 0;
+    while let Some(end) = a[from..].find("\": ").map(|i| from + i) {
+        let start = a[..end].rfind('"').map_or(0, |q| q + 1);
+        if start > at {
+            break;
+        }
+        key = &a[start..end];
+        from = end + 3;
+    }
+    Some(key.to_string())
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut take_flag = |name: &str| -> bool {
@@ -155,24 +208,28 @@ fn main() {
     }
     let mut a = load_manifest(&args[0]);
     let mut b = load_manifest(&args[1]);
-    if ignore_cache {
+    let masked: &[&str] = if ignore_cache {
         for m in [&mut a, &mut b] {
             for p in &mut m.points {
                 p.label = fold_cache_segment(&p.label);
             }
         }
-    }
+        &SCOUT_CACHE_FIELDS
+    } else {
+        &[]
+    };
 
     println!("A: {} ({} points)  grid {}", a.name, a.points.len(), a.grid_hash);
     println!("B: {} ({} points)  grid {}", b.name, b.points.len(), b.grid_hash);
-    if a.metrics_fingerprint == b.metrics_fingerprint {
-        println!("metrics fingerprints MATCH ({}) — results are bit-identical", a.metrics_fingerprint);
+    let fingerprints = if a.metrics_fingerprint == b.metrics_fingerprint {
+        "match"
     } else {
-        println!(
-            "metrics fingerprints differ: {} vs {}",
-            a.metrics_fingerprint, b.metrics_fingerprint
-        );
-    }
+        "differ"
+    };
+    println!(
+        "manifest metrics fingerprints {fingerprints}: {} vs {}",
+        a.metrics_fingerprint, b.metrics_fingerprint
+    );
 
     let mut mismatched_points = 0usize;
     let mut missing_in_b = 0usize;
@@ -184,8 +241,8 @@ fn main() {
     // point is consumed at most once instead of first-match winning twice.
     let mut b_used = vec![false; b.points.len()];
     println!(
-        "\n{:<64} {:>14} {:>10} {:>10} {:>12}",
-        "point (label)", "exec Δ%", "events Δ%", "confl Δ", "energy"
+        "\n{:<64} {:>14} {:>10} {:>10}  first differing key",
+        "point (label)", "exec Δ%", "events Δ%", "confl Δ"
     );
     for pa in &a.points {
         let Some(bi) =
@@ -210,10 +267,18 @@ fn main() {
             continue;
         }
         compared += 1;
-        // Prefer the full point records for deeper metrics; fall back to
-        // the manifest's headline numbers when a record is unreadable.
         let ra = std::fs::read_to_string(a.dir.join(&pa.file)).ok();
         let rb = std::fs::read_to_string(b.dir.join(&pb.file)).ok();
+        let difference = match (&ra, &rb) {
+            (Some(ra), Some(rb)) => first_difference(ra, rb, masked),
+            _ => Some("<unreadable record>".to_string()),
+        };
+        // Print only differing points (plus a one-line summary below);
+        // identical points would drown the signal on big grids.
+        let Some(key) = difference else { continue };
+        mismatched_points += 1;
+        // Headline deltas from the records, or from the manifest when a
+        // record is unreadable.
         let field = |r: &Option<String>, key: &str, fallback: u64| {
             r.as_deref()
                 .and_then(|j| json_u64_field(j, key))
@@ -228,25 +293,13 @@ fn main() {
             field(&ra, "conflicted_requests", 0),
             field(&rb, "conflicted_requests", 0),
         );
-        let en_a = ra.as_deref().and_then(|j| json_raw_field(j, "energy_mj"));
-        let en_b = rb.as_deref().and_then(|j| json_raw_field(j, "energy_mj"));
-        let energy_same = en_a == en_b;
-        let same = exec_a == exec_b && ev_a == ev_b && cf_a == cf_b && energy_same;
-        if !same {
-            mismatched_points += 1;
-        }
-        // Print only differing points (plus a one-line summary below);
-        // identical points would drown the signal on big grids.
-        if !same {
-            println!(
-                "{:<64} {:>+13.3}% {:>+9.3}% {:>+10} {:>12}",
-                pa.label,
-                pct(exec_a, exec_b),
-                pct(ev_a, ev_b),
-                cf_b as i64 - cf_a as i64,
-                if energy_same { "same" } else { "DIFFERS" },
-            );
-        }
+        println!(
+            "{:<64} {:>+13.3}% {:>+9.3}% {:>+10}  {key}",
+            pa.label,
+            pct(exec_a, exec_b),
+            pct(ev_a, ev_b),
+            cf_b as i64 - cf_a as i64,
+        );
     }
     let only_in_b = b_used.iter().filter(|&&u| !u).count();
     for (pb, used) in b.points.iter().zip(&b_used) {
@@ -264,5 +317,52 @@ fn main() {
         && (mismatched_points > 0 || missing_in_b > 0 || only_in_b > 0 || failed_points > 0)
     {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A trimmed point record in `RunMetrics::to_json`'s layout.
+    const RECORD: &str = r#"{
+  "system": "Venice",
+  "scout_cache": "cache-off",
+  "execution_time_ns": 3932580,
+  "fabric": {"acquisitions": 6020, "scout_fastfails": 0, "scout_cache_invalidations": 0, "hops_total": 0},
+  "tenants": [{"name": "all", "failed": 84, "data_loss": 29, "deadline_misses": 55}],
+  "redundancy": {"kind": "parity4", "degraded_reads": 12, "rebuilt_pages": 1015, "data_loss_requests": 0},
+  "events": 17251
+}"#;
+
+    #[test]
+    fn records_compare_whole_and_name_the_first_differing_key() {
+        assert_eq!(first_difference(RECORD, RECORD, &[]), None);
+        // Fields outside execution time, events, conflicts and energy
+        // (what the comparison used to read) must count.
+        let lost = RECORD
+            .replace("\"rebuilt_pages\": 1015", "\"rebuilt_pages\": 0")
+            .replace("\"data_loss_requests\": 0", "\"data_loss_requests\": 7");
+        assert_eq!(first_difference(RECORD, &lost, &[]).as_deref(), Some("rebuilt_pages"));
+        let tenant = RECORD.replace("\"deadline_misses\": 55", "\"deadline_misses\": 56");
+        assert_eq!(first_difference(RECORD, &tenant, &[]).as_deref(), Some("deadline_misses"));
+        // A field-set change is named by the key where the records part.
+        let renamed = RECORD.replace("rebuilt_pages", "rebuilt_pagez");
+        assert_eq!(first_difference(RECORD, &renamed, &[]).as_deref(), Some("rebuilt_pages"));
+    }
+
+    #[test]
+    fn ignore_scout_cache_masks_exactly_its_three_fields() {
+        let cached = RECORD
+            .replace("\"cache-off\"", "\"cache-on\"")
+            .replace("\"scout_fastfails\": 0", "\"scout_fastfails\": 812")
+            .replace("\"scout_cache_invalidations\": 0", "\"scout_cache_invalidations\": 40");
+        assert_eq!(first_difference(RECORD, &cached, &SCOUT_CACHE_FIELDS), None);
+        assert_eq!(first_difference(RECORD, &cached, &[]).as_deref(), Some("scout_cache"));
+        let steps = cached.replace("\"hops_total\": 0", "\"hops_total\": 1");
+        assert_eq!(
+            first_difference(RECORD, &steps, &SCOUT_CACHE_FIELDS).as_deref(),
+            Some("hops_total")
+        );
     }
 }
