@@ -3,8 +3,9 @@
 //! `BENCH_scout.json` ledgers, one entry per engine revision.
 //!
 //! ```sh
-//! cargo run --release -p venice-bench --bin ablate_routing   # refresh results/bench_dispatch.json
-//! cargo run --release -p venice-bench --bin scout_stress     # refresh results/bench_scout.json
+//! # refresh results/bench_dispatch.json and results/bench_scout.json
+//! VENICE_RESULTS_DIR=$PWD/results cargo bench -p venice-bench --bench dispatch_scan
+//! VENICE_RESULTS_DIR=$PWD/results cargo bench -p venice-bench --bench scout_walk
 //! cargo run --release -p venice-bench --bin perf_ledger      # append both ledgers
 //! ```
 //!

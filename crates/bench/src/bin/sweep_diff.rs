@@ -343,12 +343,21 @@ mod tests {
         let lost = RECORD
             .replace("\"rebuilt_pages\": 1015", "\"rebuilt_pages\": 0")
             .replace("\"data_loss_requests\": 0", "\"data_loss_requests\": 7");
-        assert_eq!(first_difference(RECORD, &lost, &[]).as_deref(), Some("rebuilt_pages"));
+        assert_eq!(
+            first_difference(RECORD, &lost, &[]).as_deref(),
+            Some("rebuilt_pages")
+        );
         let tenant = RECORD.replace("\"deadline_misses\": 55", "\"deadline_misses\": 56");
-        assert_eq!(first_difference(RECORD, &tenant, &[]).as_deref(), Some("deadline_misses"));
+        assert_eq!(
+            first_difference(RECORD, &tenant, &[]).as_deref(),
+            Some("deadline_misses")
+        );
         // A field-set change is named by the key where the records part.
         let renamed = RECORD.replace("rebuilt_pages", "rebuilt_pagez");
-        assert_eq!(first_difference(RECORD, &renamed, &[]).as_deref(), Some("rebuilt_pages"));
+        assert_eq!(
+            first_difference(RECORD, &renamed, &[]).as_deref(),
+            Some("rebuilt_pages")
+        );
     }
 
     #[test]
@@ -356,9 +365,15 @@ mod tests {
         let cached = RECORD
             .replace("\"cache-off\"", "\"cache-on\"")
             .replace("\"scout_fastfails\": 0", "\"scout_fastfails\": 812")
-            .replace("\"scout_cache_invalidations\": 0", "\"scout_cache_invalidations\": 40");
+            .replace(
+                "\"scout_cache_invalidations\": 0",
+                "\"scout_cache_invalidations\": 40",
+            );
         assert_eq!(first_difference(RECORD, &cached, &SCOUT_CACHE_FIELDS), None);
-        assert_eq!(first_difference(RECORD, &cached, &[]).as_deref(), Some("scout_cache"));
+        assert_eq!(
+            first_difference(RECORD, &cached, &[]).as_deref(),
+            Some("scout_cache")
+        );
         let steps = cached.replace("\"hops_total\": 0", "\"hops_total\": 1");
         assert_eq!(
             first_difference(RECORD, &steps, &SCOUT_CACHE_FIELDS).as_deref(),

@@ -15,8 +15,7 @@
 //!   growing number of rounds (1, 2, 4, … up to [`BACKOFF_MAX_ROUNDS`]);
 //!   a success resets the chip. Failures that merely mean "busy chip"
 //!   ([`AcquireError::ChannelBusy`]) or "no controller free" never back
-//!   off — the structured [`ConflictReason`] from the fabric is what makes
-//!   the distinction possible.
+//!   off — [`AcquireError::is_path_conflict`] draws the distinction.
 //! * [`DispatchPolicyKind::Auto`] — backoff on the mesh fabrics, retry-all
 //!   on the bus designs.
 //!
@@ -315,9 +314,8 @@ impl PolicyState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use venice_interconnect::ConflictReason;
 
-    const CONFLICT: AcquireError = AcquireError::PathConflict(ConflictReason::ScoutExhausted);
+    const CONFLICT: AcquireError = AcquireError::PathConflict;
 
     #[test]
     fn labels_round_trip() {

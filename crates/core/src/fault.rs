@@ -33,9 +33,9 @@
 //! The host resilience layer ([`crate::resilience`]) is a second client of
 //! the fail-stop machinery built here: a request whose deadline fires
 //! aborts at the same command boundaries chip death uses, completes with
-//! error status through the same bookkeeping, and relies on the same
-//! wake-list contract to release its fabric/TSU resources — so deadline
-//! aborts compose with every fault plan instead of duplicating its paths.
+//! error status through the same bookkeeping, and frees its fabric/TSU
+//! resources the same way — so deadline aborts compose with every fault
+//! plan instead of duplicating its paths.
 
 use venice_interconnect::{FabricFault, NodeId};
 use venice_sim::rng::Xorshift64Star;

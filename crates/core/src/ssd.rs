@@ -36,20 +36,20 @@
 //! pending read-data burst live in a dense bit set (`data_ready`,
 //! maintained at burst arrival/drain), chips with queued TSU work come
 //! from the TSU's own busy set, and a round that ended on an exhausted
-//! controller pool parks (`parked_on_controllers`) until a fabric release
-//! reports a controller freed. The visit order — circular ascending from
-//! the rotating fairness cursor, busy-list rotation by
-//! `cursor % busy.len()` — is *exactly* the order the retained full-scan
-//! dispatcher ([`crate::DispatchScanKind::FullScan`]) produces, so the two
-//! engines emit bit-identical `RunMetrics` (randomized cross-check in
+//! controller pool parks (`parked_on_controllers`) until the next fabric
+//! release. The visit order — circular ascending from the rotating
+//! fairness cursor, busy-list rotation by `cursor % busy.len()` — is
+//! *exactly* the order the retained full-scan dispatcher
+//! ([`crate::DispatchScanKind::FullScan`]) produces, so the two engines
+//! emit bit-identical `RunMetrics` (randomized cross-check in
 //! `tests/properties.rs`). The `RetryAll` golden hash in
 //! `tests/integration.rs` additionally pins every *simulated-behavior*
 //! field — execution time, events, transactions, conflicts, acquisitions,
 //! energy — to the pre-policy dispatcher; dispatcher-*effort* stats
 //! (`rounds`/`attempts`/`controller_unavailable`) may run lower than
 //! PR 3's on pool-exhausting workloads because parked rounds stop
-//! counting doomed probes. See `docs/ARCHITECTURE.md` § "ready-set
-//! dispatch & wake lists" for the re-arming invariants.
+//! counting doomed probes. See `docs/ARCHITECTURE.md` § "Ready-set
+//! dispatch" for the re-arming invariants.
 
 use std::collections::VecDeque;
 
@@ -58,9 +58,7 @@ use venice_ftl::{
     TransactionScheduler, TxnId, TxnKind,
 };
 use venice_hil::{DeadlineClass, HostInterface, HostRequest};
-use venice_interconnect::{
-    build_fabric, AcquireError, Fabric, FabricKind, NodeId, PathGrant, ReleaseInfo,
-};
+use venice_interconnect::{build_fabric, AcquireError, Fabric, FabricKind, NodeId, PathGrant};
 use venice_nand::{ChipId, FlashChip, NandCommandKind, PageAddr, PhysicalPageAddr};
 use venice_sim::rng::Xorshift64Star;
 use venice_sim::stats::LatencySamples;
@@ -397,8 +395,8 @@ pub struct SsdSim {
     /// Parked-until-controller-free: set when a dispatch round ended on
     /// [`AcquireError::NoFreeController`] (a pooled fabric's controllers
     /// are all mid-transfer, so *no* acquisition can succeed); dispatch
-    /// rounds no-op — advancing only the fairness cursor — until a fabric
-    /// release reports a controller freed ([`ReleaseInfo::controller`]).
+    /// rounds no-op — advancing only the fairness cursor — until the next
+    /// fabric release (see [`SsdSim::release`]).
     parked_on_controllers: bool,
 
     /// Reusable scratch: busy-chip list for dispatch rounds.
@@ -1382,10 +1380,10 @@ impl SsdSim {
         if self.parked_on_controllers {
             // Parked-until-controller-free: every controller of a pooled
             // fabric is mid-transfer, so no acquisition can succeed until a
-            // release reports one freed (`note_release`, which also
-            // schedules a dispatch). The round no-ops; the fairness cursor
-            // still advances so rotation stays aligned with a round that
-            // ran and failed. Relative to an engine without parking this
+            // release frees one (`release`; every release is followed by a
+            // dispatch). The round no-ops; the fairness cursor still
+            // advances so rotation stays aligned with a round that ran and
+            // failed. Relative to an engine without parking this
             // changes only dispatcher-*effort* accounting (`rounds`,
             // `attempts`, `controller_unavailable` stop counting doomed
             // probes) — never simulated behavior: nothing could have
@@ -1435,26 +1433,23 @@ impl SsdSim {
         {
             // Fault-mode liveness probe: a round moved nothing while work is
             // queued. Under faults that can mean every route to the work is
-            // down (`RouteBlocked` is retryable until repair) with no
-            // in-flight completion left to wake us — re-arm ourselves. Only
-            // active when a fault plan is loaded, so fault-free runs keep a
-            // bit-identical calendar.
+            // down (a severed route is a retryable path conflict until
+            // repair) with no in-flight completion left to wake us — re-arm
+            // ourselves. Only active when a fault plan is loaded, so
+            // fault-free runs keep a bit-identical calendar.
             self.dispatch_pending = true;
             self.queue
                 .schedule(now + FAULT_PROBE_DELAY, Event::Dispatch);
         }
     }
 
-    /// Consumes a fabric release report (the wake list): a freed controller
-    /// un-parks dispatch. The resource component (`bus` / `channel` / mesh
-    /// region, see [`venice_interconnect::FreedResource`]) names which
-    /// chips could have been unblocked; the engine's ready sets already
-    /// bound round cost by *queued* work, so per-resource re-arming is left
-    /// to future policies.
-    fn note_release(&mut self, info: &ReleaseInfo) {
-        if info.controller.is_some() {
-            self.parked_on_controllers = false;
-        }
+    /// Returns a burst's grant to the fabric and un-parks dispatch. Exact:
+    /// only the pooled fabrics (NoSSD, Venice) ever fail with
+    /// [`AcquireError::NoFreeController`], each of their releases frees a
+    /// controller, and the bus and ideal fabrics never park.
+    fn release(&mut self, grant: PathGrant) {
+        self.fabric.release(grant);
+        self.parked_on_controllers = false;
     }
 
     // ------------------------------------------------------------------
@@ -1485,8 +1480,6 @@ impl SsdSim {
                 for node in impact.revived_chips {
                     self.revive_chip(usize::from(node.0));
                 }
-                // A freed resource (repaired channel/bus) behaves like a
-                // release wake: handled by the unconditional un-park below.
             }
             FaultAction::ChipDeath(node) => {
                 self.faults_active += 1;
@@ -2174,8 +2167,7 @@ impl SsdSim {
         inf.phase = Phase::ArrayOp;
         let grant = inf.grant.take().expect("command held a grant");
         let txn = inf.txn;
-        let released = self.fabric.release(grant);
-        self.note_release(&released);
+        self.release(grant);
         let kind = if txn.kind.is_read() {
             NandCommandKind::Read
         } else if txn.kind.is_write() {
@@ -2246,8 +2238,7 @@ impl SsdSim {
         let inf = self.slot_mut(txn_id);
         debug_assert_eq!(inf.phase, Phase::DataOut);
         let grant = inf.grant.take().expect("data burst held a grant");
-        let released = self.fabric.release(grant);
-        self.note_release(&released);
+        self.release(grant);
         let (txn, migration) = self.free_txn(txn_id);
         let die = self.die_key(txn.target);
         self.die_busy[die] = false;

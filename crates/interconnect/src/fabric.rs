@@ -18,6 +18,9 @@
 //!   scout-packet path reservation, non-minimal fully-adaptive routing.
 //! * [`FabricKind::Ideal`] — the path-conflict-free SSD: a dedicated channel
 //!   (and controller) per chip; requests only ever wait on the chip itself.
+//!
+//! The three bus designs run on one bus fabric that differs only in its
+//! table: the bus bandwidth, and whether every column has a bus too.
 
 use std::fmt;
 
@@ -158,48 +161,14 @@ impl FabricParams {
     }
 }
 
-/// What exactly blocked a path-conflict acquisition failure.
-///
-/// Dispatch policies use this to tell conflicts that back off profitably
-/// (another in-flight transfer holds the resource and will release it soon)
-/// from structural blockage deep in the mesh. All reasons count equally as
-/// Figure 13 path conflicts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ConflictReason {
-    /// A shared channel bus is mid-transfer (Baseline/pSSD/pnSSD).
-    BusBusy,
-    /// The deterministic XY route crossed a link held by another circuit
-    /// (NoSSD has no way around it).
-    RouteBlocked,
-    /// A Venice scout advanced into the mesh but exhausted every feasible
-    /// port assignment and was cancelled back to the controller.
-    ScoutExhausted,
-    /// A Venice scout could not leave the source router at all — every
-    /// usable local port was already reserved.
-    SourceBlocked,
-}
-
-impl ConflictReason {
-    /// Short diagnostic label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ConflictReason::BusBusy => "bus busy",
-            ConflictReason::RouteBlocked => "route blocked",
-            ConflictReason::ScoutExhausted => "scout exhausted",
-            ConflictReason::SourceBlocked => "source blocked",
-        }
-    }
-}
-
 /// Why a path acquisition failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AcquireError {
     /// Every eligible flash controller is busy with another transfer.
     NoFreeController,
     /// A controller was available but the path/bus to the chip was occupied —
-    /// this is the paper's *path conflict* (Figure 13). The payload says what
-    /// specifically blocked the path.
-    PathConflict(ConflictReason),
+    /// this is the paper's *path conflict* (Figure 13).
+    PathConflict,
     /// The ideal SSD's dedicated per-chip channel is mid-transfer; by the
     /// paper's definition this is a chip-side delay, not a path conflict.
     ChannelBusy,
@@ -215,26 +184,18 @@ pub enum AcquireError {
 impl AcquireError {
     /// Whether this failure counts as a path conflict in Figure 13's metric.
     pub fn is_path_conflict(&self) -> bool {
-        matches!(self, AcquireError::PathConflict(_))
-    }
-
-    /// The structured conflict reason, when this is a path conflict.
-    pub fn conflict_reason(&self) -> Option<ConflictReason> {
-        match self {
-            AcquireError::PathConflict(r) => Some(*r),
-            _ => None,
-        }
+        matches!(self, AcquireError::PathConflict)
     }
 }
 
 impl fmt::Display for AcquireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AcquireError::NoFreeController => f.write_str("no free flash controller"),
-            AcquireError::PathConflict(r) => write!(f, "path conflict ({})", r.label()),
-            AcquireError::ChannelBusy => f.write_str("dedicated channel busy"),
-            AcquireError::ResourceDead => f.write_str("path resource failed"),
-        }
+        f.write_str(match self {
+            AcquireError::NoFreeController => "no free flash controller",
+            AcquireError::PathConflict => "path conflict",
+            AcquireError::ChannelBusy => "dedicated channel busy",
+            AcquireError::ResourceDead => "path resource failed",
+        })
     }
 }
 
@@ -244,7 +205,7 @@ impl std::error::Error for AcquireError {}
 #[derive(Clone, Debug)]
 enum Route {
     /// A shared bus (row bus `0..rows`, or `rows + c` for pnSSD column buses).
-    Bus { bus: u16, bandwidth_mult: f64 },
+    Bus { bus: u16 },
     /// A reserved Venice circuit, with the scout's round-trip latency.
     Circuit {
         path: ReservedPath,
@@ -277,89 +238,6 @@ impl PathGrant {
             _ => 0,
         }
     }
-}
-
-/// Which shared resource a [`Fabric::release`] just freed — the fabric's
-/// *wake list*.
-///
-/// Freeing a resource is the only fabric state change that can turn a
-/// failing [`Fabric::try_acquire`] into a success, so the release report is
-/// what an incremental dispatcher keys its re-arming on. The contract every
-/// fabric must honor: the report names the resource whose links/slots the
-/// release returned to the pool. Bus fabrics name the bus; the ideal SSD
-/// names the chip's dedicated channel; mesh fabrics name the bounding box
-/// of the released circuit. For the bus and channel designs the resource
-/// maps exactly onto the chips it gates; for adaptive mesh routing the box
-/// is a locality hint only (see [`FreedResource::may_unblock`]), which is
-/// why the engine's re-arming keys on the freed *controller* plus its
-/// queued-work ready sets rather than on per-chip region tests.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FreedResource {
-    /// A row-shared channel bus (Baseline, pSSD, pnSSD row buses).
-    RowBus(u16),
-    /// A pnSSD column bus.
-    ColBus(u16),
-    /// The ideal SSD's dedicated per-chip channel.
-    Channel(NodeId),
-    /// The mesh region a released circuit occupied, as a node bounding box
-    /// (`min_row..=max_row` × `min_col..=max_col`).
-    MeshRegion {
-        /// Topmost row the circuit touched.
-        min_row: u16,
-        /// Bottommost row the circuit touched.
-        max_row: u16,
-        /// Leftmost column the circuit touched.
-        min_col: u16,
-        /// Rightmost column the circuit touched.
-        max_col: u16,
-    },
-}
-
-impl FreedResource {
-    /// Whether the chip `chip`, sitting at `(row, col)`, is on this
-    /// resource's wake list — i.e. whether freeing the resource could
-    /// unblock a transfer to that chip.
-    ///
-    /// `RowBus`/`ColBus`/`Channel` are exact: bus designs gate a chip on
-    /// precisely its row/column bus, and a dedicated channel can only have
-    /// blocked its own chip. `MeshRegion` is a *heuristic* hint, not a
-    /// guarantee: adaptive (non-minimal) mesh routes can depend on links
-    /// outside any box-derived test, so a re-arming policy consuming it
-    /// must keep a fallback that eventually retries every chip with queued
-    /// work — the engine's ready sets and probe rounds already are one.
-    pub fn may_unblock(&self, chip: NodeId, row: u16, col: u16) -> bool {
-        match *self {
-            FreedResource::RowBus(r) => r == row,
-            FreedResource::ColBus(c) => c == col,
-            FreedResource::Channel(freed) => freed == chip,
-            FreedResource::MeshRegion {
-                min_row,
-                max_row,
-                min_col,
-                max_col,
-            } => {
-                // Heuristic: a minimal route to (row, col) shares the
-                // box's rows or columns; misrouted/backtracked circuits
-                // may not (see the doc above for the fallback requirement).
-                (min_row..=max_row).contains(&row) || (min_col..=max_col).contains(&col)
-            }
-        }
-    }
-}
-
-/// What a [`Fabric::release`] freed: the controller returned to the pool
-/// (when the design has one) plus the path resource on the wake list.
-///
-/// The SSD engine consumes `controller` to clear its
-/// parked-until-controller-free dispatch state; `resource` is the per-chip
-/// wake list available to finer-grained re-arming policies.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReleaseInfo {
-    /// The flash controller freed, for designs with a controller pool
-    /// (`None` for the ideal SSD, whose per-chip channels are not pooled).
-    pub controller: Option<FcId>,
-    /// The freed path resource.
-    pub resource: FreedResource,
 }
 
 /// A fault (or repair) event delivered to a fabric by the fault-injection
@@ -427,18 +305,14 @@ impl FabricFault {
 ///
 /// `dead_chips` lists chips that just became unreachable on this design
 /// (the engine fails their queued work and drops them from its ready
-/// sets); `revived_chips` lists chips a repair just made reachable again.
-/// `freed` names the resource a repair returned to service, following the
-/// same wake-list discipline as [`Fabric::release`]'s [`ReleaseInfo`]: the
-/// engine re-arms dispatch for chips parked on it.
+/// sets); `revived_chips` lists chips a repair just made reachable again
+/// (the engine re-arms dispatch for them).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultImpact {
     /// Chips this fault made unreachable.
     pub dead_chips: Vec<NodeId>,
     /// Chips this repair made reachable again.
     pub revived_chips: Vec<NodeId>,
-    /// The resource a repair returned to service (wake list), if any.
-    pub freed: Option<FreedResource>,
 }
 
 /// Cumulative fabric statistics.
@@ -484,9 +358,6 @@ pub struct FabricStats {
 /// Implementations are deterministic and instantaneous: time only passes via
 /// the durations they return, which the caller turns into simulation events.
 pub trait Fabric {
-    /// Which design this is.
-    fn kind(&self) -> FabricKind;
-
     /// Number of flash controllers (concurrent transfer bound).
     fn controller_count(&self) -> usize;
 
@@ -506,25 +377,14 @@ pub trait Fabric {
     /// shortens transfers and leaves the mesh free for other circuits.
     fn home_controller_free(&self, chip: NodeId) -> bool;
 
-    /// True when controllers are pooled (any controller can reach any
-    /// chip). In pooled fabrics a path conflict occupies the selected
-    /// controller — the hardware controller retries the same request's
-    /// reservation rather than switching to other work — so the dispatcher
-    /// must stop issuing after the first conflict. Bus designs return false:
-    /// their per-row channels fail independently.
-    fn pooled(&self) -> bool {
-        false
-    }
-
     /// Duration of a `bytes`-byte burst over the granted path, including any
     /// reservation latency. Also accrues transfer energy into the stats.
     fn transfer(&mut self, grant: &PathGrant, bytes: u64) -> SimDuration;
 
-    /// Releases the grant's controller and path, reporting what freed (the
-    /// wake list an incremental dispatcher re-arms from — see
-    /// [`ReleaseInfo`] and [`FreedResource`] for the contract new fabrics
-    /// must honor).
-    fn release(&mut self, grant: PathGrant) -> ReleaseInfo;
+    /// Releases the grant's controller and path. On the designs with a
+    /// controller pool (NoSSD, Venice), every release returns a controller
+    /// to it.
+    fn release(&mut self, grant: PathGrant);
 
     /// Applies a fault or repair event, reporting its blast radius (see
     /// [`FabricFault`] for the per-design semantics and [`FaultImpact`]
@@ -556,9 +416,9 @@ pub trait Fabric {
 /// ```
 pub fn build_fabric(kind: FabricKind, params: FabricParams) -> Box<dyn Fabric> {
     match kind {
-        FabricKind::Baseline => Box::new(BusFabric::new(params, FabricKind::Baseline, 1.0)),
-        FabricKind::Pssd => Box::new(BusFabric::new(params, FabricKind::Pssd, 2.0)),
-        FabricKind::PnSsd => Box::new(PnSsdFabric::new(params)),
+        FabricKind::Baseline => Box::new(BusFabric::new(params, 1.0, false)),
+        FabricKind::Pssd => Box::new(BusFabric::new(params, 2.0, false)),
+        FabricKind::PnSsd => Box::new(BusFabric::new(params, 1.0, true)),
         FabricKind::NoSsd => Box::new(NoSsdFabric::new(params)),
         FabricKind::Venice => Box::new(VeniceFabric::new(params)),
         FabricKind::Ideal => Box::new(IdealFabric::new(params)),
@@ -629,9 +489,26 @@ impl ControllerPool {
     }
 }
 
+/// Charges one burst over a bus-style channel — a shared bus at `mult`×
+/// the base bandwidth, or the ideal SSD's dedicated channel at 1× — and
+/// returns its duration. Bus active power scales with the multiplier (pSSD
+/// drives the pins twice as often), so energy per bit is constant.
+fn bus_transfer(
+    params: &FabricParams,
+    stats: &mut FabricStats,
+    bytes: u64,
+    mult: f64,
+) -> SimDuration {
+    let d = params.bus_duration(bytes, mult);
+    stats.transfers += 1;
+    stats.bytes += bytes;
+    stats.transfer_energy_nj += params.power.bus_mw * mult * d.as_nanos() as f64 / 1e3;
+    d
+}
+
 /// Shared [`Fabric::inject_fault`] body of the two mesh fabrics (NoSSD and
 /// Venice): maps the fault onto [`MeshState`]'s down-masks — whose setters
-/// stamp the PR-5 generation counters, invalidating every intersecting
+/// stamp the generation counters, invalidating every intersecting
 /// scout-cache extent — and computes the blast radius. A link fault strands
 /// no chips (the mesh routes around it); a router fault kills exactly the
 /// chip at that node, and when the node is a west-edge controller attach
@@ -642,246 +519,100 @@ fn mesh_inject_fault(
     fault: FabricFault,
 ) -> FaultImpact {
     let topo = mesh.topology();
+    let up = !fault.is_down();
     let mut impact = FaultImpact::default();
     match fault {
-        FabricFault::LinkDown { a, b } => {
-            mesh.set_link_state(a, b, false);
+        FabricFault::LinkDown { a, b } | FabricFault::LinkUp { a, b } => {
+            mesh.set_link_state(a, b, up);
         }
-        FabricFault::LinkUp { a, b } => {
-            if mesh.set_link_state(a, b, true) {
-                let (ra, ca) = (topo.row(a), topo.col(a));
-                let (rb, cb) = (topo.row(b), topo.col(b));
-                impact.freed = Some(FreedResource::MeshRegion {
-                    min_row: ra.min(rb),
-                    max_row: ra.max(rb),
-                    min_col: ca.min(cb),
-                    max_col: ca.max(cb),
-                });
-            }
-        }
-        FabricFault::RouterDown(n) => {
-            mesh.set_router_state(n, false);
+        FabricFault::RouterDown(n) | FabricFault::RouterUp(n) => {
+            mesh.set_router_state(n, up);
             if topo.col(n) == 0 {
-                fcs.dead[usize::from(topo.row(n))] = true;
+                fcs.dead[usize::from(topo.row(n))] = !up;
             }
-            impact.dead_chips.push(n);
-        }
-        FabricFault::RouterUp(n) => {
-            mesh.set_router_state(n, true);
-            if topo.col(n) == 0 {
-                fcs.dead[usize::from(topo.row(n))] = false;
+            if up {
+                impact.revived_chips.push(n);
+            } else {
+                impact.dead_chips.push(n);
             }
-            impact.revived_chips.push(n);
-            let (r, c) = (topo.row(n), topo.col(n));
-            impact.freed = Some(FreedResource::MeshRegion {
-                min_row: r.saturating_sub(1),
-                max_row: (r + 1).min(topo.rows() - 1),
-                min_col: c.saturating_sub(1),
-                max_col: (c + 1).min(topo.cols() - 1),
-            });
         }
     }
     impact
 }
 
 // ---------------------------------------------------------------------------
-// Baseline / pSSD: multi-channel shared bus
+// Baseline / pSSD / pnSSD: shared channel buses
 // ---------------------------------------------------------------------------
 
-/// Baseline and pSSD: one shared bus per row; the row's controller and bus
-/// are a single contended resource (the paper's path conflict in its purest
-/// form).
+/// Baseline, pSSD and pnSSD: one bus organization with different tables.
+/// Every row has a shared bus driven by the row's controller; pSSD runs the
+/// same buses at 2× bandwidth, and pnSSD adds one bus per column, driven by
+/// the controller of the column's index (paper §3). A transfer holds its
+/// controller and its bus — the paper's path conflict in its purest form.
 #[derive(Debug)]
 struct BusFabric {
     params: FabricParams,
-    kind: FabricKind,
+    /// Bus bandwidth over the base channel rate (2× on pSSD).
     bandwidth_mult: f64,
-    bus_busy: Vec<bool>,
-    /// Active link-fault count per row bus: any break anywhere along the
-    /// shared bus strands the whole row (the cost of the baseline
-    /// topology; the fault ablation's headline contrast with the mesh).
-    row_dead: Vec<u8>,
-    stats: FabricStats,
-}
-
-impl BusFabric {
-    fn new(params: FabricParams, kind: FabricKind, bandwidth_mult: f64) -> Self {
-        BusFabric {
-            bus_busy: vec![false; usize::from(params.rows)],
-            row_dead: vec![0; usize::from(params.rows)],
-            params,
-            kind,
-            bandwidth_mult,
-            stats: FabricStats::default(),
-        }
-    }
-
-    /// Every chip node on `row` (a whole-row blast radius).
-    fn row_chips(&self, row: u16) -> Vec<NodeId> {
-        let mesh = self.params.mesh();
-        (0..self.params.cols).map(|c| mesh.node_at(row, c)).collect()
-    }
-}
-
-impl Fabric for BusFabric {
-    fn kind(&self) -> FabricKind {
-        self.kind
-    }
-
-    fn controller_count(&self) -> usize {
-        usize::from(self.params.rows)
-    }
-
-    fn try_acquire(&mut self, chip: NodeId) -> Result<PathGrant, AcquireError> {
-        let row = self.params.mesh().row(chip);
-        if self.row_dead[usize::from(row)] > 0 {
-            return Err(AcquireError::ResourceDead);
-        }
-        if self.bus_busy[usize::from(row)] {
-            self.stats.conflicts += 1;
-            return Err(AcquireError::PathConflict(ConflictReason::BusBusy));
-        }
-        self.bus_busy[usize::from(row)] = true;
-        self.stats.acquisitions += 1;
-        Ok(PathGrant {
-            fc: FcId(row as u8),
-            chip,
-            route: Route::Bus {
-                bus: row,
-                bandwidth_mult: self.bandwidth_mult,
-            },
-        })
-    }
-
-    fn transfer(&mut self, grant: &PathGrant, bytes: u64) -> SimDuration {
-        let Route::Bus { bandwidth_mult, .. } = grant.route else {
-            panic!("bus fabric received a non-bus grant");
-        };
-        let d = self.params.bus_duration(bytes, bandwidth_mult);
-        self.stats.transfers += 1;
-        self.stats.bytes += bytes;
-        // Bus active power scales with the bandwidth multiplier (pSSD drives
-        // the pins twice as often), so energy per bit is constant.
-        self.stats.transfer_energy_nj +=
-            self.params.power.bus_mw * bandwidth_mult * d.as_nanos() as f64 / 1e3;
-        d
-    }
-
-    fn release(&mut self, grant: PathGrant) -> ReleaseInfo {
-        let Route::Bus { bus, .. } = grant.route else {
-            panic!("bus fabric received a non-bus grant");
-        };
-        debug_assert!(self.bus_busy[usize::from(bus)]);
-        self.bus_busy[usize::from(bus)] = false;
-        // The row's controller is the bus driver: freeing one frees both.
-        ReleaseInfo {
-            controller: Some(grant.fc),
-            resource: FreedResource::RowBus(bus),
-        }
-    }
-
-    fn home_controller_free(&self, chip: NodeId) -> bool {
-        let row = usize::from(self.params.mesh().row(chip));
-        !self.bus_busy[row] && self.row_dead[row] == 0
-    }
-
-    fn inject_fault(&mut self, fault: FabricFault) -> FaultImpact {
-        let mesh = self.params.mesh();
-        let mut impact = FaultImpact::default();
-        match fault {
-            // A bus design only has row wiring: a link fault between two
-            // same-row nodes breaks that row's shared bus and strands every
-            // chip on it. Column links do not exist here — no-op.
-            FabricFault::LinkDown { a, b } => {
-                let row = mesh.row(a);
-                if row == mesh.row(b) {
-                    self.row_dead[usize::from(row)] += 1;
-                    if self.row_dead[usize::from(row)] == 1 {
-                        impact.dead_chips = self.row_chips(row);
-                    }
-                }
-            }
-            FabricFault::LinkUp { a, b } => {
-                let row = mesh.row(a);
-                if row == mesh.row(b) && self.row_dead[usize::from(row)] > 0 {
-                    self.row_dead[usize::from(row)] -= 1;
-                    if self.row_dead[usize::from(row)] == 0 {
-                        impact.revived_chips = self.row_chips(row);
-                        impact.freed = Some(FreedResource::RowBus(row));
-                    }
-                }
-            }
-            // A router fault on a bus design is the chip's bus interface
-            // dying: only that chip is lost, the shared bus keeps working.
-            FabricFault::RouterDown(n) => impact.dead_chips.push(n),
-            FabricFault::RouterUp(n) => impact.revived_chips.push(n),
-        }
-        impact
-    }
-
-    fn stats(&self) -> FabricStats {
-        self.stats
-    }
-}
-
-// ---------------------------------------------------------------------------
-// pnSSD: row + column shared buses
-// ---------------------------------------------------------------------------
-
-/// pnSSD: every chip is reachable over its row bus or its column bus; the
-/// controller of the matching index drives each bus, one transfer at a time.
-#[derive(Debug)]
-struct PnSsdFabric {
-    params: FabricParams,
-    /// `rows` row buses followed by `cols` column buses.
+    /// Whether every column also has a bus (pnSSD).
+    column_buses: bool,
+    /// `rows` row buses, followed by `cols` column buses on pnSSD.
     bus_busy: Vec<bool>,
     fc_busy: Vec<bool>,
     /// Active link-fault count per bus (same indexing as `bus_busy`). A
-    /// chip is stranded only when *both* its row and column buses are dead
-    /// — pnSSD's two-path redundancy is its degraded-mode advantage over
-    /// Baseline/pSSD, bought back by the mesh's full path diversity.
+    /// chip is stranded only when every bus reaching it is dead: one break
+    /// anywhere along a row bus strands the whole row on Baseline/pSSD (the
+    /// fault ablation's headline contrast with the mesh), while pnSSD loses
+    /// only the chips whose column bus is dead too — its two-path
+    /// redundancy, bought back by the mesh's full path diversity.
     bus_dead: Vec<u8>,
     stats: FabricStats,
 }
 
-impl PnSsdFabric {
-    fn new(params: FabricParams) -> Self {
-        assert_eq!(
-            params.rows, params.cols,
-            "pnSSD requires an N×N flash array (paper §6.5 footnote)"
-        );
-        PnSsdFabric {
-            bus_busy: vec![false; usize::from(params.rows) + usize::from(params.cols)],
+impl BusFabric {
+    fn new(params: FabricParams, bandwidth_mult: f64, column_buses: bool) -> Self {
+        if column_buses {
+            assert_eq!(
+                params.rows, params.cols,
+                "pnSSD requires an N×N flash array (paper §6.5 footnote)"
+            );
+        }
+        let buses = usize::from(params.rows) + usize::from(column_buses) * usize::from(params.cols);
+        BusFabric {
+            bandwidth_mult,
+            column_buses,
+            bus_busy: vec![false; buses],
             fc_busy: vec![false; usize::from(params.rows)],
-            bus_dead: vec![0; usize::from(params.rows) + usize::from(params.cols)],
+            bus_dead: vec![0; buses],
             params,
             stats: FabricStats::default(),
         }
     }
 
     /// Bus index of the link between `a` and `b`: a same-row link is part
-    /// of that row's bus, a same-column link part of that column's bus.
+    /// of that row's bus, a same-column link part of that column's bus on
+    /// pnSSD. Baseline and pSSD have no column wiring.
     fn bus_of_link(&self, a: NodeId, b: NodeId) -> Option<usize> {
         let mesh = self.params.mesh();
         if mesh.row(a) == mesh.row(b) {
             Some(usize::from(mesh.row(a)))
-        } else if mesh.col(a) == mesh.col(b) {
+        } else if self.column_buses && mesh.col(a) == mesh.col(b) {
             Some(usize::from(self.params.rows) + usize::from(mesh.col(a)))
         } else {
             None
         }
     }
 
-    /// Chips stranded (or un-stranded) by the row/col bus `bus` changing
-    /// state while the crossing buses are in their current state: exactly
-    /// the chips whose *other* bus is also dead.
+    /// Chips stranded (or un-stranded) by bus `bus` changing state while
+    /// every other bus keeps its current state: the chips on it whose other
+    /// bus, if they have one, is also dead.
     fn chips_gated_by(&self, bus: usize) -> Vec<NodeId> {
         let mesh = self.params.mesh();
         let rows = usize::from(self.params.rows);
         if bus < rows {
             let row = bus as u16;
             (0..self.params.cols)
-                .filter(|&c| self.bus_dead[rows + usize::from(c)] > 0)
+                .filter(|&c| !self.column_buses || self.bus_dead[rows + usize::from(c)] > 0)
                 .map(|c| mesh.node_at(row, c))
                 .collect()
         } else {
@@ -894,11 +625,7 @@ impl PnSsdFabric {
     }
 }
 
-impl Fabric for PnSsdFabric {
-    fn kind(&self) -> FabricKind {
-        FabricKind::PnSsd
-    }
-
+impl Fabric for BusFabric {
     fn controller_count(&self) -> usize {
         usize::from(self.params.rows)
     }
@@ -906,61 +633,47 @@ impl Fabric for PnSsdFabric {
     fn try_acquire(&mut self, chip: NodeId) -> Result<PathGrant, AcquireError> {
         let mesh = self.params.mesh();
         let (row, col) = (mesh.row(chip), mesh.col(chip));
-        // Horizontal channel first (it is the baseline path), then vertical.
-        let row_bus = usize::from(row);
-        let col_bus = usize::from(self.params.rows) + usize::from(col);
-        let candidates = [(row, row_bus), (col, col_bus)];
-        if candidates.iter().all(|&(_, bus)| self.bus_dead[bus] > 0) {
+        // The row bus first (it is the baseline path), then pnSSD's column
+        // bus, each as (driving controller, bus).
+        let paths = [
+            (row, usize::from(row)),
+            (col, usize::from(self.params.rows) + usize::from(col)),
+        ];
+        let paths = &paths[..1 + usize::from(self.column_buses)];
+        if paths.iter().all(|&(_, bus)| self.bus_dead[bus] > 0) {
             return Err(AcquireError::ResourceDead);
         }
-        for (fc, bus) in candidates {
-            if self.bus_dead[bus] > 0 {
-                continue;
-            }
-            if !self.fc_busy[usize::from(fc)] && !self.bus_busy[bus] {
+        for &(fc, bus) in paths {
+            if self.bus_dead[bus] == 0 && !self.fc_busy[usize::from(fc)] && !self.bus_busy[bus] {
                 self.fc_busy[usize::from(fc)] = true;
                 self.bus_busy[bus] = true;
                 self.stats.acquisitions += 1;
                 return Ok(PathGrant {
                     fc: FcId(fc as u8),
                     chip,
-                    route: Route::Bus {
-                        bus: bus as u16,
-                        bandwidth_mult: 1.0,
-                    },
+                    route: Route::Bus { bus: bus as u16 },
                 });
             }
         }
-        // In a bus design the controller *is* the channel driver, so any
-        // failure to start a transfer is a path conflict (both of the chip's
-        // two paths are occupied).
+        // The controller *is* the bus driver, so any failure to start a
+        // transfer is a path conflict (every live path to the chip is
+        // occupied).
         self.stats.conflicts += 1;
-        Err(AcquireError::PathConflict(ConflictReason::BusBusy))
+        Err(AcquireError::PathConflict)
     }
 
     fn transfer(&mut self, grant: &PathGrant, bytes: u64) -> SimDuration {
-        let d = self.params.bus_duration(bytes, 1.0);
-        self.stats.transfers += 1;
-        self.stats.bytes += bytes;
-        self.stats.transfer_energy_nj += self.params.power.bus_mw * d.as_nanos() as f64 / 1e3;
         let _ = grant;
-        d
+        bus_transfer(&self.params, &mut self.stats, bytes, self.bandwidth_mult)
     }
 
-    fn release(&mut self, grant: PathGrant) -> ReleaseInfo {
-        let Route::Bus { bus, .. } = grant.route else {
-            panic!("pnSSD fabric received a non-bus grant");
+    fn release(&mut self, grant: PathGrant) {
+        let Route::Bus { bus } = grant.route else {
+            panic!("bus fabric received a non-bus grant");
         };
+        debug_assert!(self.bus_busy[usize::from(bus)]);
         self.bus_busy[usize::from(bus)] = false;
         self.fc_busy[usize::from(grant.fc.0)] = false;
-        ReleaseInfo {
-            controller: Some(grant.fc),
-            resource: if bus < self.params.rows {
-                FreedResource::RowBus(bus)
-            } else {
-                FreedResource::ColBus(bus - self.params.rows)
-            },
-        }
     }
 
     fn home_controller_free(&self, chip: NodeId) -> bool {
@@ -980,21 +693,15 @@ impl Fabric for PnSsdFabric {
                 }
             }
             FabricFault::LinkUp { a, b } => {
-                if let Some(bus) = self.bus_of_link(a, b) {
-                    if self.bus_dead[bus] > 0 {
-                        self.bus_dead[bus] -= 1;
-                        if self.bus_dead[bus] == 0 {
-                            impact.revived_chips = self.chips_gated_by(bus);
-                            let rows = usize::from(self.params.rows);
-                            impact.freed = Some(if bus < rows {
-                                FreedResource::RowBus(bus as u16)
-                            } else {
-                                FreedResource::ColBus((bus - rows) as u16)
-                            });
-                        }
+                if let Some(bus) = self.bus_of_link(a, b).filter(|&bus| self.bus_dead[bus] > 0) {
+                    self.bus_dead[bus] -= 1;
+                    if self.bus_dead[bus] == 0 {
+                        impact.revived_chips = self.chips_gated_by(bus);
                     }
                 }
             }
+            // A router fault on a bus design is the chip's bus interface
+            // dying: only that chip is lost, the shared buses keep working.
             FabricFault::RouterDown(n) => impact.dead_chips.push(n),
             FabricFault::RouterUp(n) => impact.revived_chips.push(n),
         }
@@ -1033,10 +740,6 @@ impl NoSsdFabric {
 }
 
 impl Fabric for NoSsdFabric {
-    fn kind(&self) -> FabricKind {
-        FabricKind::NoSsd
-    }
-
     fn controller_count(&self) -> usize {
         usize::from(self.params.rows)
     }
@@ -1068,7 +771,7 @@ impl Fabric for NoSsdFabric {
                 // no adaptivity, so the transfer waits (pre-fault behavior,
                 // bit-identical when no faults are injected).
                 self.stats.conflicts += 1;
-                return Err(AcquireError::PathConflict(ConflictReason::RouteBlocked));
+                return Err(AcquireError::PathConflict);
             }
             // The fixed XY route is severed by a downed link/router, which
             // no amount of waiting fixes. Fall back to the next-nearest free
@@ -1079,7 +782,7 @@ impl Fabric for NoSsdFabric {
                 Some(next) => fc = next,
                 None => {
                     self.stats.conflicts += 1;
-                    return Err(AcquireError::PathConflict(ConflictReason::RouteBlocked));
+                    return Err(AcquireError::PathConflict);
                 }
             }
         }
@@ -1104,31 +807,17 @@ impl Fabric for NoSsdFabric {
         d
     }
 
-    fn release(&mut self, grant: PathGrant) -> ReleaseInfo {
+    fn release(&mut self, grant: PathGrant) {
         let Route::Wormhole { path } = grant.route else {
             panic!("NoSSD fabric received a non-wormhole grant");
         };
-        let (min_row, max_row, min_col, max_col) = path.extent(&self.params.mesh());
         self.mesh.release_owned(path);
         self.fcs.release(grant.fc);
-        ReleaseInfo {
-            controller: Some(grant.fc),
-            resource: FreedResource::MeshRegion {
-                min_row,
-                max_row,
-                min_col,
-                max_col,
-            },
-        }
     }
 
     fn home_controller_free(&self, chip: NodeId) -> bool {
         let row = usize::from(self.mesh.topology().row(chip));
         !self.fcs.busy[row] && !self.fcs.dead[row]
-    }
-
-    fn pooled(&self) -> bool {
-        true
     }
 
     fn inject_fault(&mut self, fault: FabricFault) -> FaultImpact {
@@ -1177,32 +866,18 @@ impl VeniceFabric {
     /// Charges the stats of one failed path reservation (live or replayed)
     /// and produces the acquire error. Keeping the two failure paths on one
     /// accounting routine is what makes a fast-fail indistinguishable from
-    /// the walk it memoized — conflicts, scout steps, and the conflict
-    /// reason all match the uncached engine exactly.
-    fn charge_failed_walk(
-        &mut self,
-        steps: u32,
-        misroutes: u32,
-        advanced: bool,
-    ) -> AcquireError {
+    /// the walk it memoized — conflicts and scout steps match the uncached
+    /// engine exactly.
+    fn charge_failed_walk(&mut self, steps: u32, misroutes: u32) -> AcquireError {
         self.stats.conflicts += 1;
         self.stats.scout_steps += u64::from(steps);
         self.stats.scout_failed_steps += u64::from(steps);
         self.stats.scout_misroutes += u64::from(misroutes);
-        let reason = if advanced {
-            ConflictReason::ScoutExhausted
-        } else {
-            ConflictReason::SourceBlocked
-        };
-        AcquireError::PathConflict(reason)
+        AcquireError::PathConflict
     }
 }
 
 impl Fabric for VeniceFabric {
-    fn kind(&self) -> FabricKind {
-        FabricKind::Venice
-    }
-
     fn controller_count(&self) -> usize {
         usize::from(self.params.rows)
     }
@@ -1226,11 +901,7 @@ impl Fabric for VeniceFabric {
                     // entry); replaying them keeps every later walk's
                     // tie-breaks bit-identical to the uncached engine.
                     self.lfsr.advance(fw.lfsr_draws);
-                    return Err(self.charge_failed_walk(
-                        fw.steps,
-                        fw.misroutes,
-                        fw.advanced,
-                    ));
+                    return Err(self.charge_failed_walk(fw.steps, fw.misroutes));
                 }
                 // Checked: run the real walk below and cross-assert.
                 predicted = Some(fw);
@@ -1275,10 +946,10 @@ impl Fabric for VeniceFabric {
                     // Checked-mode cross-check: the cache's replayed outcome
                     // must match the live walk in every observable.
                     assert_eq!(
-                        (fw.steps, fw.misroutes, fw.lfsr_draws, fw.advanced),
-                        (fail.steps, fail.misroutes, fail.lfsr_draws, fail.advanced),
+                        (fw.steps, fw.misroutes, fw.lfsr_draws),
+                        (fail.steps, fail.misroutes, fail.lfsr_draws),
                         "scout cache verdict diverged from the live walk for \
-                         fc{} -> {} (steps/misroutes/draws/advanced)",
+                         fc{} -> {} (steps/misroutes/draws)",
                         fc.0,
                         chip.0
                     );
@@ -1294,13 +965,12 @@ impl Fabric for VeniceFabric {
                             steps: fail.steps,
                             misroutes: fail.misroutes,
                             lfsr_draws: fail.lfsr_draws,
-                            advanced: fail.advanced,
                             phase,
                             cap_pruned: fail.cap_pruned,
                         },
                     );
                 }
-                Err(self.charge_failed_walk(fail.steps, fail.misroutes, fail.advanced))
+                Err(self.charge_failed_walk(fail.steps, fail.misroutes))
             }
         }
     }
@@ -1324,31 +994,17 @@ impl Fabric for VeniceFabric {
         d
     }
 
-    fn release(&mut self, grant: PathGrant) -> ReleaseInfo {
+    fn release(&mut self, grant: PathGrant) {
         let Route::Circuit { path, .. } = grant.route else {
             panic!("Venice fabric received a non-circuit grant");
         };
-        let (min_row, max_row, min_col, max_col) = path.extent(&self.params.mesh());
         self.mesh.release_owned(path);
         self.fcs.release(grant.fc);
-        ReleaseInfo {
-            controller: Some(grant.fc),
-            resource: FreedResource::MeshRegion {
-                min_row,
-                max_row,
-                min_col,
-                max_col,
-            },
-        }
     }
 
     fn home_controller_free(&self, chip: NodeId) -> bool {
         let row = usize::from(self.mesh.topology().row(chip));
         !self.fcs.busy[row] && !self.fcs.dead[row]
-    }
-
-    fn pooled(&self) -> bool {
-        true
     }
 
     fn inject_fault(&mut self, fault: FabricFault) -> FaultImpact {
@@ -1397,10 +1053,6 @@ impl IdealFabric {
 }
 
 impl Fabric for IdealFabric {
-    fn kind(&self) -> FabricKind {
-        FabricKind::Ideal
-    }
-
     fn controller_count(&self) -> usize {
         self.params.mesh().node_count()
     }
@@ -1424,26 +1076,16 @@ impl Fabric for IdealFabric {
     }
 
     fn transfer(&mut self, grant: &PathGrant, bytes: u64) -> SimDuration {
-        let d = self.params.bus_duration(bytes, 1.0);
-        self.stats.transfers += 1;
-        self.stats.bytes += bytes;
-        self.stats.transfer_energy_nj += self.params.power.bus_mw * d.as_nanos() as f64 / 1e3;
         let _ = grant;
-        d
+        bus_transfer(&self.params, &mut self.stats, bytes, 1.0)
     }
 
-    fn release(&mut self, grant: PathGrant) -> ReleaseInfo {
+    fn release(&mut self, grant: PathGrant) {
         let Route::Dedicated { chip } = grant.route else {
             panic!("ideal fabric received a non-dedicated grant");
         };
         debug_assert!(self.chan_busy[usize::from(chip.0)]);
         self.chan_busy[usize::from(chip.0)] = false;
-        // Channels are per chip, not pooled: no controller returns to a
-        // pool, and only the chip itself can have been waiting.
-        ReleaseInfo {
-            controller: None,
-            resource: FreedResource::Channel(chip),
-        }
     }
 
     fn home_controller_free(&self, chip: NodeId) -> bool {
@@ -1464,7 +1106,6 @@ impl Fabric for IdealFabric {
             FabricFault::RouterUp(n) => {
                 self.chan_dead[usize::from(n.0)] = false;
                 impact.revived_chips.push(n);
-                impact.freed = Some(FreedResource::Channel(n));
             }
         }
         impact
@@ -1490,7 +1131,7 @@ mod tests {
         // Chip 1 shares row 0's bus.
         assert_eq!(
             f.try_acquire(NodeId(1)).unwrap_err(),
-            AcquireError::PathConflict(ConflictReason::BusBusy)
+            AcquireError::PathConflict
         );
         // Chip 8 is on row 1: free bus.
         let g2 = acquire_ok(f.as_mut(), 8);
@@ -1538,7 +1179,7 @@ mod tests {
         assert_eq!(g_col.fc, FcId(3));
         // Third chip on row 0, column 3 again: both buses busy → conflict.
         let err = f.try_acquire(NodeId(3)).unwrap_err();
-        assert_eq!(err, AcquireError::PathConflict(ConflictReason::BusBusy));
+        assert_eq!(err, AcquireError::PathConflict);
         f.release(g_row);
         f.release(g_col);
     }
@@ -1637,10 +1278,7 @@ mod tests {
         };
 
         let (holds_n, res_n) = run(&mut nossd);
-        assert_eq!(
-            res_n.unwrap_err(),
-            AcquireError::PathConflict(ConflictReason::RouteBlocked)
-        );
+        assert_eq!(res_n.unwrap_err(), AcquireError::PathConflict);
         for g in holds_n {
             nossd.release(g);
         }
@@ -1654,60 +1292,6 @@ mod tests {
     }
 
     #[test]
-    fn release_reports_the_freed_resource() {
-        let params = FabricParams::table1();
-        // Baseline: chip 9 sits on row 1; its bus and controller free together.
-        let mut base = build_fabric(FabricKind::Baseline, params);
-        let g = acquire_ok(base.as_mut(), 9);
-        let info = base.release(g);
-        assert_eq!(info.controller, Some(FcId(1)));
-        assert_eq!(info.resource, FreedResource::RowBus(1));
-        assert!(info.resource.may_unblock(NodeId(13), 1, 5));
-        assert!(!info.resource.may_unblock(NodeId(21), 2, 5));
-
-        // pnSSD: row bus first, then the column bus fallback.
-        let mut pn = build_fabric(FabricKind::PnSsd, params);
-        let g_row = acquire_ok(pn.as_mut(), 3);
-        let g_col = acquire_ok(pn.as_mut(), 3); // row 0 busy → column bus 3
-        assert_eq!(pn.release(g_col).resource, FreedResource::ColBus(3));
-        assert_eq!(pn.release(g_row).resource, FreedResource::RowBus(0));
-
-        // Mesh fabrics: the freed region must cover the circuit's endpoints.
-        for kind in [FabricKind::NoSsd, FabricKind::Venice] {
-            let mut f = build_fabric(kind, params);
-            let g = acquire_ok(f.as_mut(), 2 * 8 + 5); // chip (2, 5)
-            let fc = g.fc;
-            let info = f.release(g);
-            assert_eq!(info.controller, Some(fc), "{kind}");
-            let FreedResource::MeshRegion {
-                min_row,
-                max_row,
-                min_col,
-                max_col,
-            } = info.resource
-            else {
-                panic!("{kind}: mesh release must report a region");
-            };
-            assert!((min_row..=max_row).contains(&2), "{kind}");
-            assert!((min_col..=max_col).contains(&5), "{kind}");
-            assert!(
-                info.resource.may_unblock(NodeId(2 * 8 + 5), 2, 5),
-                "{kind}: target on wake list"
-            );
-        }
-
-        // Ideal: per-chip channel, no pooled controller. The freed channel's
-        // own chip is the one chip it can have blocked.
-        let mut ideal = build_fabric(FabricKind::Ideal, params);
-        let g = acquire_ok(ideal.as_mut(), 42);
-        let info = ideal.release(g);
-        assert_eq!(info.controller, None);
-        assert_eq!(info.resource, FreedResource::Channel(NodeId(42)));
-        assert!(info.resource.may_unblock(NodeId(42), 5, 2), "own chip woken");
-        assert!(!info.resource.may_unblock(NodeId(43), 5, 3), "nobody else");
-    }
-
-    #[test]
     fn label_round_trips_through_by_label() {
         for kind in FabricKind::ALL {
             assert_eq!(FabricKind::by_label(kind.label()), Some(kind));
@@ -1715,16 +1299,6 @@ mod tests {
         assert_eq!(FabricKind::by_label("venice"), Some(FabricKind::Venice));
         assert_eq!(FabricKind::by_label("PSSD"), Some(FabricKind::Pssd));
         assert_eq!(FabricKind::by_label("warp-drive"), None);
-    }
-
-    #[test]
-    fn pooled_flag_matches_design() {
-        let params = FabricParams::table1();
-        for kind in FabricKind::ALL {
-            let f = build_fabric(kind, params);
-            let expect = matches!(kind, FabricKind::NoSsd | FabricKind::Venice);
-            assert_eq!(f.pooled(), expect, "{kind}");
-        }
     }
 
     #[test]
@@ -1913,12 +1487,21 @@ mod tests {
             // Other rows are unaffected.
             let g = acquire_ok(f.as_mut(), 2 * 8);
             f.release(g);
-            // Repair revives the row and frees the bus on the wake list.
+            // Repair revives the row.
             let impact = f.inject_fault(FabricFault::LinkUp { a, b });
             assert_eq!(impact.revived_chips.len(), 8, "{kind}");
-            assert_eq!(impact.freed, Some(FreedResource::RowBus(1)));
             let g = acquire_ok(f.as_mut(), 8);
             f.release(g);
+            // A same-column link is not bus wiring on a row-bus design: its
+            // fault and repair strand and revive nothing.
+            let (a, b) = (mesh.node_at(1, 3), mesh.node_at(2, 3));
+            for fault in [FabricFault::LinkDown { a, b }, FabricFault::LinkUp { a, b }] {
+                assert_eq!(f.inject_fault(fault), FaultImpact::default(), "{kind}");
+                for chip in 0..64u16 {
+                    let g = acquire_ok(f.as_mut(), chip);
+                    f.release(g);
+                }
+            }
         }
     }
 
@@ -1956,7 +1539,6 @@ mod tests {
             b: mesh.node_at(6, 3),
         });
         assert_eq!(impact.revived_chips, vec![mesh.node_at(1, 3)]);
-        assert_eq!(impact.freed, Some(FreedResource::ColBus(3)));
         let g = acquire_ok(f.as_mut(), 8 + 3);
         f.release(g);
     }
@@ -1988,7 +1570,7 @@ mod tests {
             .collect();
         assert_eq!(
             nossd.try_acquire(mesh.node_at(1, 7)).unwrap_err(),
-            AcquireError::PathConflict(ConflictReason::RouteBlocked)
+            AcquireError::PathConflict
         );
         for g in held {
             nossd.release(g);
@@ -2048,7 +1630,7 @@ mod tests {
         });
         assert_eq!(impact, FaultImpact::default());
         let impact = f.inject_fault(FabricFault::RouterUp(NodeId(42)));
-        assert_eq!(impact.freed, Some(FreedResource::Channel(NodeId(42))));
+        assert_eq!(impact.revived_chips, vec![NodeId(42)]);
         let g = acquire_ok(f.as_mut(), 42);
         f.release(g);
     }

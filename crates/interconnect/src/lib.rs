@@ -46,8 +46,8 @@ mod topology;
 
 pub use area_power::{table4, AreaModel, LinkPower, Table4Row};
 pub use fabric::{
-    build_fabric, AcquireError, ConflictReason, Fabric, FabricFault, FabricKind, FabricParams,
-    FabricStats, FaultImpact, FreedResource, PathGrant, ReleaseInfo,
+    build_fabric, AcquireError, Fabric, FabricFault, FabricKind, FabricParams, FabricStats,
+    FaultImpact, PathGrant,
 };
 pub use scout::{FailedWalk, ScoutCache, ScoutCacheKind};
 pub use topology::{Direction, FcId, LinkId, Mesh2D, NodeId};

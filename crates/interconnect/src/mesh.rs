@@ -31,25 +31,6 @@ impl ReservedPath {
     pub fn hops(&self) -> u32 {
         self.links.len() as u32
     }
-
-    /// Bounding box of the path's nodes as `(min_row, max_row, min_col,
-    /// max_col)` in `topo` — the *mesh region* a release reports on its
-    /// wake list (any chip whose route could cross this box may have been
-    /// unblocked by freeing these links).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the path is empty (granted paths never are: they carry at
-    /// least the source node).
-    pub fn extent(&self, topo: &crate::Mesh2D) -> (u16, u16, u16, u16) {
-        assert!(!self.nodes.is_empty(), "extent of an empty path");
-        let mut ext = (u16::MAX, 0u16, u16::MAX, 0u16);
-        for &n in &self.nodes {
-            let (r, c) = (topo.row(n), topo.col(n));
-            ext = (ext.0.min(r), ext.1.max(r), ext.2.min(c), ext.3.max(c));
-        }
-        ext
-    }
 }
 
 /// Why a scout walk failed to reserve a path.
@@ -57,11 +38,6 @@ impl ReservedPath {
 pub struct ScoutFailure {
     /// Total forward/backtrack steps taken before giving up.
     pub steps: u32,
-    /// True when the scout made it past the source router before being
-    /// cancelled — the blockage sits deep in the mesh. False means every
-    /// usable port out of the source was already held: purely local
-    /// congestion that a different controller choice might sidestep.
-    pub advanced: bool,
     /// Misroute (non-minimal port) selections made before giving up.
     pub misroutes: u32,
     /// LFSR bits the walk consumed (tie-breaks + misroute picks).
@@ -786,7 +762,6 @@ impl MeshState {
         let mut lfsr_state = lfsr.state();
         let mut steps: u32 = 0;
         let mut detoured = false;
-        let mut advanced = false;
         let mut misroutes: u32 = 0;
         let mut lfsr_draws: u32 = 0;
         let mut cap_pruned = false;
@@ -859,7 +834,6 @@ impl MeshState {
                 };
                 let byte = &mut walk[next.cell as usize];
                 *byte = (*byte + 1) | HELD;
-                advanced = true;
                 extent = (
                     extent.0.min(next.row),
                     extent.1.max(next.row),
@@ -881,7 +855,6 @@ impl MeshState {
                     // "stamps unchanged" as "this exact failure replays".
                     break Err(ScoutFailure {
                         steps,
-                        advanced,
                         misroutes,
                         lfsr_draws,
                         cap_pruned,
@@ -957,7 +930,6 @@ impl MeshState {
         }];
         let mut steps: u32 = 0;
         let mut detoured = false;
-        let mut advanced = false;
         let mut misroutes: u32 = 0;
         let mut lfsr_draws: u32 = 0;
         let mut cap_pruned = false;
@@ -1074,7 +1046,6 @@ impl MeshState {
                     self.set_link_owner(link, cur, nb, Some(packet_id));
                     self.install_row(packet_id, cur, entry, Port::Mesh(dir));
                     entries[nb.0 as usize] += 1;
-                    advanced = true;
                     let (r, c) = (topo.row(nb), topo.col(nb));
                     extent = (
                         extent.0.min(r),
@@ -1094,7 +1065,6 @@ impl MeshState {
                     let Some(parent) = stack.last() else {
                         return Err(ScoutFailure {
                             steps,
-                            advanced,
                             misroutes,
                             lfsr_draws,
                             cap_pruned,
@@ -1308,8 +1278,11 @@ mod tests {
                         }
                     }
                     (Err(fail), _) => {
+                        // A walk advanced past its source exactly when it
+                        // entered a router outside the source tile.
+                        let (r, c) = (topo.row(src), topo.col(src));
                         seen[1] += 1;
-                        seen[2] += u32::from(fail.advanced);
+                        seen[2] += u32::from(fail.extent != (r, r, c, c));
                         seen[3] += u32::from(fail.cap_pruned);
                     }
                     _ => unreachable!("verdicts compared equal"),
@@ -1574,21 +1547,15 @@ mod tests {
                 None => reference = Some(fail),
                 Some(r) => {
                     assert_eq!(
-                        (r.steps, r.misroutes, r.lfsr_draws, r.advanced, r.extent),
-                        (
-                            fail.steps,
-                            fail.misroutes,
-                            fail.lfsr_draws,
-                            fail.advanced,
-                            fail.extent
-                        ),
+                        (r.steps, r.misroutes, r.lfsr_draws, r.extent),
+                        (fail.steps, fail.misroutes, fail.lfsr_draws, fail.extent),
                         "phase {phase}: cap-free failure must be phase-invariant"
                     );
                 }
             }
         }
         let r = reference.expect("at least one cap-free failure");
-        assert!(r.advanced, "the scout advanced past the source");
+        assert_ne!(r.extent, (3, 3, 0, 0), "the scout advanced past the source");
         assert!(r.steps > 1);
     }
 
@@ -1603,7 +1570,6 @@ mod tests {
         m.reserve_explicit(1, &[m2.node_at(1, 1), src]);
         let mut lfsr = Lfsr2::new();
         let fail = m.scout_walk(2, src, m2.node_at(1, 2), &mut lfsr).unwrap_err();
-        assert!(!fail.advanced);
         assert_eq!(fail.extent, (1, 1, 0, 0), "source-blocked extent is one tile");
         assert_eq!(fail.lfsr_draws, 0, "no candidates, no draws");
         assert_eq!(fail.misroutes, 0);

@@ -17,7 +17,7 @@
 //! tiles) rejections. When a walk fails, the fabric records a
 //! [`FailedWalk`] — the walk's frontier extent, a snapshot of the mesh's
 //! reservation-change sequence, and the failure's observable outputs
-//! (steps, misroutes, LFSR draws, the advanced/source-blocked verdict) — in
+//! (steps, misroutes, LFSR draws) — in
 //! a dense per-`(controller, destination)` slot. The next attempt for the
 //! same pair consults the slot: while every router in the extent still
 //! carries a generation stamp ≤ the snapshot
@@ -259,9 +259,6 @@ pub struct FailedWalk {
     /// [`venice_sim::rng::Lfsr2::advance`] so the fast-fail leaves the
     /// register exactly where the real walk would have.
     pub lfsr_draws: u32,
-    /// The [`crate::mesh::ScoutFailure::advanced`] verdict (scout-exhausted
-    /// vs source-blocked conflict reason).
-    pub advanced: bool,
     /// The 2-bit LFSR state the recorded walk started from (1..=3).
     pub phase: u8,
     /// Whether the recorded walk pruned on the livelock entry cap. Capped
@@ -473,7 +470,6 @@ mod tests {
             steps: 9,
             misroutes: 2,
             lfsr_draws: 5,
-            advanced: true,
             phase: 2,
             cap_pruned: false,
         };
@@ -526,7 +522,6 @@ mod tests {
             steps: 700,
             misroutes: 40,
             lfsr_draws: 90,
-            advanced: true,
             phase: 1,
             cap_pruned: true,
         };
