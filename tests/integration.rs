@@ -237,6 +237,54 @@ fn retry_all_is_bit_identical_to_the_pre_refactor_engine() {
     );
 }
 
+/// Golden hash of the *armed* engine: faults, tenants, host resilience and
+/// RAIN all on, which the default-off hash above never reaches. Chains
+/// FNV-1a over the whole `RunMetrics::to_json()` of 24 runs (two armed
+/// configs × two workloads × six fabrics), so every outcome counter, every
+/// per-tenant record and every latency summary is pinned. The runs cover
+/// data loss, deadline misses, shedding, host retries, degraded reads and
+/// rebuilt pages.
+#[test]
+fn armed_engine_is_bit_identical() {
+    use venice::hil::TenantSet;
+    use venice::ssd::{FaultPlan, RedundancyKind, ResiliencePolicy};
+    use venice::workloads::WorkloadAxis;
+
+    const ARMED_HASH: u64 = 0x69e5_2ec4_b6da_df5e;
+
+    fn fnv1a(bytes: &[u8], seed: u64) -> u64 {
+        bytes.iter().fold(seed, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    let configs = [
+        SsdConfig::performance_optimized()
+            .with_tenants(TenantSet::trio_weighted())
+            .with_fault_plan(FaultPlan::ChipAndLink)
+            .with_resilience(ResiliencePolicy::Full)
+            .with_redundancy(RedundancyKind::Parity { group: 4 }),
+        SsdConfig::performance_optimized()
+            .with_tenants(TenantSet::deadline_split())
+            .with_fault_plan(FaultPlan::Chip)
+            .with_resilience(ResiliencePolicy::DeadlineRetry),
+    ];
+    let traces = [
+        WorkloadAxis::noisy_neighbor_trio().trace(600),
+        WorkloadAxis::congested().trace(400),
+    ];
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for cfg in &configs {
+        for trace in &traces {
+            for fabric in FabricKind::ALL {
+                let m = venice::ssd::run_single(cfg, fabric, trace);
+                h = fnv1a(m.to_json().as_bytes(), h);
+            }
+        }
+    }
+    assert_eq!(h, ARMED_HASH, "the armed engine diverged: {h:#018x}");
+}
+
 /// Every dispatch policy completes every request and stays fingerprint-
 /// stable across worker-pool sizes (the determinism contract extends to
 /// the new sweep axis).
