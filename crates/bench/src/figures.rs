@@ -2,12 +2,12 @@
 //! engine.
 //!
 //! Each artifact is split into a *runner* (`fig09()`, `table2()`, ...) that
-//! the thin `src/bin/` wrappers call, and, where simulations are involved, a
-//! *renderer* (`render_fig09(...)`) that formats precomputed rows. The split
-//! lets [`repro_all`] execute one master catalog sweep on the shared worker
-//! pool and render every dependent figure from it without re-simulating,
-//! while standalone binaries still run exactly the grid the paper's figure
-//! needs. Renderers are pure over their inputs, so a figure rendered from
+//! the `repro` binary calls (`repro --only fig09`), and, where simulations
+//! are involved, a *renderer* (`render_fig09(...)`) that formats
+//! precomputed rows. The split lets [`repro_all`] (plain `repro`) execute
+//! one master catalog sweep on the shared worker pool and render every
+//! dependent figure from it without re-simulating, while a single runner
+//! still runs exactly the grid the paper's figure needs. Renderers are pure over their inputs, so a figure rendered from
 //! the master sweep is byte-identical to one rendered from its standalone
 //! grid.
 

@@ -1,14 +1,15 @@
-//! Shared harness code for the figure/table reproduction binaries.
+//! Shared harness code for the figure/table reproduction binary and the
+//! sweep tools.
 //!
-//! Every binary in this crate regenerates one table or figure of the Venice
-//! paper (see DESIGN.md §4 for the index). They all print a
-//! markdown rendering to stdout and write a CSV under `results/`.
+//! The `repro` binary regenerates the Venice paper's tables and figures
+//! (all of them by default, one with `repro --only <name>`; the runners
+//! live in [`figures`]). Each prints a markdown rendering to stdout and
+//! writes a CSV under `results/`.
 //!
 //! Knobs (environment variables; invalid values warn on stderr and fall
 //! back to the default):
 //!
-//! * `VENICE_REQUESTS` — requests per workload (default 3000; the paper-vs-
-//!   measured records in EXPERIMENTS.md use 4000),
+//! * `VENICE_REQUESTS` — requests per workload (default 3000),
 //! * `VENICE_RESULTS_DIR` — where CSVs land (default `./results`),
 //! * `VENICE_PAR` — thread budget of the shared worker pool (default:
 //!   available cores, read once when the pool is first used). Every

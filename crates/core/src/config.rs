@@ -33,7 +33,7 @@ impl Default for StaticPower {
 /// for the paper's Table 1 presets, then [`SsdConfig::sized_for_footprint`]
 /// to scale the flash capacity to the workload (the reproduction scales both
 /// trace footprint and device capacity together, preserving the utilization
-/// pressure that drives garbage collection — see DESIGN.md).
+/// pressure that drives garbage collection).
 #[derive(Clone, Debug, PartialEq)]
 pub struct SsdConfig {
     /// Human-readable preset name.

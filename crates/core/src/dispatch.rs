@@ -290,7 +290,7 @@ impl PolicyState {
         }
     }
 
-    /// True when this round acquired at least one path (the fault-mode
+    /// True when this round acquired at least one path (the fault
     /// liveness probe re-arms dispatch only for rounds that moved nothing).
     #[inline]
     pub(crate) fn round_dispatched(&self) -> bool {

@@ -6,7 +6,7 @@ use venice_interconnect::FabricStats;
 use venice_sim::stats::LatencySamples;
 use venice_sim::{SimDuration, SimTime};
 
-use venice_hil::DeadlineClass;
+use venice_hil::{DeadlineClass, TenantSpec};
 
 use crate::dispatch::DispatchStats;
 use crate::report::{json_f64, json_str};
@@ -45,7 +45,7 @@ impl RunStatus {
 /// `all` entry on the default single-tenant path). Latencies, completions,
 /// conflicts, back-pressure, and failures are accounted to the tenant that
 /// issued the request.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TenantMetrics {
     /// Tenant (namespace) name from the [`crate::TenantSpec`].
     pub name: &'static str,
@@ -82,6 +82,17 @@ pub struct TenantMetrics {
 }
 
 impl TenantMetrics {
+    /// An empty record for the tenant `spec` describes.
+    pub fn new(spec: &TenantSpec) -> Self {
+        TenantMetrics {
+            name: spec.name,
+            weight: spec.weight,
+            qd_cap: spec.qd_cap,
+            deadline_class: spec.deadline,
+            ..TenantMetrics::default()
+        }
+    }
+
     /// Median end-to-end latency of this tenant's requests (zero when the
     /// tenant completed nothing).
     pub fn p50(&self) -> SimDuration {
@@ -552,18 +563,9 @@ mod tests {
             tenants: vec![TenantMetrics {
                 name: "all",
                 weight: 1,
-                qd_cap: 0,
-                deadline_class: DeadlineClass::Default,
-                latencies: LatencySamples::new(),
                 completed: requests,
-                conflicted: 0,
-                backpressured: 0,
-                failed: 0,
-                data_loss: 0,
-                deadline_misses: 0,
-                host_retries: 0,
-                shed: 0,
                 deadline_met: requests,
+                ..TenantMetrics::default()
             }],
             dispatch: DispatchStats::default(),
             transactions: requests,
@@ -648,18 +650,11 @@ mod tests {
         TenantMetrics {
             name,
             weight,
-            qd_cap: 0,
-            deadline_class: DeadlineClass::Default,
             latencies,
             completed,
             conflicted: completed / 10,
-            backpressured: 0,
-            failed: 0,
-            data_loss: 0,
-            deadline_misses: 0,
-            host_retries: 0,
-            shed: 0,
             deadline_met: completed,
+            ..TenantMetrics::default()
         }
     }
 

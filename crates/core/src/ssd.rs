@@ -59,7 +59,7 @@ use venice_ftl::{
 };
 use venice_hil::{DeadlineClass, HostInterface, HostRequest};
 use venice_interconnect::{build_fabric, AcquireError, Fabric, FabricKind, NodeId, PathGrant};
-use venice_nand::{ChipId, FlashChip, NandCommandKind, PageAddr, PhysicalPageAddr};
+use venice_nand::{ChipId, FlashChip, NandCommandKind, PhysicalPageAddr};
 use venice_sim::rng::Xorshift64Star;
 use venice_sim::stats::LatencySamples;
 use venice_sim::{DenseBitSet, EventQueue, SimDuration, SimTime};
@@ -73,7 +73,7 @@ use crate::redundancy::{
 use crate::resilience::{
     ResilienceParams, RetryParams, BATCH_DEADLINE, LATENCY_DEADLINE, RETRY_JITTER_SEED,
 };
-use crate::{FaultAction, FaultPlan, ResiliencePolicy, RunMetrics, RunStatus, SsdConfig};
+use crate::{FaultAction, FaultPlan, RunMetrics, RunStatus, SsdConfig, TenantMetrics};
 
 /// Simulator events.
 #[derive(Clone, Copy, Debug)]
@@ -138,7 +138,7 @@ const NO_MIGRATION: usize = usize::MAX;
 /// to advance the clock, short next to any array operation.
 const POLICY_PROBE_DELAY: SimDuration = SimDuration::from_nanos(256);
 
-/// Delay between fault-mode liveness probes: with faults in play a dispatch
+/// Delay between fault liveness probes: with faults in play a dispatch
 /// round can fail with no in-flight event guaranteed to re-trigger it
 /// (every path to a chip severed until a scripted repair), so the engine
 /// keeps probing at this cadence. Coarser than [`POLICY_PROBE_DELAY`] —
@@ -286,34 +286,6 @@ enum DegradedRead {
     Lost,
 }
 
-/// A fixed-capacity bitset over dense ids (physical page indices).
-struct BitSet {
-    words: Vec<u64>,
-}
-
-impl BitSet {
-    fn with_capacity(bits: u64) -> Self {
-        BitSet {
-            words: vec![0; bits.div_ceil(64) as usize],
-        }
-    }
-
-    #[inline]
-    fn contains(&self, i: u64) -> bool {
-        self.words[(i / 64) as usize] & (1 << (i % 64)) != 0
-    }
-
-    #[inline]
-    fn insert(&mut self, i: u64) {
-        self.words[(i / 64) as usize] |= 1 << (i % 64);
-    }
-
-    #[inline]
-    fn remove(&mut self, i: u64) {
-        self.words[(i / 64) as usize] &= !(1 << (i % 64));
-    }
-}
-
 /// The SSD simulator. Construct with [`SsdSim::new`], run a whole trace with
 /// [`SsdSim::run`], and read the resulting [`RunMetrics`].
 ///
@@ -375,9 +347,7 @@ pub struct SsdSim {
     blocked_erases: Vec<(usize, usize)>,
     /// Physical pages allocated but not yet programmed: reads of these are
     /// served from the controller's write buffer without touching flash.
-    pending_programs: BitSet,
-    /// Reads served from the write buffer.
-    buffer_hits: u64,
+    pending_programs: DenseBitSet,
     /// Host-write pages deferred because every plane is down to its GC
     /// reserve block (write throttling); retried after each erase.
     throttled_writes: VecDeque<(u64, u64)>,
@@ -408,15 +378,10 @@ pub struct SsdSim {
     /// Reusable scratch: migration pages needing a flash read.
     mig_flash: Vec<(u64, Gppa)>,
 
-    latencies: LatencySamples,
-    completed: u64,
-    conflicted_requests: u64,
-    /// Per-tenant QoS accounting (indexed by tenant id; length = the
-    /// config's tenant count — one slot on the single-tenant default).
-    tenant_latencies: Vec<LatencySamples>,
-    tenant_completed: Vec<u64>,
-    tenant_conflicted: Vec<u64>,
-    tenant_failed: Vec<u64>,
+    /// The outcome ledger: every terminal request outcome is counted once,
+    /// against its tenant (indexed by tenant id; one slot on the
+    /// single-tenant default). The run totals are its sums.
+    tenants: Vec<TenantMetrics>,
     /// `Process` events that found nothing fetchable because every queued
     /// tenant sat at its queue-depth cap: each one is re-scheduled by a
     /// later completion (which frees in-flight capacity). Zero on the
@@ -425,15 +390,10 @@ pub struct SsdSim {
     deferred_fetches: u64,
     first_arrival: SimTime,
     last_completion: SimTime,
-    /// Reads served without flash access (never-written pages).
-    zero_reads: u64,
 
     /// The expanded fault-plan script (empty under `FaultPlan::None`);
     /// entry `i` fires as `Event::Fault(i)`.
     fault_script: Vec<(SimTime, FaultAction)>,
-    /// True when the configured fault plan schedules anything: gates the
-    /// fault-mode liveness probe so fault-free runs stay bit-identical.
-    fault_mode: bool,
     /// Per-chip count of overlapping death causes (fabric blast radius +
     /// scripted chip deaths); a chip is dead while its count is non-zero.
     chip_dead: Vec<u8>,
@@ -449,15 +409,11 @@ pub struct SsdSim {
     faults_injected: u64,
     faults_active: u64,
     retried_ops: u64,
-    failed_requests: u64,
 
     /// Expanded host-resilience knobs (all-`None` when the configured
-    /// [`ResiliencePolicy`] is `None`).
+    /// [`crate::ResiliencePolicy`] is `None`, so every resilience path is
+    /// inert).
     resilience: ResilienceParams,
-    /// True when any resilience mechanism is armed: gates every new branch
-    /// and every new event, so default runs keep a bit-identical calendar
-    /// (the golden-hash contract), exactly like `fault_mode`.
-    resilience_mode: bool,
     /// Deterministic retry-jitter stream; consumed only when a retry is
     /// actually scheduled, so retry-free runs never advance it.
     retry_rng: Xorshift64Star,
@@ -471,23 +427,11 @@ pub struct SsdSim {
     /// Decaying max of completion latencies (ns): rises instantly to the
     /// worst recent completion and decays by 1/8 per completion — the cheap
     /// deterministic tail proxy the deadline-aware shedding decision
-    /// consults.
+    /// consults (nothing else reads it).
     tail_estimate_ns: u64,
-    deadline_misses: u64,
-    host_retries: u64,
-    shed_requests: u64,
-    deadline_met: u64,
-    tenant_deadline_misses: Vec<u64>,
-    tenant_host_retries: Vec<u64>,
-    tenant_shed: Vec<u64>,
-    tenant_deadline_met: Vec<u64>,
 
-    /// True when the configured [`RedundancyKind`] is armed: gates the
-    /// degraded-read fan-out and the rebuild engine, so
-    /// `RedundancyKind::None` runs schedule zero extra events and allocate
-    /// identically (the golden-hash contract, exactly like `fault_mode`).
-    redundancy_mode: bool,
-    /// The active rebuild, if a permanent chip death armed one.
+    /// The active rebuild, if a permanent chip death armed one (only with
+    /// redundancy armed).
     rebuild: Option<RebuildState>,
     /// Permanently dead chips waiting behind the active rebuild.
     rebuild_pending: VecDeque<usize>,
@@ -507,8 +451,6 @@ pub struct SsdSim {
     /// Instant the last rebuild drained (ZERO = none ran); MTTR is this
     /// minus the fault-injection time.
     rebuild_done: SimTime,
-    data_loss_requests: u64,
-    tenant_data_loss: Vec<u64>,
 }
 
 impl SsdSim {
@@ -575,8 +517,7 @@ impl SsdSim {
             active_gc_planes: vec![false; total_planes],
             block_users: vec![0; total_blocks],
             blocked_erases: Vec::new(),
-            pending_programs: BitSet::with_capacity(physical),
-            buffer_hits: 0,
+            pending_programs: DenseBitSet::with_capacity(physical as usize),
             throttled_writes: VecDeque::new(),
             wear_job_active: false,
             erases_since_wear_check: 0,
@@ -589,43 +530,24 @@ impl SsdSim {
             data_scratch: Vec::new(),
             mig_buffered: Vec::new(),
             mig_flash: Vec::new(),
-            latencies: LatencySamples::new(),
-            completed: 0,
-            conflicted_requests: 0,
-            tenant_latencies: vec![LatencySamples::new(); config.tenants.len()],
-            tenant_completed: vec![0; config.tenants.len()],
-            tenant_conflicted: vec![0; config.tenants.len()],
-            tenant_failed: vec![0; config.tenants.len()],
+            tenants: config.tenants.specs().iter().map(TenantMetrics::new).collect(),
             deferred_fetches: 0,
             first_arrival: trace.events().first().map_or(SimTime::ZERO, |e| e.arrival),
             last_completion: SimTime::ZERO,
-            zero_reads: 0,
             fault_script: config
                 .fault_plan
                 .events_for(config.fabric.rows, config.fabric.cols),
-            fault_mode: config.fault_plan != FaultPlan::None,
             chip_dead: vec![0; chip_count],
             media_dead: vec![false; chip_count],
             transient_charges: vec![0; chip_count],
             faults_injected: 0,
             faults_active: 0,
             retried_ops: 0,
-            failed_requests: 0,
             resilience: config.resilience.params(),
-            resilience_mode: config.resilience != ResiliencePolicy::None,
             retry_rng: Xorshift64Star::new(RETRY_JITTER_SEED),
             tenant_retry_outstanding: vec![0; config.tenants.len()],
             overloaded: vec![false; config.tenants.len()],
             tail_estimate_ns: 0,
-            deadline_misses: 0,
-            host_retries: 0,
-            shed_requests: 0,
-            deadline_met: 0,
-            tenant_deadline_misses: vec![0; config.tenants.len()],
-            tenant_host_retries: vec![0; config.tenants.len()],
-            tenant_shed: vec![0; config.tenants.len()],
-            tenant_deadline_met: vec![0; config.tenants.len()],
-            redundancy_mode: config.redundancy.is_armed(),
             rebuild: None,
             rebuild_pending: VecDeque::new(),
             rebuild_tick_armed: false,
@@ -633,8 +555,6 @@ impl SsdSim {
             rebuilt_pages: 0,
             rebuild_skipped_pages: 0,
             rebuild_done: SimTime::ZERO,
-            data_loss_requests: 0,
-            tenant_data_loss: vec![0; config.tenants.len()],
             ftl,
             trace: trace.clone(),
             config,
@@ -703,7 +623,7 @@ impl SsdSim {
                 "simulation drained its event queue with work still outstanding"
             );
             assert_eq!(
-                self.completed + self.shed_requests,
+                self.tenants.iter().map(|t| t.completed + t.shed).sum::<u64>(),
                 self.trace.len() as u64,
                 "every request must reach one terminal outcome"
             );
@@ -783,30 +703,36 @@ impl SsdSim {
             op: e.op,
             offset: e.offset,
             bytes: e.bytes,
-            deadline: self.deadline_for(tenant).map(|d| now + d),
+            deadline: None,
         };
-        if self.resilience_mode {
-            match self.admission_verdict(tenant) {
-                Admission::Accept => {}
-                Admission::Defer => {
-                    // Overload backpressure behaves exactly like a full
-                    // queue: the host stalls and the trace shifts.
-                    self.stalled_arrival = Some((req, index));
-                    return;
-                }
-                Admission::Shed => {
-                    self.shed_request(index, tenant);
-                    self.schedule_next_arrival(now, index);
-                    return;
-                }
+        self.submit_arrival(now, req, index);
+    }
+
+    /// Offers trace record `index` to the device at `now`, on arrival or
+    /// when a stall resumes: admission, then submission stamped with `now`
+    /// and its tenant's deadline. A deferred or rejected submission stalls
+    /// the host, so the rest of the trace shifts by however long it waits.
+    fn submit_arrival(&mut self, now: SimTime, mut req: HostRequest, index: usize) {
+        let tenant = usize::from(req.tenant);
+        match self.admission_verdict(tenant) {
+            Admission::Accept => {}
+            Admission::Defer => {
+                // Overload backpressure behaves exactly like a full queue.
+                self.stalled_arrival = Some((req, index));
+                return;
+            }
+            Admission::Shed => {
+                self.shed_request(index, tenant);
+                self.schedule_next_arrival(now, index);
+                return;
             }
         }
+        req.arrival = now;
+        req.deadline = self.deadline_for(tenant).map(|d| now + d);
         if self.hil.submit(req) {
-            self.after_submit(now, req.id);
+            self.after_submit(now, req);
             self.schedule_next_arrival(now, index);
         } else {
-            // Queue full: the host stalls; the rest of the trace shifts by
-            // however long this submission waits.
             self.stalled_arrival = Some((req, index));
         }
     }
@@ -827,18 +753,14 @@ impl SsdSim {
     }
 
     /// Post-submit bookkeeping shared by first attempts, stall resumes, and
-    /// resubmissions: schedules the fetch and arms the attempt's deadline.
-    fn after_submit(&mut self, now: SimTime, req_id: u64) {
+    /// resubmissions: schedules the fetch and arms the deadline the caller
+    /// stamped into `req`.
+    fn after_submit(&mut self, now: SimTime, req: HostRequest) {
         self.queue
             .schedule(now + self.config.hil.submission_latency, Event::Process);
-        // Same tag clamp as `on_arrival`, so every attempt of a request
-        // resolves to the same tenant (and therefore deadline class).
-        let tenant =
-            usize::from(self.trace.tenant_of(req_id as usize)).min(self.config.tenants.len() - 1);
-        if let Some(d) = self.deadline_for(tenant) {
-            let at = now + d;
-            self.requests[req_id as usize].deadline_at = at;
-            self.queue.schedule(at, Event::HostTimeout(req_id));
+        if let Some(at) = req.deadline {
+            self.requests[req.id as usize].deadline_at = at;
+            self.queue.schedule(at, Event::HostTimeout(req.id));
         }
     }
 
@@ -874,8 +796,7 @@ impl SsdSim {
         let st = &mut self.requests[index];
         debug_assert!(!st.done, "double terminal outcome for request {index}");
         st.done = true;
-        self.shed_requests += 1;
-        self.tenant_shed[tenant] += 1;
+        self.tenants[tenant].shed += 1;
     }
 
     /// A request's per-attempt deadline fired. Stale timers (the attempt
@@ -901,9 +822,12 @@ impl SsdSim {
     }
 
     /// True when a transaction's owner was timed out: dispatch and
-    /// completion paths fail such transactions at their next visit.
+    /// completion paths fail such transactions at their next visit. Only an
+    /// armed deadline times a request out, so runs without one never read
+    /// the request slot here.
     fn txn_aborted(&self, req: Option<RequestId>) -> bool {
-        req.is_some_and(|r| self.requests[r.0 as usize].timed_out)
+        self.resilience.deadline.is_some()
+            && req.is_some_and(|r| self.requests[r.0 as usize].timed_out)
     }
 
     /// Attempts to schedule a host resubmission of a failed / timed-out
@@ -934,8 +858,7 @@ impl SsdSim {
         // resubmission arms a fresh one.
         st.deadline_at = SimTime::ZERO;
         let attempts = st.attempts;
-        self.host_retries += 1;
-        self.tenant_host_retries[tenant] += 1;
+        self.tenants[tenant].host_retries += 1;
         let delay = self.retry_backoff(retry, attempts);
         self.queue.schedule(now + delay, Event::HostResubmit(req_id));
         true
@@ -969,7 +892,7 @@ impl SsdSim {
             deadline,
         };
         if self.hil.submit(req) {
-            self.after_submit(now, req_id);
+            self.after_submit(now, req);
         } else {
             // Queue full: try again after the same backoff step without
             // charging an attempt (the device never saw this resubmission).
@@ -1002,7 +925,7 @@ impl SsdSim {
             }
             return;
         };
-        if self.resilience_mode && self.requests[req.id as usize].timed_out {
+        if self.requests[req.id as usize].timed_out {
             // The deadline fired while the request sat in its submission
             // queue: abort before it touches the FTL. The error completion
             // posts through the normal path (zero transactions).
@@ -1029,84 +952,64 @@ impl SsdSim {
             }
             self.charge_mapping_lookup(now, lpa);
             match req.op {
-                IoOp::Read => match self.ftl.translate_read(lpa).expect("lpa in range") {
-                    Some(gppa) if self.pending_programs.contains(gppa.0) => {
-                        // The page's program is still in flight: the data is
-                        // in the controller's write buffer — serve it there.
-                        self.buffer_hits += 1;
+                IoOp::Read => {
+                    // A never-written page reads as zeros, and a page whose
+                    // program is still in flight is served from the
+                    // controller's write buffer: neither touches flash.
+                    let Some(gppa) = self.ftl.translate_read(lpa).expect("lpa in range") else {
+                        continue;
+                    };
+                    if self.pending_programs.contains(gppa.0 as usize) {
+                        continue;
                     }
-                    Some(gppa) => {
-                        let target = self.ftl.config().array.unpack(gppa);
-                        let chip = usize::from(target.chip.0);
-                        if self.fault_mode && self.chip_dead[chip] > 0 {
-                            if self.redundancy_mode {
-                                // Degraded read: fan reconstruction reads
-                                // out to the surviving parity-group members
-                                // through the normal TSU/fabric path; the
-                                // controller XORs them (free in this timing
-                                // model).
-                                match self.spawn_degraded_read(now, lpa, req.id, target) {
-                                    DegradedRead::Spawned(fanout) => {
-                                        self.degraded_reads += 1;
-                                        txns += fanout;
-                                    }
-                                    DegradedRead::Blocked => transient_loss = true,
-                                    // Unrecoverable by parity — but data is
-                                    // *lost* only when the primary's own
-                                    // media died. A group-mate of the dead
-                                    // chip that merely sits behind a fabric
-                                    // fault keeps its data; that failure
-                                    // stays a routing casualty.
-                                    DegradedRead::Lost => {
-                                        if self.media_dead[chip] {
-                                            data_loss = true;
-                                        } else {
-                                            transient_loss = true;
-                                        }
-                                    }
+                    let target = self.ftl.config().array.unpack(gppa);
+                    let chip = usize::from(target.chip.0);
+                    if self.chip_dead[chip] > 0 {
+                        if self.config.redundancy.is_armed() {
+                            // Degraded read: fan reconstruction reads out to
+                            // the surviving parity-group members through the
+                            // normal TSU/fabric path; the controller XORs
+                            // them (free in this timing model).
+                            match self.spawn_degraded_read(now, lpa, req.id, target) {
+                                DegradedRead::Spawned(fanout) => {
+                                    self.degraded_reads += 1;
+                                    txns += fanout;
                                 }
-                            } else {
-                                // No redundancy: the read rides to dispatch
-                                // and fails there (the pre-redundancy event
-                                // stream, bit-identical), now *classified*
-                                // as data loss when the die itself is gone.
-                                // A chip that is merely unreachable (fabric
-                                // blast radius) keeps its data — that
+                                DegradedRead::Blocked => transient_loss = true,
+                                // Unrecoverable by parity — but data is *lost*
+                                // only when the primary's own media died. A
+                                // group-mate of the dead chip that merely sits
+                                // behind a fabric fault keeps its data; that
                                 // failure stays a routing casualty.
-                                data_loss |= self.media_dead[chip];
-                                self.spawn_txn(
-                                    now,
-                                    TxnKind::UserRead,
-                                    target,
-                                    Some(lpa),
-                                    Some(req.id),
-                                    NO_MIGRATION,
-                                );
-                                txns += 1;
+                                DegradedRead::Lost if self.media_dead[chip] => data_loss = true,
+                                DegradedRead::Lost => transient_loss = true,
                             }
-                        } else {
-                            self.spawn_txn(
-                                now,
-                                TxnKind::UserRead,
-                                target,
-                                Some(lpa),
-                                Some(req.id),
-                                NO_MIGRATION,
-                            );
-                            txns += 1;
+                            continue;
                         }
+                        // No redundancy: the read rides to dispatch and fails
+                        // there, *classified* as data loss when the die itself
+                        // is gone. A chip that is merely unreachable (fabric
+                        // blast radius) keeps its data — that failure stays a
+                        // routing casualty.
+                        data_loss |= self.media_dead[chip];
                     }
-                    None => self.zero_reads += 1,
-                },
+                    self.spawn_txn(
+                        now,
+                        TxnKind::UserRead,
+                        target,
+                        Some(lpa),
+                        Some(req.id),
+                        NO_MIGRATION,
+                    );
+                    txns += 1;
+                }
                 IoOp::Write => {
-                    if self.spawn_user_write(now, req.id, lpa) {
-                        txns += 1;
-                    } else {
-                        // Every plane is down to its GC reserve: throttle the
-                        // write; it still counts toward request completion.
+                    // A write that finds every plane down to its GC reserve
+                    // is throttled; it still counts toward completion.
+                    if !self.spawn_user_write(now, req.id, lpa) {
                         self.throttled_writes.push_back((req.id, lpa));
-                        txns += 1;
                     }
+                    txns += 1;
                 }
             }
         }
@@ -1142,7 +1045,7 @@ impl SsdSim {
         match self.ftl.allocate_write(lpa) {
             Ok(gppa) => {
                 self.cmt.mark_dirty(lpa);
-                self.pending_programs.insert(gppa.0);
+                self.pending_programs.insert(gppa.0 as usize);
                 let target = self.ftl.config().array.unpack(gppa);
                 self.spawn_txn(
                     now,
@@ -1160,14 +1063,14 @@ impl SsdSim {
     }
 
     /// Cached-mapping-table lookup: a miss issues a mapping-table read
-    /// (modelled as a read of the data page the translation entry points at;
-    /// see DESIGN.md) and fills the cache.
+    /// (modelled as a read of the data page the translation entry points at)
+    /// and fills the cache.
     fn charge_mapping_lookup(&mut self, now: SimTime, lpa: u64) {
         if self.cmt.lookup(lpa) {
             return;
         }
         if let Some(gppa) = self.ftl.translate(lpa) {
-            if !self.pending_programs.contains(gppa.0) {
+            if !self.pending_programs.contains(gppa.0 as usize) {
                 let target = self.ftl.config().array.unpack(gppa);
                 self.spawn_txn(now, TxnKind::MapRead, target, Some(lpa), None, NO_MIGRATION);
             }
@@ -1196,48 +1099,35 @@ impl SsdSim {
         // backoff instead of going terminal, while cap and budget allow.
         // The freed queue slot still re-arms deferred fetches and stalled
         // arrivals.
-        if self.resilience_mode
-            && (failed || timed_out)
-            && self.try_schedule_retry(now, req_id, tenant)
-        {
+        if (failed || timed_out) && self.try_schedule_retry(now, req_id, tenant) {
             self.rearm_after_completion(now);
             return;
         }
         // Terminal outcome classification: exactly one per request.
         let latency = now.saturating_since(arrival);
-        self.latencies.record(latency);
-        self.tenant_latencies[tenant].record(latency);
-        if conflicted {
-            self.conflicted_requests += 1;
-            self.tenant_conflicted[tenant] += 1;
-        }
+        let t = &mut self.tenants[tenant];
+        t.latencies.record(latency);
+        t.completed += 1;
+        t.conflicted += u64::from(conflicted);
         if timed_out {
             // `RequestOutcome::DeadlineMiss`: an error completion — counted
             // against availability like a device failure.
-            self.deadline_misses += 1;
-            self.tenant_deadline_misses[tenant] += 1;
-            self.failed_requests += 1;
-            self.tenant_failed[tenant] += 1;
+            t.deadline_misses += 1;
+            t.failed += 1;
         } else if failed {
             // `RequestOutcome::FailedAfterRetries` (with retry off, every
             // device failure is terminal immediately). The request reached
             // the host with error status; it still counts as completed (the
-            // calendar drained it) but not as available.
-            self.failed_requests += 1;
-            self.tenant_failed[tenant] += 1;
-            if data_loss {
-                // `RequestOutcome::DataLoss`: the failure is durability,
-                // not routing — the page's only copy sat on a dead chip
-                // with nothing to reconstruct it from (a strict subset of
-                // failed completions).
-                self.data_loss_requests += 1;
-                self.tenant_data_loss[tenant] += 1;
-            }
+            // calendar drained it) but not as available. With `data_loss`
+            // it is `RequestOutcome::DataLoss`: the failure is durability,
+            // not routing — the page's only copy sat on a dead chip with
+            // nothing to reconstruct it from (a subset of failures).
+            t.failed += 1;
+            t.data_loss += u64::from(data_loss);
         } else if deadline_at == SimTime::ZERO || now <= deadline_at {
             // `RequestOutcome::Ok` with the deadline met (or unarmed): the
             // goodput numerator.
-            self.deadline_met += 1;
-            self.tenant_deadline_met[tenant] += 1;
+            t.deadline_met += 1;
         }
         let st = &mut self.requests[req_id as usize];
         debug_assert!(!st.done, "double terminal outcome for request {req_id}");
@@ -1246,12 +1136,8 @@ impl SsdSim {
             debug_assert!(self.tenant_retry_outstanding[tenant] > 0);
             self.tenant_retry_outstanding[tenant] -= 1;
         }
-        if self.resilience_mode {
-            let l = latency.as_nanos();
-            self.tail_estimate_ns = l.max(self.tail_estimate_ns - self.tail_estimate_ns / 8);
-        }
-        self.completed += 1;
-        self.tenant_completed[tenant] += 1;
+        let l = latency.as_nanos();
+        self.tail_estimate_ns = l.max(self.tail_estimate_ns - self.tail_estimate_ns / 8);
         self.last_completion = self.last_completion.max(now);
         self.rearm_after_completion(now);
     }
@@ -1259,36 +1145,15 @@ impl SsdSim {
     /// A completion freed submission capacity: retry one fetch that a
     /// queue-depth cap deferred (never taken on the single-tenant path —
     /// `deferred_fetches` stays zero without caps) and resume a stalled
-    /// arrival, re-checking admission when the policy is armed.
+    /// arrival.
     fn rearm_after_completion(&mut self, now: SimTime) {
         if self.deferred_fetches > 0 && self.hil.queued() > 0 {
             self.deferred_fetches -= 1;
             self.queue
                 .schedule(now + self.config.hil.submission_latency, Event::Process);
         }
-        if let Some((mut req, index)) = self.stalled_arrival.take() {
-            if self.resilience_mode {
-                match self.admission_verdict(usize::from(req.tenant)) {
-                    Admission::Accept => {}
-                    Admission::Defer => {
-                        self.stalled_arrival = Some((req, index));
-                        return;
-                    }
-                    Admission::Shed => {
-                        self.shed_request(index, usize::from(req.tenant));
-                        self.schedule_next_arrival(now, index);
-                        return;
-                    }
-                }
-            }
-            req.arrival = now;
-            req.deadline = self.deadline_for(usize::from(req.tenant)).map(|d| now + d);
-            if self.hil.submit(req) {
-                self.after_submit(now, req.id);
-                self.schedule_next_arrival(now, index);
-            } else {
-                self.stalled_arrival = Some((req, index));
-            }
+        if let Some((req, index)) = self.stalled_arrival.take() {
+            self.submit_arrival(now, req, index);
         }
     }
 
@@ -1426,7 +1291,7 @@ impl SsdSim {
             self.dispatch_pending = true;
             self.queue
                 .schedule(now + POLICY_PROBE_DELAY, Event::Dispatch);
-        } else if self.fault_mode
+        } else if self.config.fault_plan != FaultPlan::None
             && !self.policy.round_dispatched()
             && !self.dispatch_pending
             && (self.tsu.pending() > 0 || !self.data_ready.is_empty())
@@ -1435,8 +1300,9 @@ impl SsdSim {
             // queued. Under faults that can mean every route to the work is
             // down (a severed route is a retryable path conflict until
             // repair) with no in-flight completion left to wake us — re-arm
-            // ourselves. Only active when a fault plan is loaded, so
-            // fault-free runs keep a bit-identical calendar.
+            // ourselves. Only active when a fault plan is configured (even
+            // one whose script is empty on this mesh), so fault-free runs
+            // keep a bit-identical calendar.
             self.dispatch_pending = true;
             self.queue
                 .schedule(now + FAULT_PROBE_DELAY, Event::Dispatch);
@@ -1512,7 +1378,7 @@ impl SsdSim {
         self.chip_dead[chip] += 1;
         if permanent {
             self.media_dead[chip] = true;
-            if self.redundancy_mode {
+            if self.config.redundancy.is_armed() {
                 self.start_rebuild(now, chip);
             }
         }
@@ -1528,13 +1394,8 @@ impl SsdSim {
             for txn in &drained {
                 self.fail_txn(now, txn.id);
             }
-            while let Some(txn_id) = self.data_pending[chip].pop_front() {
-                let die = self.die_key(self.slot(txn_id).txn.target);
-                self.die_busy[die] = false;
-                self.fail_txn(now, txn_id);
-            }
+            while self.fail_data_burst(now, chip) {}
         }
-        self.data_ready.remove(chip);
         // In-flight command/array events finish on their own; the dead-chip
         // check in `on_chip_op_done` fails them at the command boundary.
     }
@@ -1643,7 +1504,7 @@ impl SsdSim {
     /// behind an active rebuild (one chip rebuilds at a time, like a real
     /// RAID controller's serialized rebuild).
     fn start_rebuild(&mut self, now: SimTime, chip: usize) {
-        debug_assert!(self.redundancy_mode);
+        debug_assert!(self.config.redundancy.is_armed());
         if self.rebuild.as_ref().is_some_and(|r| r.chip == chip)
             || self.rebuild_pending.contains(&chip)
         {
@@ -1755,7 +1616,7 @@ impl SsdSim {
             self.hil.complete_background();
             return;
         };
-        if self.pending_programs.contains(gppa.0) {
+        if self.pending_programs.contains(gppa.0 as usize) {
             // The lost copy's program never landed but its data is still in
             // the controller's write buffer: rebuild without touching the
             // survivors.
@@ -1880,7 +1741,7 @@ impl SsdSim {
         }
         match dest {
             Some((gppa, target)) => {
-                self.pending_programs.insert(gppa.0);
+                self.pending_programs.insert(gppa.0 as usize);
                 self.spawn_txn(now, TxnKind::RebuildWrite, target, Some(lpa), None, NO_MIGRATION);
             }
             None => {
@@ -1966,30 +1827,18 @@ impl SsdSim {
                 if self.chip_dead[c] > 0 {
                     // The chip died after its data became ready: fail-drain
                     // (mirrors `kill_chip` for bursts queued post-death).
-                    while let Some(txn_id) = self.data_pending[c].pop_front() {
-                        let die = self.die_key(self.slot(txn_id).txn.target);
-                        self.die_busy[die] = false;
-                        self.fail_txn(now, txn_id);
-                    }
-                    self.data_ready.remove(c);
+                    while self.fail_data_burst(now, c) {}
                     continue;
                 }
                 if home_only && !self.fabric.home_controller_free(NodeId(chip)) {
                     continue;
                 }
                 while let Some(&txn_id) = self.data_pending[c].front() {
-                    if self.resilience_mode && self.txn_aborted(self.slot(txn_id).txn.request) {
+                    if self.txn_aborted(self.slot(txn_id).txn.request) {
                         // The owning request's deadline fired while this
                         // burst waited for a path out: fail it at visit
-                        // time and free its die (mirrors the dead-chip
-                        // drain above).
-                        self.data_pending[c].pop_front();
-                        if self.data_pending[c].is_empty() {
-                            self.data_ready.remove(c);
-                        }
-                        let die = self.die_key(self.slot(txn_id).txn.target);
-                        self.die_busy[die] = false;
-                        self.fail_txn(now, txn_id);
+                        // time (mirrors the dead-chip drain above).
+                        self.fail_data_burst(now, c);
                         continue;
                     }
                     // Data bursts hold their die's page register, so the TSU
@@ -2001,10 +1850,7 @@ impl SsdSim {
                     match self.fabric.try_acquire(NodeId(chip)) {
                         Ok(grant) => {
                             self.policy.note_success(chip);
-                            self.data_pending[c].pop_front();
-                            if self.data_pending[c].is_empty() {
-                                self.data_ready.remove(c);
-                            }
+                            self.pop_data_burst(c);
                             let bytes = self.config.page_bytes();
                             let d = self.fabric.transfer(&grant, bytes);
                             let inf = self.slot_mut(txn_id);
@@ -2015,13 +1861,7 @@ impl SsdSim {
                         Err(AcquireError::ResourceDead) => {
                             // Dead path with no live chip mask (e.g. a dead
                             // dedicated channel): fail the burst and move on.
-                            self.data_pending[c].pop_front();
-                            if self.data_pending[c].is_empty() {
-                                self.data_ready.remove(c);
-                            }
-                            let die = self.die_key(self.slot(txn_id).txn.target);
-                            self.die_busy[die] = false;
-                            self.fail_txn(now, txn_id);
+                            self.fail_data_burst(now, c);
                         }
                         Err(e) => {
                             self.policy.note_failure(chip, &e);
@@ -2039,6 +1879,28 @@ impl SsdSim {
         };
         self.data_scratch = ready;
         ran_out
+    }
+
+    /// Pops chip `c`'s oldest read-data burst, keeping `data_ready` in step
+    /// with "`data_pending[c]` non-empty".
+    fn pop_data_burst(&mut self, c: usize) -> Option<TxnId> {
+        let txn_id = self.data_pending[c].pop_front()?;
+        if self.data_pending[c].is_empty() {
+            self.data_ready.remove(c);
+        }
+        Some(txn_id)
+    }
+
+    /// Fails chip `c`'s oldest read-data burst and frees its die; returns
+    /// false when no burst was waiting.
+    fn fail_data_burst(&mut self, now: SimTime, c: usize) -> bool {
+        let Some(txn_id) = self.pop_data_burst(c) else {
+            return false;
+        };
+        let die = self.die_key(self.slot(txn_id).txn.target);
+        self.die_busy[die] = false;
+        self.fail_txn(now, txn_id);
+        true
     }
 
     /// Command (and command+data) bursts for queued transactions. Returns
@@ -2078,7 +1940,7 @@ impl SsdSim {
                 while let Some(txn) = self.tsu.peek(c) {
                     let die = self.die_key(txn.target);
                     let (txn_kind, txn_id, txn_req) = (txn.kind, txn.id, txn.request);
-                    if self.resilience_mode && txn_kind.is_read() && self.txn_aborted(txn_req) {
+                    if txn_kind.is_read() && self.txn_aborted(txn_req) {
                         // The owning request's deadline fired while this
                         // transaction sat queued: fail it at visit time
                         // (mirrors the dead-chip drain above) — even behind
@@ -2186,19 +2048,10 @@ impl SsdSim {
         let inf = self.slot(txn_id);
         let txn = inf.txn;
         let chip = usize::from(txn.target.chip.0);
-        if self.chip_dead[chip] > 0 {
-            // The chip died mid-array-op: fail-stop at the command boundary
-            // (the op's result is lost; the die frees for post-repair use).
-            let die = self.die_key(txn.target);
-            self.die_busy[die] = false;
-            self.fail_txn(now, txn_id);
-            self.schedule_dispatch(now);
-            return;
-        }
-        if self.resilience_mode && self.txn_aborted(txn.request) {
-            // The deadline fired mid-array-op: fail-stop at the command
-            // boundary, exactly like a chip death — the result is discarded
-            // and the die frees for the next transaction.
+        if self.chip_dead[chip] > 0 || self.txn_aborted(txn.request) {
+            // The chip died, or the owner's deadline fired, mid-array-op:
+            // fail-stop at the command boundary. The op's result is lost and
+            // the die frees for the next transaction.
             let die = self.die_key(txn.target);
             self.die_busy[die] = false;
             self.fail_txn(now, txn_id);
@@ -2249,7 +2102,7 @@ impl SsdSim {
     fn complete_txn(&mut self, now: SimTime, txn: Transaction, migration: usize) {
         if txn.kind.is_write() {
             let gppa = self.ftl.config().array.pack(txn.target);
-            self.pending_programs.remove(gppa.0);
+            self.pending_programs.remove(gppa.0 as usize);
         }
         if txn.kind.is_read() || txn.kind.is_write() {
             self.release_block_user(now, txn.target);
@@ -2328,7 +2181,7 @@ impl SsdSim {
         let mut flash = std::mem::take(&mut self.mig_flash);
         debug_assert!(buffered.is_empty() && flash.is_empty());
         for &(lpa, old) in &job.pages {
-            if self.pending_programs.contains(old.0) {
+            if self.pending_programs.contains(old.0 as usize) {
                 buffered.push((lpa, old));
             } else {
                 flash.push((lpa, old));
@@ -2364,7 +2217,7 @@ impl SsdSim {
             .relocate(lpa, old, wear)
             .expect("relocation cannot run out of space");
         if let Some(new_gppa) = dest {
-            self.pending_programs.insert(new_gppa.0);
+            self.pending_programs.insert(new_gppa.0 as usize);
             let target = self.ftl.config().array.unpack(new_gppa);
             let kind = if wear { TxnKind::WearWrite } else { TxnKind::GcWrite };
             self.spawn_txn(now, kind, target, Some(lpa), None, slot);
@@ -2465,48 +2318,30 @@ impl SsdSim {
             + standby_mw;
         let energy_mj =
             static_mw * exec_s + chips / 1e6 + fabric_stats.transfer_energy_nj / 1e6;
-        // Per-tenant QoS rollup: engine-side latency/conflict/failure
-        // accounting joined with the HIL's per-tenant back-pressure counts.
-        let tenant_hil = self.hil.tenant_stats();
-        let tenants: Vec<crate::TenantMetrics> = self
-            .config
-            .tenants
-            .specs()
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| crate::TenantMetrics {
-                name: spec.name,
-                weight: spec.weight,
-                qd_cap: spec.qd_cap,
-                deadline_class: spec.deadline,
-                latencies: self.tenant_latencies[i].clone(),
-                completed: self.tenant_completed[i],
-                conflicted: self.tenant_conflicted[i],
-                backpressured: tenant_hil[i].backpressured,
-                failed: self.tenant_failed[i],
-                data_loss: self.tenant_data_loss[i],
-                deadline_misses: self.tenant_deadline_misses[i],
-                host_retries: self.tenant_host_retries[i],
-                shed: self.tenant_shed[i],
-                deadline_met: self.tenant_deadline_met[i],
-            })
-            .collect();
+        // The ledger joined with the HIL's per-tenant back-pressure counts;
+        // the run totals are its sums.
+        let mut tenants = self.tenants;
+        let mut latencies = LatencySamples::new();
+        for (t, hil) in tenants.iter_mut().zip(self.hil.tenant_stats()) {
+            t.backpressured = hil.backpressured;
+            latencies.merge(&t.latencies);
+        }
+        let sum = |f: fn(&TenantMetrics) -> u64| tenants.iter().map(f).sum::<u64>();
         RunMetrics {
             system: self.kind,
             workload: self.trace.name().to_string(),
             config: self.config.name,
             policy: self.policy.kind(),
             scout_cache: self.config.fabric.scout_cache,
-            completed_requests: self.completed,
+            completed_requests: sum(|t| t.completed),
             execution_time: exec,
-            latencies: self.latencies,
-            conflicted_requests: self.conflicted_requests,
+            latencies,
+            conflicted_requests: sum(|t| t.conflicted),
             energy_mj,
             avg_power_mw: energy_mj / exec_s,
             fabric: fabric_stats,
             ftl: self.ftl.stats(),
             hil: self.hil.stats(),
-            tenants,
             dispatch: self.policy.stats(),
             transactions: self.spawned_txns,
             events: self.queue.scheduled_total(),
@@ -2515,47 +2350,35 @@ impl SsdSim {
             faults_injected: self.faults_injected,
             faults_active: self.faults_active,
             retried_ops: self.retried_ops,
-            failed_requests: self.failed_requests,
+            failed_requests: sum(|t| t.failed),
             resilience: self.config.resilience,
-            deadline_misses: self.deadline_misses,
-            host_retries: self.host_retries,
-            shed_requests: self.shed_requests,
-            deadline_met_requests: self.deadline_met,
+            deadline_misses: sum(|t| t.deadline_misses),
+            host_retries: sum(|t| t.host_retries),
+            shed_requests: sum(|t| t.shed),
+            deadline_met_requests: sum(|t| t.deadline_met),
             redundancy: self.config.redundancy,
             degraded_reads: self.degraded_reads,
             rebuilt_pages: self.rebuilt_pages,
             rebuild_skipped_pages: self.rebuild_skipped_pages,
             rebuild_done_ns: self.rebuild_done.as_nanos(),
-            data_loss_requests: self.data_loss_requests,
+            data_loss_requests: sum(|t| t.data_loss),
+            tenants,
         }
-    }
-
-    /// Chip-id → mesh-node mapping (identity: chip `i` sits at node `i`).
-    pub fn node_of(chip: ChipId) -> NodeId {
-        NodeId(chip.0)
-    }
-
-    /// Reads served from the controller without flash access so far.
-    pub fn zero_reads(&self) -> u64 {
-        self.zero_reads
-    }
-}
-
-/// Helper for tests: a one-page read transaction target.
-#[doc(hidden)]
-pub fn __test_target(chip: u16) -> PhysicalPageAddr {
-    PhysicalPageAddr {
-        chip: ChipId(chip),
-        addr: PageAddr::default(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RedundancyKind;
+    use crate::{RedundancyKind, ResiliencePolicy};
+    use venice_nand::PageAddr;
     use venice_sim::SimDuration;
     use venice_workloads::WorkloadSpec;
+
+    /// A one-page transaction target on `chip`.
+    fn test_target(chip: u16) -> PhysicalPageAddr {
+        PhysicalPageAddr { chip: ChipId(chip), addr: PageAddr::default() }
+    }
 
     fn tiny_trace(requests: usize, read_pct: f64, interarrival_us: f64) -> Trace {
         WorkloadSpec::new("unit", read_pct, 8.0, interarrival_us)
@@ -2952,7 +2775,7 @@ mod tests {
         // dispatcher's pessimistic first-try accounting (every queued
         // transfer is attempted each scheduling round) inflates absolute
         // numbers, but Venice must still resolve conflict-free decisively
-        // more often than the Baseline (see EXPERIMENTS.md).
+        // more often than the Baseline.
         let trace = tiny_trace(600, 80.0, 5.0);
         let base = run(FabricKind::Baseline, &trace);
         let ven = run(FabricKind::Venice, &trace);
@@ -3015,13 +2838,13 @@ mod tests {
         let now = SimTime::ZERO;
         const HOG_DEPTH: usize = 40;
         for _ in 0..HOG_DEPTH {
-            sim.spawn_txn(now, TxnKind::MapRead, __test_target(0), Some(0), None, NO_MIGRATION);
+            sim.spawn_txn(now, TxnKind::MapRead, test_target(0), Some(0), None, NO_MIGRATION);
         }
         for chip in 1..=3u16 {
             sim.spawn_txn(
                 now,
                 TxnKind::MapRead,
-                __test_target(chip),
+                test_target(chip),
                 Some(0),
                 None,
                 NO_MIGRATION,

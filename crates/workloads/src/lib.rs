@@ -6,7 +6,7 @@
 //! six mixed workloads (Table 3). The raw trace files are external
 //! artifacts, so this crate generates deterministic synthetic traces whose
 //! published first-order statistics match Table 2 exactly; see
-//! [`WorkloadSpec`] and DESIGN.md for the substitution rationale.
+//! [`WorkloadSpec`] for the generator's knobs.
 //!
 //! * [`catalog`] — the nineteen named workloads with calibrated specs,
 //! * [`mix`] — the six Table 3 mixes (partitioned address space, merged and

@@ -6,8 +6,8 @@
 //! inter-arrival time) match the published numbers, with address-pattern
 //! knobs (footprint, Zipfian skew, sequential fraction) chosen per workload
 //! class. Path conflicts are driven by arrival intensity versus service rate
-//! and by which chips requests touch, both of which these statistics govern —
-//! see DESIGN.md for the substitution rationale.
+//! and by which chips requests touch, both of which these statistics govern,
+//! so the substitution preserves what the paper measures.
 
 use venice_sim::rng::{Xorshift64Star, ZipfSampler};
 use venice_sim::{SimDuration, SimTime};

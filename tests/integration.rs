@@ -24,8 +24,8 @@ fn catalog_workload_completes_on_all_systems() {
 #[test]
 fn venice_at_least_ties_baseline_and_always_conflicts_less() {
     // Fully transfer-saturated episodes can slightly favor the baseline's
-    // 1.2 GB/s buses over Venice's 1 GB/s links — a structural ceiling
-    // documented in EXPERIMENTS.md — so Venice may tie within a few percent
+    // 1.2 GB/s buses over Venice's 1 GB/s links — a structural ceiling of
+    // the modelled link rates — so Venice may tie within a few percent
     // on execution time, but it must always resolve more requests
     // conflict-free.
     let cfg = SsdConfig::performance_optimized();
