@@ -7,9 +7,9 @@
 //! precomputed rows. The split lets [`repro_all`] (plain `repro`) execute
 //! one master catalog sweep on the shared worker pool and render every
 //! dependent figure from it without re-simulating, while a single runner
-//! still runs exactly the grid the paper's figure needs. Renderers are pure over their inputs, so a figure rendered from
-//! the master sweep is byte-identical to one rendered from its standalone
-//! grid.
+//! still runs exactly the grid the paper's figure needs. Renderers are pure
+//! over their inputs, so a figure rendered from the master sweep is
+//! byte-identical to one rendered from its standalone grid.
 
 use venice_interconnect::{table4 as table4_rows, AreaModel, FabricKind, LinkPower};
 use venice_sim::stats::{arithmetic_mean, geometric_mean};

@@ -44,7 +44,8 @@ impl RunStatus {
 /// One entry per tenant in the run's [`crate::TenantSet`] (a single
 /// `all` entry on the default single-tenant path). Latencies, completions,
 /// conflicts, back-pressure, and failures are accounted to the tenant that
-/// issued the request.
+/// issued the request. The engine keeps one record per tenant as its only
+/// outcome ledger; the run totals in [`RunMetrics`] are their sums.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TenantMetrics {
     /// Tenant (namespace) name from the [`crate::TenantSpec`].
