@@ -39,9 +39,9 @@
 //! service, and rebuild MTTR across fabrics).
 //!
 //! Sweeps are *resumable*: when `results/sweep_<grid>/` already holds a
-//! manifest with this grid's exact grid hash, points whose record file
-//! exists are reused instead of re-simulated; `--fresh` forces a full
-//! re-run.
+//! `grid.json` stamp of this exact grid, points whose record file parses
+//! and did not fail are reused instead of re-simulated; `--fresh` forces a
+//! full re-run.
 //!
 //! Flags: `--grid <name>`, `--requests <n>` (default: `VENICE_REQUESTS`,
 //! except `mini`/`policy`/`bigmesh`/`scoutcache`/`faults`/`tenants`/
@@ -51,11 +51,11 @@
 //! `Baseline,Venice`), `--scout-cache <off|on|checked>` (override the
 //! scout fast-fail-cache axis), `--fresh`, `--list`.
 
-use venice_bench::report_resumed;
-use venice_bench::sweep::{Knob, ResumedSweep, SweepGrid, WorkerPool};
+use venice_bench::report_sweep;
+use venice_bench::sweep::{Knob, SweepGrid, SweepOutcome, WorkerPool};
 use venice_interconnect::FabricKind;
 use venice_nand::NandTiming;
-use venice_ssd::report::{json_f64, json_str};
+use venice_ssd::report::{json_f64, json_str, Json};
 use venice_ssd::{
     all_systems, DispatchPolicyKind, FaultPlan, RedundancyKind, ResiliencePolicy, ScoutCacheKind,
     SsdConfig, TenantSet,
@@ -209,30 +209,37 @@ const GRID_NAMES: [&str; 14] = [
     "scoutcache", "faults", "tenants", "resilience", "rebuild",
 ];
 
-/// Extracts the raw numeric token after the first `"key": ` occurrence.
-fn json_num(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\": ");
-    let at = json.find(&needle)?;
-    let rest = &json[at + needle.len()..];
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+/// The number at `path` in a point record (`0` when absent).
+fn field(doc: &Json, path: &str) -> f64 {
+    doc.get(path).and_then(Json::as_f64).unwrap_or(0.0)
 }
+
+/// The number at `key` in tenant `name`'s entry of a point record's
+/// `tenants` array.
+fn tenant_field(doc: &Json, name: &str, key: &str) -> Option<f64> {
+    doc.get("tenants")?
+        .as_array()?
+        .iter()
+        .find(|t| t.get("name").and_then(Json::as_str) == Some(name))?
+        .get(key)?
+        .as_f64()
+}
+
+/// Per-(fault plan, fabric) availability accumulator cell.
+type AvailabilityCell<'a> = ((&'a str, &'a str), (f64, u32));
 
 /// Distills the `faults` grid into `results/fault_ablation.json`: one
 /// entry per point plus per-(plan × fabric) mean availability, with a
 /// headline comparing Venice against the bus fabrics under the single-link
 /// plan (the bus loses a whole row to one dead link; the mesh reroutes).
-/// Per-(fault plan, fabric) availability accumulator cell.
-type AvailabilityCell<'a> = ((&'a str, &'a str), (f64, u32));
-
-fn write_fault_ablation(outcome: &ResumedSweep, path: &std::path::Path) {
+fn fault_ablation(outcome: &SweepOutcome) -> String {
     let mut point_lines = Vec::new();
     // (plan label, fabric label) -> (availability sum, points)
     let mut agg: Vec<AvailabilityCell> = Vec::new();
-    for (p, json) in outcome.points().iter().zip(outcome.point_jsons()) {
-        let avail = json_num(json, "availability").unwrap_or(0.0);
-        let failed = json_num(json, "failed_requests").unwrap_or(0.0) as u64;
-        let completed = json_num(json, "completed_requests").unwrap_or(0.0) as u64;
+    for (p, doc) in outcome.documents() {
+        let avail = field(&doc, "faults.availability");
+        let failed = field(&doc, "faults.failed_requests") as u64;
+        let completed = field(&doc, "completed_requests") as u64;
         point_lines.push(format!(
             "    {{\"label\": {}, \"workload\": {}, \"fabric\": {}, \
              \"fault_plan\": {}, \"completed_requests\": {completed}, \
@@ -284,7 +291,7 @@ fn write_fault_ablation(outcome: &ResumedSweep, path: &std::path::Path) {
         .filter_map(|b| mean("link-cross", b))
         .fold(0.0f64, f64::max);
     let sustains = venice_link > best_row_bus && venice_cross > best_bus_cross;
-    let doc = format!(
+    format!(
         "{{\n  \"name\": \"fault_ablation\",\n  \"grid\": \"faults\",\n  \
          \"headline\": {{\"venice_sustains_higher\": {sustains}, \
          \"single_link\": {{\"fault_plan\": \"link\", \"venice_availability\": {}, \
@@ -298,20 +305,7 @@ fn write_fault_ablation(outcome: &ResumedSweep, path: &std::path::Path) {
         json_f64(best_bus_cross),
         agg_lines.join(",\n"),
         point_lines.join(",\n"),
-    );
-    match std::fs::write(path, doc) {
-        Ok(()) => eprintln!("[venice-bench] fault ablation: {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
-}
-
-/// Extracts a numeric field from one tenant's entry of the point JSON's
-/// `"tenants"` array: scoped to start at `"name": "<tenant>"`, so the
-/// first `key` occurrence after it is that tenant's (the global latency
-/// section precedes the array and is skipped by the scoping).
-fn tenant_num(json: &str, tenant: &str, key: &str) -> Option<f64> {
-    let at = json.find(&format!("\"name\": \"{tenant}\""))?;
-    json_num(&json[at..], key)
+    )
 }
 
 /// Distills the `tenants` grid into `results/tenant_isolation.json`.
@@ -323,18 +317,18 @@ fn tenant_num(json: &str, tenant: &str, key: &str) -> Option<f64> {
 /// `venice_protects_victim` asserts Venice's degradation under the
 /// fair-share tenant set is strictly lower than every bus design's — path
 /// diversity, not just queue arbitration, is what isolates the victim.
-fn write_tenant_isolation(outcome: &ResumedSweep, path: &std::path::Path) {
+fn tenant_isolation(outcome: &SweepOutcome) -> String {
     let mut point_lines = Vec::new();
     // (workload, tenant set, fabric) -> victim p99 ns
     let mut victim_p99: Vec<((&str, &str, &str), f64)> = Vec::new();
-    for (p, json) in outcome.points().iter().zip(outcome.point_jsons()) {
+    for (p, doc) in outcome.documents() {
         // Single-tenant points carry one pooled "all" tenant; the victim
         // stream is tenant "victim" on the multi-tenant sets.
-        let victim = tenant_num(json, "victim", "p99_ns")
-            .or_else(|| tenant_num(json, "all", "p99_ns"))
+        let victim = tenant_field(&doc, "victim", "p99_ns")
+            .or_else(|| tenant_field(&doc, "all", "p99_ns"))
             .unwrap_or(0.0);
-        let aggressor = tenant_num(json, "aggressor", "p99_ns");
-        let fairness = json_num(json, "fairness_index").unwrap_or(1.0);
+        let aggressor = tenant_field(&doc, "aggressor", "p99_ns");
+        let fairness = doc.get("fairness_index").and_then(Json::as_f64).unwrap_or(1.0);
         point_lines.push(format!(
             "    {{\"label\": {}, \"workload\": {}, \"tenants\": {}, \
              \"fabric\": {}, \"victim_p99_ns\": {}, \"aggressor_p99_ns\": {}, \
@@ -385,7 +379,7 @@ fn write_tenant_isolation(outcome: &ResumedSweep, path: &std::path::Path) {
         .filter_map(|b| degradation(b, "pair-fair"))
         .fold(f64::MAX, f64::min);
     let protects = venice < best_bus;
-    let doc = format!(
+    format!(
         "{{\n  \"name\": \"tenant_isolation\",\n  \"grid\": \"tenants\",\n  \
          \"headline\": {{\"venice_protects_victim\": {protects}, \
          \"venice_victim_p99_degradation\": {}, \
@@ -398,19 +392,7 @@ fn write_tenant_isolation(outcome: &ResumedSweep, path: &std::path::Path) {
         json_f64(worst_bus),
         deg_lines.join(",\n"),
         point_lines.join(",\n"),
-    );
-    match std::fs::write(path, doc) {
-        Ok(()) => eprintln!("[venice-bench] tenant isolation: {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
-}
-
-/// Extracts a numeric field from the point JSON's top-level
-/// `"resilience"` object: scoped to start there, so tenant entries (whose
-/// `deadline_misses`/`deadline_met` fields precede it) are skipped.
-fn resilience_num(json: &str, key: &str) -> Option<f64> {
-    let at = json.find("\"resilience\": {")?;
-    json_num(&json[at..], key)
+    )
 }
 
 /// Per-(fault plan, resilience policy, tenant set, fabric) goodput
@@ -425,21 +407,22 @@ type GoodputCell<'a> = ((&'a str, &'a str, &'a str, &'a str), (f64, u32));
 /// deadlines when faults and overload hit together — path diversity turns
 /// the host layer's aborts and retries into recovered goodput instead of
 /// repeated misses against a dead row.
-fn write_resilience_ablation(outcome: &ResumedSweep, path: &std::path::Path) {
+fn resilience_ablation(outcome: &SweepOutcome) -> String {
     let mut point_lines = Vec::new();
     let mut agg: Vec<GoodputCell> = Vec::new();
-    for (p, json) in outcome.points().iter().zip(outcome.point_jsons()) {
-        let goodput = resilience_num(json, "goodput").unwrap_or(0.0);
-        let met = resilience_num(json, "deadline_met").unwrap_or(0.0) as u64;
-        let misses = resilience_num(json, "deadline_misses").unwrap_or(0.0) as u64;
-        let retries = resilience_num(json, "host_retries").unwrap_or(0.0) as u64;
-        let shed = resilience_num(json, "shed_requests").unwrap_or(0.0) as u64;
-        let completed = json_num(json, "completed_requests").unwrap_or(0.0) as u64;
+    for (p, doc) in outcome.documents() {
+        let goodput = field(&doc, "resilience.goodput");
+        let met = field(&doc, "resilience.deadline_met") as u64;
+        let misses = field(&doc, "resilience.deadline_misses") as u64;
+        let retries = field(&doc, "resilience.host_retries") as u64;
+        let shed = field(&doc, "resilience.shed_requests") as u64;
+        let completed = field(&doc, "completed_requests") as u64;
         // On deadline-split points, the per-class miss counts show the
         // latency class absorbing the policy's pressure while the batch
         // class (relaxed deadline) and the unarmed class stay clean.
-        let victim_misses = tenant_num(json, "victim", "deadline_misses").unwrap_or(0.0) as u64;
-        let batch_misses = tenant_num(json, "batch", "deadline_misses").unwrap_or(0.0) as u64;
+        let class_misses =
+            |class| tenant_field(&doc, class, "deadline_misses").unwrap_or(0.0) as u64;
+        let (victim_misses, batch_misses) = (class_misses("victim"), class_misses("batch"));
         point_lines.push(format!(
             "    {{\"label\": {}, \"workload\": {}, \"fabric\": {}, \
              \"fault_plan\": {}, \"resilience\": {}, \"tenants\": {}, \
@@ -506,7 +489,7 @@ fn write_resilience_ablation(outcome: &ResumedSweep, path: &std::path::Path) {
         .filter_map(|b| mean("link", "full", b))
         .fold(0.0f64, f64::max);
     let highest = venice > best_bus;
-    let doc = format!(
+    format!(
         "{{\n  \"name\": \"resilience_ablation\",\n  \"grid\": \"resilience\",\n  \
          \"headline\": {{\"venice_highest_goodput\": {highest}, \
          \"fault_plan\": \"link\", \"resilience\": \"full\", \
@@ -516,19 +499,7 @@ fn write_resilience_ablation(outcome: &ResumedSweep, path: &std::path::Path) {
         json_f64(best_bus),
         agg_lines.join(",\n"),
         point_lines.join(",\n"),
-    );
-    match std::fs::write(path, doc) {
-        Ok(()) => eprintln!("[venice-bench] resilience ablation: {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
-}
-
-/// Extracts a numeric field from the point JSON's top-level
-/// `"redundancy"` object: scoped to start there, so the per-tenant
-/// `data_loss` fields (which precede it in the document) are skipped.
-fn redundancy_num(json: &str, key: &str) -> Option<f64> {
-    let at = json.find("\"redundancy\": {")?;
-    json_num(&json[at..], key)
+    )
 }
 
 /// Simulated nanosecond at which [`FaultPlan::Chip`] kills its die — the
@@ -576,18 +547,18 @@ impl RebuildCell {
 /// NoSSD, the other mesh, is excluded from the booleans (its points still
 /// land in the artifact), mirroring the bus-only precedent of the fault,
 /// tenant-isolation, and resilience ablation headlines.
-fn write_rebuild_ablation(outcome: &ResumedSweep, path: &std::path::Path) {
+fn rebuild_ablation(outcome: &SweepOutcome) -> String {
     let mut point_lines = Vec::new();
     let mut cells: Vec<RebuildCell> = Vec::new();
-    for (p, json) in outcome.points().iter().zip(outcome.point_jsons()) {
-        let data_loss = redundancy_num(json, "data_loss_requests").unwrap_or(0.0) as u64;
-        let degraded = redundancy_num(json, "degraded_reads").unwrap_or(0.0) as u64;
-        let rebuilt = redundancy_num(json, "rebuilt_pages").unwrap_or(0.0) as u64;
-        let skipped = redundancy_num(json, "rebuild_skipped_pages").unwrap_or(0.0) as u64;
-        let done_ns = redundancy_num(json, "rebuild_done_ns").unwrap_or(0.0);
-        let completed = json_num(json, "completed_requests").unwrap_or(0.0);
-        let failed = json_num(json, "failed_requests").unwrap_or(0.0);
-        let exec_ns = json_num(json, "execution_time_ns").unwrap_or(0.0);
+    for (p, doc) in outcome.documents() {
+        let data_loss = field(&doc, "redundancy.data_loss_requests") as u64;
+        let degraded = field(&doc, "redundancy.degraded_reads") as u64;
+        let rebuilt = field(&doc, "redundancy.rebuilt_pages") as u64;
+        let skipped = field(&doc, "redundancy.rebuild_skipped_pages") as u64;
+        let done_ns = field(&doc, "redundancy.rebuild_done_ns");
+        let completed = field(&doc, "completed_requests");
+        let failed = field(&doc, "faults.failed_requests");
+        let exec_ns = field(&doc, "execution_time_ns");
         // Successful completions only: a fabric that fast-fails the
         // severed row's requests must not "win" goodput on error
         // completions it never actually served.
@@ -660,7 +631,7 @@ fn write_rebuild_ablation(outcome: &ResumedSweep, path: &std::path::Path) {
     });
     let (venice_goodput, venice_mttr) =
         venice.map_or((0.0, 0.0), |v| (v.goodput, v.mttr_ns));
-    let doc = format!(
+    format!(
         "{{\n  \"name\": \"rebuild_ablation\",\n  \"grid\": \"rebuild\",\n  \
          \"headline\": {{\"parity_zero_data_loss\": {parity_zero_data_loss}, \
          \"venice_highest_goodput\": {venice_highest_goodput}, \
@@ -671,11 +642,7 @@ fn write_rebuild_ablation(outcome: &ResumedSweep, path: &std::path::Path) {
         json_f64(venice_goodput),
         json_f64(venice_mttr),
         point_lines.join(",\n"),
-    );
-    match std::fs::write(path, doc) {
-        Ok(()) => eprintln!("[venice-bench] rebuild ablation: {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
+    )
 }
 
 fn main() {
@@ -744,18 +711,20 @@ fn main() {
         Some(par) => grid.run_resumable(&results, &WorkerPool::new(par), fresh),
         None => grid.run_resumable(&results, WorkerPool::global(), fresh),
     };
-    report_resumed(&outcome);
-    if grid_name == "faults" {
-        write_fault_ablation(&outcome, &results.join("fault_ablation.json"));
-    }
-    if grid_name == "tenants" {
-        write_tenant_isolation(&outcome, &results.join("tenant_isolation.json"));
-    }
-    if grid_name == "resilience" {
-        write_resilience_ablation(&outcome, &results.join("resilience_ablation.json"));
-    }
-    if grid_name == "rebuild" {
-        write_rebuild_ablation(&outcome, &results.join("rebuild_ablation.json"));
+    report_sweep(&outcome, &results);
+    let distilled = match grid_name.as_str() {
+        "faults" => Some(("fault_ablation", fault_ablation(&outcome))),
+        "tenants" => Some(("tenant_isolation", tenant_isolation(&outcome))),
+        "resilience" => Some(("resilience_ablation", resilience_ablation(&outcome))),
+        "rebuild" => Some(("rebuild_ablation", rebuild_ablation(&outcome))),
+        _ => None,
+    };
+    if let Some((name, doc)) = distilled {
+        let path = results.join(format!("{name}.json"));
+        match std::fs::write(&path, doc) {
+            Ok(()) => eprintln!("[venice-bench] {name}: {}", path.display()),
+            Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+        }
     }
 }
 

@@ -11,62 +11,50 @@
 //! manifest path. Points are matched **by label**, and a matched pair is
 //! identical only when its two point records are byte-identical (records
 //! carry no wall-clock field). Every differing pair is reported with its
-//! execution-time, event and conflicted-request deltas and the first
-//! record key that differs; an unreadable record counts as differing. The
-//! manifests' grid and metrics fingerprints are printed for reference.
-//! Use it to diff the same grid before and after an engine change, or —
-//! with `--ignore-scout-cache`, which folds the label's scout-cache
-//! segment and masks the three fields the cache may change
-//! ([`SCOUT_CACHE_FIELDS`]) — a cache-on vs cache-off big-mesh sweep,
-//! where every simulated-behavior field must come out identical.
+//! execution-time, event and conflicted-request deltas and the dotted path
+//! of the first record field that differs (`redundancy.rebuilt_pages`);
+//! a missing or malformed record counts as differing. The manifests' grid
+//! and metrics fingerprints are printed for reference. Use it to diff the
+//! same grid before and after an engine change, or — with
+//! `--ignore-scout-cache`, which folds the label's scout-cache segment and
+//! masks the three fields the cache may change ([`SCOUT_CACHE_FIELDS`]) —
+//! a cache-on vs cache-off big-mesh sweep, where every simulated-behavior
+//! field must come out identical.
 //!
 //! Exit status: 0 when every matched point is identical and the point
 //! sets match, 1 otherwise *only* under `--strict` (without it the tool is
-//! purely informational and always exits 0).
+//! purely informational and always exits 0); 2 on bad usage or an
+//! unreadable or malformed manifest.
 
 use std::path::{Path, PathBuf};
 
-/// One point as indexed by a manifest: label, record file, headline values.
+use venice_ssd::report::Json;
+
+/// One point as indexed by a manifest: label, record file, status
+/// (`"complete"` when absent), headline values.
 struct PointEntry {
     label: String,
     file: String,
-    /// `"complete"`, `"aborted"`, or `"failed"` (manifests written before
-    /// run status existed index as `"complete"`).
     status: String,
     execution_time_ns: u64,
     events: u64,
 }
 
-/// A loaded manifest: fingerprints plus the point index.
+/// A loaded manifest: its directory, document and point index.
 struct Manifest {
     dir: PathBuf,
-    name: String,
-    grid_hash: String,
-    metrics_fingerprint: String,
+    doc: Json,
     points: Vec<PointEntry>,
 }
 
-/// Extracts the string value of the **first** `"key": "..."` field.
-fn json_str_field(json: &str, key: &str) -> Option<String> {
-    venice_bench::microbench::json_str_fields(json, key)
-        .into_iter()
-        .next()
+/// A string field of a manifest or point entry (`""` when absent).
+fn text<'a>(doc: &'a Json, key: &str) -> &'a str {
+    doc.get(key).and_then(Json::as_str).unwrap_or("")
 }
 
-/// Extracts the unsigned integer right after the first `"key": ` in `json`
-/// (kept exact — the shared f64 extractor would lose precision on large
-/// event counts).
-fn json_u64_field(json: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\": ");
-    let at = json.find(&needle)?;
-    let digits: String = json[at + needle.len()..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-fn load_manifest(arg: &str) -> Manifest {
+/// Loads the manifest of a sweep directory or manifest path; an unreadable
+/// or malformed manifest is an error naming the file.
+fn load_manifest(arg: &str) -> Result<Manifest, String> {
     let path = Path::new(arg);
     let (dir, manifest_path) = if path.is_dir() {
         (path.to_path_buf(), path.join("manifest.json"))
@@ -76,38 +64,24 @@ fn load_manifest(arg: &str) -> Manifest {
             path.to_path_buf(),
         )
     };
-    let json = std::fs::read_to_string(&manifest_path).unwrap_or_else(|e| {
-        panic!("cannot read manifest {}: {e}", manifest_path.display())
-    });
-    let points_at = json
-        .find("\"points\": [")
-        .unwrap_or_else(|| panic!("{}: no points index", manifest_path.display()));
-    let mut points = Vec::new();
-    for line in json[points_at..].lines() {
-        let line = line.trim();
-        if !line.starts_with('{') {
-            continue;
-        }
-        let (Some(label), Some(file)) =
-            (json_str_field(line, "label"), json_str_field(line, "file"))
-        else {
-            continue;
-        };
-        points.push(PointEntry {
-            label,
-            file,
-            status: json_str_field(line, "status").unwrap_or_else(|| "complete".to_string()),
-            execution_time_ns: json_u64_field(line, "execution_time_ns").unwrap_or(0),
-            events: json_u64_field(line, "events").unwrap_or(0),
-        });
-    }
-    Manifest {
-        name: json_str_field(&json, "name").unwrap_or_default(),
-        grid_hash: json_str_field(&json, "grid_hash").unwrap_or_default(),
-        metrics_fingerprint: json_str_field(&json, "metrics_fingerprint").unwrap_or_default(),
-        dir,
-        points,
-    }
+    let fail = |why: String| format!("{}: {why}", manifest_path.display());
+    let doc = std::fs::read_to_string(&manifest_path).map_err(|e| fail(e.to_string()))?;
+    let doc = Json::parse(&doc).map_err(fail)?;
+    let num = |entry: &Json, key| entry.get(key).and_then(Json::as_u64).unwrap_or(0);
+    let points = doc
+        .get("points")
+        .and_then(Json::as_array)
+        .ok_or_else(|| fail("no points index".to_string()))?
+        .iter()
+        .map(|entry| PointEntry {
+            label: text(entry, "label").to_string(),
+            file: text(entry, "file").to_string(),
+            status: entry.get("status").and_then(Json::as_str).unwrap_or("complete").to_string(),
+            execution_time_ns: num(entry, "execution_time_ns"),
+            events: num(entry, "events"),
+        })
+        .collect();
+    Ok(Manifest { dir, doc, points })
 }
 
 /// Percent delta of `b` relative to `a` (`0` when both zero).
@@ -139,54 +113,60 @@ const SCOUT_CACHE_FIELDS: [&str; 3] = [
     "scout_cache_invalidations",
 ];
 
-/// Replaces the value of every `"key": value` field named in `keys` with
-/// `*` (a quoted string or a bare token up to the next `,`, `}` or line
-/// end).
-fn mask_fields(record: &str, keys: &[&str]) -> String {
-    let mut out = record.to_string();
-    for key in keys {
-        let needle = format!("\"{key}\": ");
-        let mut from = 0;
-        while let Some(at) = out[from..].find(&needle) {
-            let start = from + at + needle.len();
-            let rest = &out[start..];
-            let len = if let Some(quoted) = rest.strip_prefix('"') {
-                quoted.find('"').map_or(rest.len(), |q| q + 2)
-            } else {
-                rest.find([',', '}', '\n']).unwrap_or(rest.len())
-            };
-            out.replace_range(start..start + len, "*");
-            from = start + 1;
-        }
-    }
-    out
-}
-
-/// Compares two point records byte for byte after masking `masked` (see
-/// [`mask_fields`]): `None` when identical, otherwise the first key whose
-/// field differs (the last key in `a` that starts at or before the first
-/// differing byte; `""` when the records differ before any key).
+/// Compares two point records: `None` when they are byte-identical, or —
+/// with `masked` keys — when they parse and differ only in fields named
+/// in `masked` (at any depth). Otherwise names the first differing field
+/// in `a`'s document order as a dotted path (`redundancy.rebuilt_pages`,
+/// `tenants[0].deadline_misses`); a record that does not parse is
+/// `<malformed record>`, and records that differ only in layout are
+/// `<layout>`.
 fn first_difference(a: &str, b: &str, masked: &[&str]) -> Option<String> {
-    let (a, b) = (mask_fields(a, masked), mask_fields(b, masked));
     if a == b {
         return None;
     }
-    let at = a
-        .bytes()
-        .zip(b.bytes())
-        .position(|(x, y)| x != y)
-        .unwrap_or(a.len().min(b.len()));
-    let mut key = "";
-    let mut from = 0;
-    while let Some(end) = a[from..].find("\": ").map(|i| from + i) {
-        let start = a[..end].rfind('"').map_or(0, |q| q + 1);
-        if start > at {
-            break;
-        }
-        key = &a[start..end];
-        from = end + 3;
+    let (Ok(ta), Ok(tb)) = (Json::parse(a), Json::parse(b)) else {
+        return Some("<malformed record>".to_string());
+    };
+    match difference_path(&ta, &tb, masked, "") {
+        Some(path) => Some(path),
+        None if masked.is_empty() => Some("<layout>".to_string()),
+        None => None,
     }
-    Some(key.to_string())
+}
+
+/// The path of the first value where `a` and `b` differ, skipping object
+/// entries whose key is in `masked`; an object entry whose key differs is
+/// named by `a`'s key (or `b`'s, once `a` has run out).
+fn difference_path(a: &Json, b: &Json, masked: &[&str], path: &str) -> Option<String> {
+    let join = |key: &str| {
+        if path.is_empty() {
+            key.to_string()
+        } else {
+            format!("{path}.{key}")
+        }
+    };
+    match (a, b) {
+        (Json::Object(x), Json::Object(y)) => {
+            (0..x.len().max(y.len())).find_map(|i| match (x.get(i), y.get(i)) {
+                (Some((ka, va)), Some((kb, vb))) if ka == kb => {
+                    if masked.contains(&ka.as_str()) {
+                        None
+                    } else {
+                        difference_path(va, vb, masked, &join(ka))
+                    }
+                }
+                (Some((key, _)), _) | (None, Some((key, _))) => Some(join(key)),
+                (None, None) => None,
+            })
+        }
+        (Json::Array(x), Json::Array(y)) => {
+            (0..x.len().max(y.len())).find_map(|i| match (x.get(i), y.get(i)) {
+                (Some(va), Some(vb)) => difference_path(va, vb, masked, &format!("{path}[{i}]")),
+                _ => Some(format!("{path}[{i}]")),
+            })
+        }
+        _ => (a != b).then(|| path.to_string()),
+    }
 }
 
 fn main() {
@@ -206,8 +186,13 @@ fn main() {
         );
         std::process::exit(2);
     }
-    let mut a = load_manifest(&args[0]);
-    let mut b = load_manifest(&args[1]);
+    let (mut a, mut b) = match (load_manifest(&args[0]), load_manifest(&args[1])) {
+        (Ok(a), Ok(b)) => (a, b),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("sweep_diff: {e}");
+            std::process::exit(2);
+        }
+    };
     let masked: &[&str] = if ignore_cache {
         for m in [&mut a, &mut b] {
             for p in &mut m.points {
@@ -219,17 +204,14 @@ fn main() {
         &[]
     };
 
-    println!("A: {} ({} points)  grid {}", a.name, a.points.len(), a.grid_hash);
-    println!("B: {} ({} points)  grid {}", b.name, b.points.len(), b.grid_hash);
-    let fingerprints = if a.metrics_fingerprint == b.metrics_fingerprint {
-        "match"
-    } else {
-        "differ"
-    };
-    println!(
-        "manifest metrics fingerprints {fingerprints}: {} vs {}",
-        a.metrics_fingerprint, b.metrics_fingerprint
-    );
+    for (side, m) in [("A", &a), ("B", &b)] {
+        let (name, grid) = (text(&m.doc, "name"), text(&m.doc, "grid_hash"));
+        println!("{side}: {name} ({} points)  grid {grid}", m.points.len());
+    }
+    let fingerprint = |m: &Manifest| text(&m.doc, "metrics_fingerprint").to_string();
+    let (fa, fb) = (fingerprint(&a), fingerprint(&b));
+    let verdict = if fa == fb { "match" } else { "differ" };
+    println!("manifest metrics fingerprints {verdict}: {fa} vs {fb}");
 
     let mut mismatched_points = 0usize;
     let mut missing_in_b = 0usize;
@@ -277,28 +259,19 @@ fn main() {
         // identical points would drown the signal on big grids.
         let Some(key) = difference else { continue };
         mismatched_points += 1;
-        // Headline deltas from the records, or from the manifest when a
-        // record is unreadable.
-        let field = |r: &Option<String>, key: &str, fallback: u64| {
+        // Headline deltas: time and events from the manifest index,
+        // conflicted requests from the records (0 when unreadable).
+        let conflicts = |r: &Option<String>| {
             r.as_deref()
-                .and_then(|j| json_u64_field(j, key))
-                .unwrap_or(fallback)
+                .and_then(|j| Json::parse(j).ok()?.get("conflicted_requests")?.as_u64())
+                .map_or(0, |n| n as i64)
         };
-        let (exec_a, exec_b) = (
-            field(&ra, "execution_time_ns", pa.execution_time_ns),
-            field(&rb, "execution_time_ns", pb.execution_time_ns),
-        );
-        let (ev_a, ev_b) = (field(&ra, "events", pa.events), field(&rb, "events", pb.events));
-        let (cf_a, cf_b) = (
-            field(&ra, "conflicted_requests", 0),
-            field(&rb, "conflicted_requests", 0),
-        );
         println!(
             "{:<64} {:>+13.3}% {:>+9.3}% {:>+10}  {key}",
             pa.label,
-            pct(exec_a, exec_b),
-            pct(ev_a, ev_b),
-            cf_b as i64 - cf_a as i64,
+            pct(pa.execution_time_ns, pb.execution_time_ns),
+            pct(pa.events, pb.events),
+            conflicts(&rb) - conflicts(&ra),
         );
     }
     let only_in_b = b_used.iter().filter(|&&u| !u).count();
@@ -345,19 +318,28 @@ mod tests {
             .replace("\"data_loss_requests\": 0", "\"data_loss_requests\": 7");
         assert_eq!(
             first_difference(RECORD, &lost, &[]).as_deref(),
-            Some("rebuilt_pages")
+            Some("redundancy.rebuilt_pages")
         );
         let tenant = RECORD.replace("\"deadline_misses\": 55", "\"deadline_misses\": 56");
         assert_eq!(
             first_difference(RECORD, &tenant, &[]).as_deref(),
-            Some("deadline_misses")
+            Some("tenants[0].deadline_misses")
         );
         // A field-set change is named by the key where the records part.
         let renamed = RECORD.replace("rebuilt_pages", "rebuilt_pagez");
         assert_eq!(
             first_difference(RECORD, &renamed, &[]).as_deref(),
-            Some("rebuilt_pages")
+            Some("redundancy.rebuilt_pages")
         );
+        let extra = RECORD.replace("\"events\": 17251", "\"events\": 17251, \"spare\": 0");
+        assert_eq!(first_difference(RECORD, &extra, &[]).as_deref(), Some("spare"));
+        // A truncated record differs, also with fields masked, and so does
+        // one that only moved its whitespace.
+        let torn = &RECORD[..RECORD.len() - 1];
+        let malformed = Some("<malformed record>".to_string());
+        assert_eq!(first_difference(RECORD, torn, &SCOUT_CACHE_FIELDS), malformed);
+        let relaid = RECORD.replace("\n  ", "\n    ");
+        assert_eq!(first_difference(RECORD, &relaid, &[]).as_deref(), Some("<layout>"));
     }
 
     #[test]
@@ -377,7 +359,7 @@ mod tests {
         let steps = cached.replace("\"hops_total\": 0", "\"hops_total\": 1");
         assert_eq!(
             first_difference(RECORD, &steps, &SCOUT_CACHE_FIELDS).as_deref(),
-            Some("hops_total")
+            Some("fabric.hops_total")
         );
     }
 }

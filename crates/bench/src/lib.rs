@@ -31,7 +31,7 @@ pub mod figures;
 pub mod microbench;
 pub mod sweep;
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use venice_interconnect::FabricKind;
 use venice_ssd::{run_single, RunMetrics, SsdConfig};
@@ -179,8 +179,7 @@ pub fn run_catalog(
     requests: usize,
 ) -> Vec<CatalogRow> {
     let outcome = catalog_grid(config, systems, requests).run();
-    let summary = outcome.summary();
-    eprintln!("[venice-bench] {summary}");
+    eprintln!("[venice-bench] {}", outcome.summary());
     outcome.catalog_rows()
 }
 
@@ -226,26 +225,21 @@ pub fn run_trace(config: &SsdConfig, systems: &[FabricKind], trace: &Trace) -> V
     )
 }
 
-/// Renders `(point, metrics)` rows as the per-point markdown table both
-/// sweep reports share, with speedup over the Baseline row at the same
-/// grid coordinates when one is present.
-fn point_table(rows: &[(&sweep::SweepPoint, &RunMetrics)]) -> venice_ssd::report::Table {
+/// Renders point records as the per-point markdown table of a sweep
+/// report, with speedup over the Baseline record at the same grid
+/// coordinates when one is present.
+fn point_table(records: &[sweep::PointRecord]) -> venice_ssd::report::Table {
     use venice_ssd::report::{f2, Table};
-    let baselines: Vec<(_, &RunMetrics)> = rows
-        .iter()
-        .filter(|(p, _)| p.fabric == FabricKind::Baseline)
-        .map(|&(p, m)| (p.coord(), m))
-        .collect();
     let mut t = Table::new(
         ["point", "exec (ms)", "kIOPS", "conflict %", "vs Baseline"]
             .map(String::from)
             .to_vec(),
     );
-    for &(p, m) in rows {
-        let vs_baseline = baselines
+    for sweep::PointRecord { point: p, metrics: m } in records {
+        let vs_baseline = records
             .iter()
-            .find(|(c, _)| *c == p.coord())
-            .map_or_else(|| "-".to_string(), |(_, b)| format!("{}x", f2(m.speedup_over(b))));
+            .find(|b| b.point.fabric == FabricKind::Baseline && b.point.coord() == p.coord())
+            .map_or_else(|| "-".to_string(), |b| format!("{}x", f2(m.speedup_over(&b.metrics))));
         t.row(vec![
             p.label.clone(),
             format!("{:.3}", m.execution_time.as_secs_f64() * 1e3),
@@ -257,55 +251,26 @@ fn point_table(rows: &[(&sweep::SweepPoint, &RunMetrics)]) -> venice_ssd::report
     t
 }
 
-/// Prints a sweep outcome as a per-point markdown table (with speedup over
-/// the Baseline point at the same grid coordinates, when the grid has one),
-/// writes the artifact under [`results_dir`], and prints the summary and
-/// manifest path to stderr.
-pub fn report_grid(outcome: &sweep::SweepOutcome) {
-    let rows: Vec<(&sweep::SweepPoint, &RunMetrics)> = outcome
-        .records()
-        .iter()
-        .map(|r| (&r.point, &r.metrics))
-        .collect();
-    println!("# Sweep {}: {} points\n", outcome.name(), outcome.records().len());
-    print!("{}", point_table(&rows).to_markdown());
-    let summary = outcome.summary();
-    eprintln!("[venice-bench] {summary}");
-    match outcome.write(&results_dir()) {
-        Ok(dir) => eprintln!(
-            "[venice-bench] sweep artifact: {} (manifest fingerprint {})",
-            dir.join("manifest.json").display(),
-            outcome.manifest_fingerprint()
-        ),
-        Err(e) => eprintln!("warning: cannot write sweep artifact: {e}"),
-    }
-}
-
-/// Prints a resumable sweep's outcome — the `sweep_catalog` CLI's default
-/// output path. Reused points are already on disk, so the table covers the
-/// points executed *this* run (with speedup over a same-coordinate Baseline
-/// point when one also ran); the manifest written to [`sweep::ResumedSweep::dir`]
-/// — the directory the sweep resumed from — always indexes all points.
-pub fn report_resumed(outcome: &sweep::ResumedSweep) {
-    let rows: Vec<(&sweep::SweepPoint, &RunMetrics)> = outcome
-        .executed()
-        .iter()
-        .map(|(id, m)| (&outcome.points()[*id], m))
-        .collect();
+/// Prints a sweep outcome — a table of the points simulated *this* run,
+/// with speedup over a same-coordinate Baseline point when one also ran —
+/// and writes its artifact, which indexes every point, under `base_dir`.
+/// The summary and the manifest path go to stderr.
+pub fn report_sweep(outcome: &sweep::SweepOutcome, base_dir: &Path) {
+    let records = outcome.records();
     println!(
         "# Sweep {}: {} points ({} reused, {} executed)\n",
         outcome.name(),
         outcome.points().len(),
         outcome.reused_count(),
-        outcome.executed().len()
+        records.len()
     );
-    if rows.is_empty() {
+    if records.is_empty() {
         println!("all point records reused; pass --fresh to re-simulate\n");
     } else {
-        print!("{}", point_table(&rows).to_markdown());
+        print!("{}", point_table(records).to_markdown());
     }
     eprintln!("[venice-bench] {}", outcome.summary());
-    match outcome.write() {
+    match outcome.write(base_dir) {
         Ok(dir) => eprintln!(
             "[venice-bench] sweep artifact: {} (metrics fingerprint {})",
             dir.join("manifest.json").display(),
@@ -371,28 +336,26 @@ mod tests {
             .fabrics(&[FabricKind::Baseline, FabricKind::Venice])
             .requests(100)
             .run_on(&WorkerPool::new(2));
-        let rows: Vec<(&sweep::SweepPoint, &RunMetrics)> = outcome
-            .records()
-            .iter()
-            .map(|r| (&r.point, &r.metrics))
-            .collect();
+        let rows = outcome.records();
         assert_eq!(rows.len(), 8);
-        let table = point_table(&rows).to_markdown();
+        let table = point_table(rows).to_markdown();
         let ratios: Vec<&str> = table
             .lines()
             .skip(2)
             .filter_map(|line| line.trim_end_matches(" |").rsplit(" | ").next())
             .collect();
         assert_eq!(ratios.len(), rows.len());
-        for (&(p, m), ratio) in rows.iter().zip(ratios) {
-            let (_, base) = rows
+        for (sweep::PointRecord { point: p, metrics: m }, ratio) in rows.iter().zip(ratios) {
+            let base = rows
                 .iter()
+                .map(|r| (&r.point, &r.metrics))
                 .find(|(b, _)| {
                     b.fabric == FabricKind::Baseline
                         && b.config.redundancy.label() == p.config.redundancy.label()
                         && b.config.tenants.label() == p.config.tenants.label()
                 })
-                .expect("same-coordinate Baseline");
+                .expect("same-coordinate Baseline")
+                .1;
             let expected = format!("{}x", f2(m.speedup_over(base)));
             assert_eq!(ratio, expected, "{}", p.label);
             if p.fabric == FabricKind::Baseline {

@@ -13,6 +13,8 @@
 use std::path::Path;
 use std::time::{Duration, Instant};
 
+use venice_ssd::report::Json;
+
 /// One measured benchmark result.
 #[derive(Clone, Debug)]
 pub struct Measurement {
@@ -146,49 +148,30 @@ impl Runner {
     }
 }
 
-/// Extracts the float right after every `"key": ` occurrence in one of the
-/// workspace's hand-rolled JSON documents, in document order (enough for
-/// the perf-baseline files' fixed schemas).
-pub fn json_f64_fields(json: &str, key: &str) -> Vec<f64> {
-    let needle = format!("\"{key}\": ");
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(at) = rest.find(&needle) {
-        rest = &rest[at + needle.len()..];
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-            .unwrap_or(rest.len());
-        if let Ok(v) = rest[..end].parse() {
-            out.push(v);
-        }
+/// The array at `key` of a JSON document: the `scenarios` of a ratio-bench
+/// artifact or baseline (`{"bench": .., "scenarios": [{"name": ..,
+/// "speedup": ..}]}`), the `entries` of a `BENCH_*.json` ledger.
+///
+/// # Errors
+///
+/// Says why when the document does not parse or has no such array.
+pub fn read_array(json: &str, key: &str) -> Result<Vec<Json>, String> {
+    match Json::parse(json)?.get(key) {
+        Some(Json::Array(items)) => Ok(items.clone()),
+        _ => Err(format!("no {key} array")),
     }
-    out
-}
-
-/// Extracts the string value of every `"key": "..."` occurrence, in
-/// document order.
-pub fn json_str_fields(json: &str, key: &str) -> Vec<String> {
-    let needle = format!("\"{key}\": \"");
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(at) = rest.find(&needle) {
-        rest = &rest[at + needle.len()..];
-        if let Some(end) = rest.find('"') {
-            out.push(rest[..end].to_string());
-        }
-    }
-    out
 }
 
 /// The perf-smoke gate shared by the ratio benches (`dispatch_scan`,
 /// `scout_walk`): compares each measured `(scenario name, speedup)` ratio
 /// against the matching `"name"`/`"speedup"` pair in the checked-in
 /// baseline file and **exits the process with status 1** when any scenario
-/// fell below `floor_fraction` of its baseline ratio. Speedups are
-/// wall-clock ratios on the same machine and binary, so the gate is robust
-/// to absolute machine speed. A missing baseline skips the gate (first run
-/// on a fresh machine); `VENICE_PERF_WARN_ONLY=1` downgrades failures to
-/// warnings on noisy runners.
+/// fell below `floor_fraction` of its baseline ratio, or the baseline is
+/// malformed. Speedups are wall-clock ratios on the same machine and
+/// binary, so the gate is robust to absolute machine speed. A missing
+/// baseline skips the gate (first run on a fresh machine);
+/// `VENICE_PERF_WARN_ONLY=1` downgrades failures to warnings on noisy
+/// runners.
 pub fn enforce_speedup_baseline(
     bench: &str,
     baseline_path: &Path,
@@ -202,11 +185,19 @@ pub fn enforce_speedup_baseline(
         );
         return;
     };
-    let names = json_str_fields(&baseline, "name");
-    let base_speedups = json_f64_fields(&baseline, "speedup");
     let warn_only = std::env::var("VENICE_PERF_WARN_ONLY").is_ok();
-    let mut regressed = false;
-    for (name, base) in names.iter().zip(&base_speedups) {
+    let scenarios = read_array(&baseline, "scenarios");
+    if let Err(e) = &scenarios {
+        eprintln!("malformed baseline {}: {e}", baseline_path.display());
+    }
+    let mut regressed = scenarios.is_err();
+    for scenario in scenarios.iter().flatten() {
+        let (Some(name), Some(base)) = (
+            scenario.get("name").and_then(Json::as_str),
+            scenario.get("speedup").and_then(Json::as_f64),
+        ) else {
+            continue;
+        };
         let Some((_, now)) = speedups.iter().find(|(n, _)| n == name) else {
             continue;
         };
@@ -231,5 +222,32 @@ pub fn enforce_speedup_baseline(
             );
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The checked-in perf baselines read back the exact `(name, speedup)`
+    /// pairs the gates compare, and a torn baseline is an error.
+    #[test]
+    fn checked_in_baselines_read_back_exactly() {
+        let dispatch = include_str!("../../../results/bench_dispatch_baseline.json");
+        let scout = include_str!("../../../results/bench_scout_baseline.json");
+        let pairs = |json| -> Vec<(String, f64)> {
+            let scenarios = read_array(json, "scenarios").expect("baseline parses");
+            let name = |s: &Json| s.get("name").and_then(Json::as_str).map(str::to_string);
+            let speedup = |s: &Json| s.get("speedup").and_then(Json::as_f64);
+            scenarios.iter().map(|s| name(s).zip(speedup(s)).expect("name and speedup")).collect()
+        };
+        let names = ["8x8_venice", "16x16_nossd", "16x16_venice_auto", "32x32_nossd"];
+        let expected = names.iter().zip([1.05, 2.3, 1.1, 5.5]);
+        let expected: Vec<_> = expected.map(|(n, s)| (format!("congested_{n}"), s)).collect();
+        assert_eq!(pairs(dispatch), expected);
+        let scout_pairs = pairs(scout);
+        assert_eq!(scout_pairs.len(), 5);
+        assert_eq!(scout_pairs[4], ("congested_32x32_venice_auto".into(), 1.008));
+        assert!(read_array(&scout[..scout.len() / 2], "scenarios").is_err());
     }
 }

@@ -4,14 +4,11 @@
 //! queue depth, dispatch policy, scout cache, fault plan, tenant set,
 //! resilience and redundancy — are one [`Knob`] table.
 //!
-//! This module is the process's single arbiter of simulation parallelism.
-//! PR 1 had two independent fan-out levels — `run_systems` spawned one
-//! thread per system while the catalog sweep spawned `VENICE_PAR` workers,
-//! multiplying to `VENICE_PAR × systems` threads — which oversubscribed
-//! cores on wide sweeps. Here every simulation of a sweep becomes one job
-//! on a [`WorkerPool`]; while the pool is draining jobs,
-//! [`venice_ssd::run_systems`] detects it (via the shared-pool guard in
-//! `venice_ssd`) and clamps its own fan-out to serial execution.
+//! This module is the process's single arbiter of simulation parallelism:
+//! every simulation of a sweep is one job on a [`WorkerPool`], and while
+//! the pool is draining jobs, [`venice_ssd::run_systems`] detects it (via
+//! the shared-pool guard in `venice_ssd`) and clamps its own fan-out to
+//! serial execution, so threads never multiply to `VENICE_PAR × systems`.
 //!
 //! # Determinism contract
 //!
@@ -47,7 +44,7 @@ use std::time::Instant;
 
 use venice_interconnect::FabricKind;
 use venice_nand::NandTiming;
-use venice_ssd::report::json_str;
+use venice_ssd::report::{json_str, Json};
 use venice_ssd::{
     run_single, DispatchPolicyKind, FaultPlan, RedundancyKind, ResiliencePolicy, RunMetrics,
     ScoutCacheKind, SsdConfig, TenantSet,
@@ -328,11 +325,6 @@ impl SweepGrid {
         }
     }
 
-    /// The grid's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Sets the per-workload request budget.
     pub fn requests(mut self, requests: usize) -> Self {
         self.requests = requests.max(1);
@@ -492,44 +484,7 @@ impl SweepGrid {
     /// pool — and shared by reference across every point that replays
     /// them, so a six-fabric grid does not generate its traces six times.
     pub fn run_on(&self, pool: &WorkerPool) -> SweepOutcome {
-        let start = Instant::now();
-        let workloads = self.effective_workloads();
-        let requests = self.requests;
-        let traces: Vec<Trace> = pool.run(
-            workloads
-                .iter()
-                .map(|axis| move || axis.trace(requests))
-                .collect(),
-        );
-        let points = self.build_points();
-        let metrics: Vec<RunMetrics> = pool.run(
-            points
-                .iter()
-                .map(|point| {
-                    let trace = &traces[point.workload_idx];
-                    move || run_point_guarded(point, trace)
-                })
-                .collect(),
-        );
-        let records: Vec<PointRecord> = points
-            .into_iter()
-            .zip(metrics)
-            .map(|(point, metrics)| PointRecord { point, metrics })
-            .collect();
-        // Serialize each point once up front: the fingerprints, manifest,
-        // and artifact writer all reuse these strings.
-        let point_jsons = records.iter().map(|r| r.metrics.to_json()).collect();
-        SweepOutcome {
-            grid_json: self.definition_json(),
-            name: self.name.clone(),
-            requests: self.requests,
-            workload_count: workloads.len(),
-            fabric_count: self.effective_fabrics().len(),
-            pool_threads: pool.threads(),
-            wall_seconds: start.elapsed().as_secs_f64(),
-            records,
-            point_jsons,
-        }
+        self.complete(pool, |_| None, None)
     }
 
     /// Runs the grid, reusing any point records already on disk from a
@@ -539,74 +494,58 @@ impl SweepGrid {
     /// `grid.json` stamp byte-equals this grid's definition JSON (name,
     /// requests, every axis — so any change invalidates reuse; the
     /// stamp's FNV hash is the manifest's `grid_hash`). Points whose
-    /// record file exists are not re-simulated; only the missing ones run
-    /// on `pool`. `fresh` forces a full re-run regardless (the CLI's
-    /// `--fresh`).
+    /// record file parses and did not fail are not re-simulated; only the
+    /// missing ones run on `pool`. `fresh` forces a full re-run regardless
+    /// (the CLI's `--fresh`).
     ///
     /// The grid stamp is written *before* any simulation and every
     /// executed point persists its record (atomically, via a temp-file
     /// rename) *as it completes*, so a killed sweep resumes from the
     /// points it finished. When the stamp does not match, stale point
     /// records are cleared first — records from two different grids can
-    /// never mix. Call [`ResumedSweep::write`] afterwards to (re)write
+    /// never mix. Call [`SweepOutcome::write`] afterwards to (re)write
     /// the manifest indexing all points; until then, a prior run's
     /// manifest may lag the stamp.
-    pub fn run_resumable(
+    pub fn run_resumable(&self, base_dir: &Path, pool: &WorkerPool, fresh: bool) -> SweepOutcome {
+        let dir = base_dir.join(format!("sweep_{}", self.name));
+        // Best-effort: an unwritable results dir degrades to a
+        // non-resumable sweep, not a failure.
+        let resumable = claim_dir(&dir, &self.definition_json(), fresh).unwrap_or(false);
+        let reuse = |p: &SweepPoint| {
+            let json = std::fs::read_to_string(dir.join(p.file_name())).ok()?;
+            // Only a whole document is trusted, and a failed (panicked)
+            // point's placeholder is retried rather than reused.
+            let doc = Json::parse(&json).ok()?;
+            (doc.get("status").and_then(Json::as_str) != Some("failed")).then_some(json)
+        };
+        self.complete(pool, |p| resumable.then(|| reuse(p)).flatten(), Some(&dir))
+    }
+
+    /// Simulates, on `pool`, every point `reuse` has no record for —
+    /// generating only the traces those points replay — and, with
+    /// `persist`, writes each new record into that sweep directory the
+    /// moment its point finishes (best-effort).
+    fn complete(
         &self,
-        base_dir: &Path,
         pool: &WorkerPool,
-        fresh: bool,
-    ) -> ResumedSweep {
+        reuse: impl Fn(&SweepPoint) -> Option<String>,
+        persist: Option<&Path>,
+    ) -> SweepOutcome {
         let start = Instant::now();
         let points = self.build_points();
-        let grid_json = self.definition_json();
-        let dir = base_dir.join(format!("sweep_{}", self.name));
-        let grid_file = dir.join("grid.json");
-        let resumable = !fresh
-            && std::fs::read_to_string(&grid_file).is_ok_and(|g| g == grid_json);
-        let jsons: Vec<Option<String>> = points
-            .iter()
-            .map(|p| {
-                if !resumable {
-                    return None;
-                }
-                std::fs::read_to_string(dir.join(p.file_name()))
-                    .ok()
-                    // Records are written atomically, so this is belt-and-
-                    // suspenders: only a structurally whole document is
-                    // trusted.
-                    .filter(|s| s.starts_with('{') && s.trim_end().ends_with('}'))
-                    // A failed (panicked) point's placeholder record is
-                    // never reused: the resumed sweep retries it.
-                    .filter(|s| !s.contains("\"status\": \"failed\""))
-            })
-            .collect();
-        let reused: Vec<bool> = jsons.iter().map(|j| j.is_some()).collect();
-        if !resumable {
-            // Different grid (or --fresh): clear stale records before
-            // stamping the new definition.
-            let _ = std::fs::remove_dir_all(dir.join("points"));
-        }
-        // Stamp the definition up front (best-effort: an unwritable
-        // results dir degrades to a non-resumable sweep, not a failure).
-        let _ = std::fs::create_dir_all(dir.join("points"));
-        let _ = write_atomic(&grid_file, grid_json.as_bytes());
-        // Generate traces only for workloads some missing point still needs.
+        let mut records: Vec<Option<String>> = points.iter().map(reuse).collect();
         let workloads = self.effective_workloads();
         let requests = self.requests;
-        let mut needed = vec![false; workloads.len()];
-        for p in points.iter().filter(|p| !reused[p.id]) {
-            needed[p.workload_idx] = true;
-        }
+        let missing: Vec<&SweepPoint> = points.iter().filter(|p| records[p.id].is_none()).collect();
         let traces: Vec<Option<Trace>> = pool.run(
-            workloads
-                .iter()
-                .zip(&needed)
-                .map(|(axis, &need)| move || need.then(|| axis.trace(requests)))
+            (0..workloads.len())
+                .map(|i| {
+                    let need = missing.iter().any(|p| p.workload_idx == i);
+                    let axis = &workloads[i];
+                    move || need.then(|| axis.trace(requests))
+                })
                 .collect(),
         );
-        let missing: Vec<&SweepPoint> = points.iter().filter(|p| !reused[p.id]).collect();
-        let dir_ref = &dir;
         let results: Vec<(RunMetrics, String)> = pool.run(
             missing
                 .iter()
@@ -615,37 +554,41 @@ impl SweepGrid {
                         .as_ref()
                         .expect("trace generated for missing point");
                     move || {
-                        let m = run_point_guarded(point, trace);
-                        // Persist the record the moment the point finishes,
-                        // so a killed sweep resumes from here (best-effort).
-                        let json = m.to_json();
-                        let _ =
-                            write_atomic(&dir_ref.join(point.file_name()), json.as_bytes());
-                        (m, json)
+                        let metrics = run_point_guarded(point, trace);
+                        let json = metrics.to_json();
+                        if let Some(dir) = persist {
+                            let _ = write_atomic(&dir.join(point.file_name()), json.as_bytes());
+                        }
+                        (metrics, json)
                     }
                 })
                 .collect(),
         );
-        let mut jsons = jsons;
-        let mut executed = Vec::with_capacity(missing.len());
-        for (point, (m, json)) in missing.into_iter().zip(results) {
-            jsons[point.id] = Some(json);
-            executed.push((point.id, m));
-        }
-        ResumedSweep {
-            grid_json,
+        let ran = missing
+            .into_iter()
+            .zip(results)
+            .map(|(point, (metrics, json))| {
+                records[point.id] = Some(json);
+                PointRecord {
+                    point: point.clone(),
+                    metrics,
+                }
+            })
+            .collect();
+        SweepOutcome {
+            grid_json: self.definition_json(),
             name: self.name.clone(),
-            requests: self.requests,
+            requests,
+            workload_count: workloads.len(),
+            fabric_count: self.effective_fabrics().len(),
             pool_threads: pool.threads(),
             wall_seconds: start.elapsed().as_secs_f64(),
-            point_jsons: jsons
+            point_jsons: records
                 .into_iter()
-                .map(|j| j.expect("every point reused or executed"))
+                .map(|json| json.expect("every point reused or simulated"))
                 .collect(),
             points,
-            reused,
-            executed,
-            dir,
+            ran,
         }
     }
 
@@ -653,38 +596,27 @@ impl SweepGrid {
     /// manifest and hashed into [`SweepOutcome::grid_hash`]). An unset
     /// config axis lists `"base"`.
     pub fn definition_json(&self) -> String {
-        let configs: Vec<String> = self
-            .effective_configs()
-            .iter()
-            .map(|c| c.name.to_string())
-            .collect();
-        let workloads: Vec<String> = self
-            .effective_workloads()
-            .iter()
-            .map(|w| w.name().to_string())
-            .collect();
-        let fabrics: Vec<String> = self
-            .effective_fabrics()
-            .iter()
-            .map(|f| f.label().to_string())
-            .collect();
-        let mut json = format!(
-            "{{\"name\": {}, \"requests\": {}, \"configs\": {}, \"workloads\": {}",
-            json_str(&self.name),
-            self.requests,
-            json_str_list(&configs),
-            json_str_list(&workloads),
-        );
+        let list = |labels: Vec<String>| Json::Array(labels.into_iter().map(Json::Str).collect());
+        let configs = self.effective_configs().iter().map(|c| c.name.to_string()).collect();
+        let workloads = self.effective_workloads().iter().map(|w| w.name().to_string()).collect();
+        let fabrics = self.effective_fabrics().iter().map(|f| f.label().to_string()).collect();
+        let mut fields = vec![
+            ("name", Json::Str(self.name.clone())),
+            ("requests", Json::Num(self.requests.to_string())),
+            ("configs", list(configs)),
+            ("workloads", list(workloads)),
+        ];
         for ((key, _), set) in Knob::AXES.iter().zip(&self.knobs) {
-            let values: Vec<String> = if set.is_empty() {
+            let labels = if set.is_empty() {
                 vec!["base".to_string()]
             } else {
                 set.iter().map(Knob::label).collect()
             };
-            json.push_str(&format!(", \"{key}\": {}", json_str_list(&values)));
+            fields.push((key, list(labels)));
         }
-        json.push_str(&format!(", \"fabrics\": {}}}", json_str_list(&fabrics)));
-        json
+        fields.push(("fabrics", list(fabrics)));
+        Json::Object(fields.into_iter().map(|(key, value)| (key.to_string(), value)).collect())
+            .to_string()
     }
 }
 
@@ -748,8 +680,11 @@ pub struct PointRecord {
     pub metrics: RunMetrics,
 }
 
-/// The result of running a [`SweepGrid`]: every point's metrics in point-id
-/// order, plus everything needed to write a reproducible artifact.
+/// The result of running a [`SweepGrid`], by [`SweepGrid::run_on`] or
+/// [`SweepGrid::run_resumable`]: every point's stable JSON record in id
+/// order — reused from disk or freshly simulated — plus the metrics of the
+/// points simulated this run, and everything needed to write a
+/// reproducible artifact.
 #[derive(Clone, Debug)]
 pub struct SweepOutcome {
     grid_json: String,
@@ -759,16 +694,41 @@ pub struct SweepOutcome {
     fabric_count: usize,
     pool_threads: usize,
     wall_seconds: f64,
-    records: Vec<PointRecord>,
-    /// `records[i].metrics.to_json()`, computed once at construction and
-    /// shared by the fingerprints, manifest, and artifact writer.
+    /// Every grid point, in id order.
+    points: Vec<SweepPoint>,
+    /// One stable JSON record per point, in id order: the fingerprints,
+    /// manifest and artifact writer all read these.
     point_jsons: Vec<String>,
+    /// The points simulated this run, with their metrics, in id order.
+    ran: Vec<PointRecord>,
 }
 
 impl SweepOutcome {
-    /// The executed points, in point-id order.
+    /// The points simulated this run, with their metrics, in id order:
+    /// every point after [`SweepGrid::run_on`], the missing ones after
+    /// [`SweepGrid::run_resumable`].
     pub fn records(&self) -> &[PointRecord] {
-        &self.records
+        &self.ran
+    }
+
+    /// Every grid point, in id order.
+    pub fn points(&self) -> &[SweepPoint] {
+        &self.points
+    }
+
+    /// Every point with its parsed JSON record, in id order. Each record
+    /// parses — it was just written by `RunMetrics::to_json` or parsed
+    /// before reuse — so the `Null` fallback never shows.
+    pub fn documents(&self) -> impl Iterator<Item = (&SweepPoint, Json)> {
+        self.points
+            .iter()
+            .zip(&self.point_jsons)
+            .map(|(p, json)| (p, Json::parse(json).unwrap_or(Json::Null)))
+    }
+
+    /// How many point records were reused from a prior artifact.
+    pub fn reused_count(&self) -> usize {
+        self.points.len() - self.ran.len()
     }
 
     /// The grid's name.
@@ -776,9 +736,9 @@ impl SweepOutcome {
         &self.name
     }
 
-    /// Wall-clock seconds the sweep took.
-    pub fn wall_seconds(&self) -> f64 {
-        self.wall_seconds
+    /// The sweep artifact directory under `base_dir`: `sweep_<name>`.
+    pub fn dir(&self, base_dir: &Path) -> PathBuf {
+        base_dir.join(format!("sweep_{}", self.name))
     }
 
     /// FNV-1a hash of the grid definition JSON: identifies *what* was swept.
@@ -786,17 +746,17 @@ impl SweepOutcome {
         format!("{:016x}", fnv1a(self.grid_json.as_bytes(), FNV_OFFSET))
     }
 
-    /// FNV-1a hash chained over every point's metrics JSON in id order,
-    /// from `seed`: identifies *what came out*.
+    /// FNV-1a hash chained over every point record in id order, from
+    /// `seed`.
     fn chain_points(&self, seed: u64) -> u64 {
         self.point_jsons
             .iter()
             .fold(seed, |h, json| fnv1a(json.as_bytes(), h))
     }
 
-    /// FNV-1a hash chained over every point's metrics JSON in id order:
-    /// identifies *what came out*. Bit-identical across pool sizes and
-    /// execution orders; wall-clock time and environment are excluded.
+    /// FNV-1a hash chained over every point record in id order: identifies
+    /// *what came out*. Bit-identical across pool sizes, execution orders
+    /// and resumes; wall-clock time and environment are excluded.
     pub fn metrics_fingerprint(&self) -> String {
         format!("{:016x}", self.chain_points(FNV_OFFSET))
     }
@@ -809,27 +769,30 @@ impl SweepOutcome {
         format!("{:016x}", self.chain_points(seed))
     }
 
-    /// Total simulator events across all points.
+    /// Total simulator events across all points, read back out of the
+    /// records, so reused points count too.
     pub fn events(&self) -> u64 {
-        self.records.iter().map(|r| r.metrics.events).sum()
+        self.documents()
+            .filter_map(|(_, doc)| doc.get("events").and_then(Json::as_u64))
+            .sum()
     }
 
-    /// The sweep's throughput summary (compatible with the catalog-sweep
-    /// summary line the harness has printed since PR 1).
+    /// The sweep's throughput summary (reused points contribute their
+    /// recorded events but no fresh wall-clock work).
     pub fn summary(&self) -> SweepSummary {
         SweepSummary {
             workloads: self.workload_count,
             systems: self.fabric_count,
-            points: self.records.len(),
+            points: self.points.len(),
             par: self.pool_threads,
             wall_seconds: self.wall_seconds,
             events: self.events(),
         }
     }
 
-    /// Regroups the outcome into `(workload name, metrics per fabric)` rows
-    /// for points matching `filter`, preserving point order — the shape the
-    /// figure renderers consume.
+    /// Regroups the points simulated this run into `(workload name,
+    /// metrics per fabric)` rows for points matching `filter`, preserving
+    /// point order — the shape the figure renderers consume.
     ///
     /// A row is one [`SweepPoint::coord`] — every coordinate but the
     /// fabric — so metrics from different configurations are never merged
@@ -842,7 +805,7 @@ impl SweepOutcome {
     ) -> Vec<CatalogRow> {
         let mut rows: Vec<CatalogRow> = Vec::new();
         let mut last_coord = None;
-        for r in self.records.iter().filter(|r| filter(&r.point)) {
+        for r in self.ran.iter().filter(|r| filter(&r.point)) {
             let key = Some(r.point.coord());
             if last_coord != key {
                 rows.push((r.point.workload.clone(), Vec::new()));
@@ -864,183 +827,67 @@ impl SweepOutcome {
 
     /// The sweep manifest as one JSON document: grid definition, git
     /// revision, environment knobs, pool/wall-clock info, fingerprints,
-    /// and the per-point index with headline numbers for quick diffing.
+    /// and the per-point index with headline numbers read back out of the
+    /// records (so a reused record and a fresh one index identically).
     pub fn manifest_json(&self) -> String {
-        let points: Vec<SweepPoint> = self.records.iter().map(|r| r.point.clone()).collect();
-        manifest_json_for(
-            &self.name,
-            &self.grid_json,
+        let mut index = String::from("[\n");
+        for (i, (p, doc)) in self.documents().enumerate() {
+            let num = |key| doc.get(key).and_then(Json::as_u64).unwrap_or(0);
+            index.push_str(&format!(
+                "    {{\"id\": {}, \"label\": {}, \"file\": {}, \"status\": {}, \
+                 \"execution_time_ns\": {}, \"events\": {}}}{}\n",
+                p.id,
+                json_str(&p.label),
+                json_str(&p.file_name()),
+                json_str(doc.get("status").and_then(Json::as_str).unwrap_or("complete")),
+                num("execution_time_ns"),
+                num("events"),
+                if i + 1 == self.points.len() { "" } else { "," }
+            ));
+        }
+        index.push_str("  ]");
+        format!(
+            "{{\n  \"name\": {},\n  \"engine\": \"venice_bench::sweep\",\n  \
+             \"git\": {},\n  \"requests\": {},\n  \"points_total\": {},\n  \
+             \"pool_threads\": {},\n  \"wall_seconds\": {},\n  \
+             \"env\": {{\"VENICE_REQUESTS\": {}, \"VENICE_PAR\": {}, \
+             \"VENICE_RESULTS_DIR\": {}}},\n  \"grid\": {},\n  \
+             \"grid_hash\": {},\n  \"metrics_fingerprint\": {},\n  \
+             \"manifest_fingerprint\": {},\n  \"points\": {}\n}}\n",
+            json_str(&self.name),
+            json_str(&git_describe()),
             self.requests,
+            self.points.len(),
             self.pool_threads,
             self.wall_seconds,
-            &points,
-            &self.point_jsons,
+            json_env("VENICE_REQUESTS"),
+            json_env("VENICE_PAR"),
+            json_env("VENICE_RESULTS_DIR"),
+            self.grid_json,
+            json_str(&self.grid_hash()),
+            json_str(&self.metrics_fingerprint()),
+            json_str(&self.manifest_fingerprint()),
+            index,
         )
     }
 
-    /// Writes the sweep artifact under `base_dir`: a
-    /// `sweep_<name>/manifest.json` plus one `points/p<id>-<label>.json`
-    /// metrics record per point. Returns the sweep directory.
+    /// Writes the sweep artifact into [`SweepOutcome::dir`]: the
+    /// `grid.json` stamp, one `points/p<id>-<label>.json` record per point
+    /// and the manifest indexing them all, each file atomically. A later
+    /// [`SweepGrid::run_resumable`] of the same grid reuses every record.
+    /// Returns the sweep directory.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from directory creation or file writes.
     pub fn write(&self, base_dir: &Path) -> std::io::Result<PathBuf> {
-        let dir = base_dir.join(format!("sweep_{}", self.name));
-        std::fs::create_dir_all(dir.join("points"))?;
-        for (r, json) in self.records.iter().zip(&self.point_jsons) {
-            std::fs::write(dir.join(r.point.file_name()), json)?;
-        }
-        std::fs::write(dir.join("manifest.json"), self.manifest_json())?;
-        Ok(dir)
-    }
-}
-
-/// The result of a resumable sweep ([`SweepGrid::run_resumable`]): every
-/// point's stable JSON record in id order — reused from disk or freshly
-/// simulated — plus the metrics of the points that actually ran.
-#[derive(Clone, Debug)]
-pub struct ResumedSweep {
-    grid_json: String,
-    name: String,
-    requests: usize,
-    pool_threads: usize,
-    wall_seconds: f64,
-    points: Vec<SweepPoint>,
-    /// One stable-JSON record per point, in point-id order.
-    point_jsons: Vec<String>,
-    /// Whether each point's record was reused from a prior artifact.
-    reused: Vec<bool>,
-    /// `(point id, metrics)` of the points executed this run, in id order.
-    executed: Vec<(usize, RunMetrics)>,
-    /// The sweep artifact directory this run resumed from and persists to.
-    dir: PathBuf,
-}
-
-impl ResumedSweep {
-    /// The grid's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Every grid point, in id order.
-    pub fn points(&self) -> &[SweepPoint] {
-        &self.points
-    }
-
-    /// The per-point stable-JSON records, in id order.
-    pub fn point_jsons(&self) -> &[String] {
-        &self.point_jsons
-    }
-
-    /// How many point records were reused from the prior artifact.
-    pub fn reused_count(&self) -> usize {
-        self.reused.iter().filter(|&&r| r).count()
-    }
-
-    /// Whether point `id`'s record was reused.
-    pub fn point_reused(&self, id: usize) -> bool {
-        self.reused[id]
-    }
-
-    /// The points executed this run, with their metrics, in id order.
-    pub fn executed(&self) -> &[(usize, RunMetrics)] {
-        &self.executed
-    }
-
-    /// Wall-clock seconds this (partial) run took.
-    pub fn wall_seconds(&self) -> f64 {
-        self.wall_seconds
-    }
-
-    /// FNV-1a hash of the grid definition JSON (same as
-    /// [`SweepOutcome::grid_hash`] for the same grid).
-    pub fn grid_hash(&self) -> String {
-        format!("{:016x}", fnv1a(self.grid_json.as_bytes(), FNV_OFFSET))
-    }
-
-    /// FNV-1a hash chained over every point record in id order. A resumed
-    /// run of a deterministic grid produces the same fingerprint as the
-    /// uninterrupted run it is completing.
-    pub fn metrics_fingerprint(&self) -> String {
-        let h = self
-            .point_jsons
-            .iter()
-            .fold(FNV_OFFSET, |h, j| fnv1a(j.as_bytes(), h));
-        format!("{h:016x}")
-    }
-
-    /// Total simulator events across all points (parsed back out of the
-    /// stable records, so reused points count too).
-    pub fn events(&self) -> u64 {
-        self.point_jsons
-            .iter()
-            .map(|j| json_u64_field(j, "events"))
-            .sum()
-    }
-
-    /// The manifest document (same schema as [`SweepOutcome::manifest_json`]).
-    pub fn manifest_json(&self) -> String {
-        manifest_json_for(
-            &self.name,
-            &self.grid_json,
-            self.requests,
-            self.pool_threads,
-            self.wall_seconds,
-            &self.points,
-            &self.point_jsons,
-        )
-    }
-
-    /// The sweep artifact directory (`<base_dir>/sweep_<name>`) this run
-    /// resumed from; executed point records were already persisted there
-    /// as they completed.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Completes the on-disk artifact in [`ResumedSweep::dir`]: re-writes
-    /// every point record (executed ones were already persisted as they
-    /// completed; this repairs any that a full disk dropped) and the full
-    /// manifest indexing all points. Returns the sweep directory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from directory creation or file writes.
-    pub fn write(&self) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(self.dir.join("points"))?;
+        let dir = self.dir(base_dir);
+        claim_dir(&dir, &self.grid_json, false)?;
         for (p, json) in self.points.iter().zip(&self.point_jsons) {
-            let path = self.dir.join(p.file_name());
-            if !self.reused[p.id] || !path.is_file() {
-                write_atomic(&path, json.as_bytes())?;
-            }
+            write_atomic(&dir.join(p.file_name()), json.as_bytes())?;
         }
-        write_atomic(&self.dir.join("manifest.json"), self.manifest_json().as_bytes())?;
-        Ok(self.dir.clone())
-    }
-
-    /// The sweep's throughput summary (reused points contribute their
-    /// recorded events but no fresh wall-clock work).
-    pub fn summary(&self) -> crate::SweepSummary {
-        let mut systems: Vec<FabricKind> = Vec::new();
-        for p in &self.points {
-            if !systems.contains(&p.fabric) {
-                systems.push(p.fabric);
-            }
-        }
-        crate::SweepSummary {
-            workloads: self
-                .points
-                .iter()
-                .map(|p| p.workload_idx)
-                .max()
-                .map_or(0, |m| m + 1),
-            systems: systems.len(),
-            points: self.points.len(),
-            par: self.pool_threads,
-            wall_seconds: self.wall_seconds,
-            events: self.events(),
-        }
+        write_atomic(&dir.join("manifest.json"), self.manifest_json().as_bytes())?;
+        Ok(dir)
     }
 }
 
@@ -1059,18 +906,6 @@ fn run_point_guarded(point: &SweepPoint, trace: &Trace) -> RunMetrics {
         );
         RunMetrics::failed(point.fabric, &point.workload, point.config.name)
     })
-}
-
-/// The `"status"` of a point record (`"complete"` when the field is absent
-/// — records written before run status existed).
-fn json_status(json: &str) -> &'static str {
-    if json.contains("\"status\": \"failed\"") {
-        "failed"
-    } else if json.contains("\"status\": \"aborted\"") {
-        "aborted"
-    } else {
-        "complete"
-    }
 }
 
 /// FNV-1a 64-bit offset basis (the seed of an unchained hash).
@@ -1093,105 +928,30 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// Extracts the unsigned integer value of a `"key": <digits>` field from
-/// one of the engine's stable-JSON documents (zero when absent — the
-/// engine's own records always carry the fields this module asks for).
-fn json_u64_field(json: &str, key: &str) -> u64 {
-    let needle = format!("\"{key}\": ");
-    json.find(&needle)
-        .map(|at| {
-            json[at + needle.len()..]
-                .chars()
-                .take_while(|c| c.is_ascii_digit())
-                .fold(0u64, |n, c| n * 10 + u64::from(c as u8 - b'0'))
-        })
-        .unwrap_or(0)
-}
-
-/// The manifest document shared by [`SweepOutcome`] and [`ResumedSweep`]:
-/// headline per-point numbers are read back out of the stable point JSON,
-/// so a reused record and a fresh one index identically.
-fn manifest_json_for(
-    name: &str,
-    grid_json: &str,
-    requests: usize,
-    pool_threads: usize,
-    wall_seconds: f64,
-    points: &[SweepPoint],
-    point_jsons: &[String],
-) -> String {
-    let mut index = String::from("[\n");
-    for (i, (p, json)) in points.iter().zip(point_jsons).enumerate() {
-        index.push_str(&format!(
-            "    {{\"id\": {}, \"label\": {}, \"file\": {}, \"status\": {}, \
-             \"execution_time_ns\": {}, \"events\": {}}}{}\n",
-            p.id,
-            json_str(&p.label),
-            json_str(&p.file_name()),
-            json_str(json_status(json)),
-            json_u64_field(json, "execution_time_ns"),
-            json_u64_field(json, "events"),
-            if i + 1 == points.len() { "" } else { "," }
-        ));
+/// Makes `dir` the artifact directory of the grid defined by `grid_json`
+/// and stamps it (`grid.json`). When the old stamp names another grid (or
+/// `fresh`), the old point records are cleared first, so records of two
+/// grids never mix. Returns whether the old records are this grid's.
+fn claim_dir(dir: &Path, grid_json: &str, fresh: bool) -> std::io::Result<bool> {
+    let stamp = dir.join("grid.json");
+    let ours = !fresh && std::fs::read_to_string(&stamp).is_ok_and(|g| g == grid_json);
+    if !ours {
+        let _ = std::fs::remove_dir_all(dir.join("points"));
     }
-    index.push_str("  ]");
-    let grid_hash = format!("{:016x}", fnv1a(grid_json.as_bytes(), FNV_OFFSET));
-    let metrics_fp = format!(
-        "{:016x}",
-        point_jsons
-            .iter()
-            .fold(FNV_OFFSET, |h, j| fnv1a(j.as_bytes(), h))
-    );
-    let manifest_fp = format!(
-        "{:016x}",
-        point_jsons.iter().fold(
-            fnv1a(grid_json.as_bytes(), FNV_OFFSET),
-            |h, j| fnv1a(j.as_bytes(), h)
-        )
-    );
-    format!(
-        "{{\n  \"name\": {},\n  \"engine\": \"venice_bench::sweep\",\n  \
-         \"git\": {},\n  \"requests\": {},\n  \"points_total\": {},\n  \
-         \"pool_threads\": {},\n  \"wall_seconds\": {},\n  \
-         \"env\": {{\"VENICE_REQUESTS\": {}, \"VENICE_PAR\": {}, \
-         \"VENICE_RESULTS_DIR\": {}}},\n  \"grid\": {},\n  \
-         \"grid_hash\": {},\n  \"metrics_fingerprint\": {},\n  \
-         \"manifest_fingerprint\": {},\n  \"points\": {}\n}}\n",
-        json_str(name),
-        json_str(&git_describe()),
-        requests,
-        points.len(),
-        pool_threads,
-        wall_seconds,
-        json_env("VENICE_REQUESTS"),
-        json_env("VENICE_PAR"),
-        json_env("VENICE_RESULTS_DIR"),
-        grid_json,
-        json_str(&grid_hash),
-        json_str(&metrics_fp),
-        json_str(&manifest_fp),
-        index,
-    )
-}
-
-/// JSON array of string literals.
-fn json_str_list(items: &[String]) -> String {
-    let body: Vec<String> = items.iter().map(|s| json_str(s)).collect();
-    format!("[{}]", body.join(", "))
+    std::fs::create_dir_all(dir.join("points"))?;
+    write_atomic(&stamp, grid_json.as_bytes())?;
+    Ok(ours)
 }
 
 /// The raw value of env var `name` as a JSON value (`null` when unset).
 fn json_env(name: &str) -> String {
-    match std::env::var(name) {
-        Ok(v) => json_str(&v),
-        Err(_) => "null".to_string(),
-    }
+    std::env::var(name).map_or(Json::Null, Json::Str).to_string()
 }
 
 /// `git describe --always --dirty` of the working tree, or `"unknown"`
-/// outside a git checkout (recorded in manifests for provenance; never part
-/// of the fingerprints).
-fn git_describe() -> String {
+/// outside a git checkout (recorded in manifests and ledgers for
+/// provenance; never part of the fingerprints).
+pub fn git_describe() -> String {
     std::process::Command::new("git")
         .args(["describe", "--always", "--dirty", "--tags"])
         .output()
@@ -1315,19 +1075,19 @@ mod tests {
                 assert_eq!(&Knob::of(axis, &p.config), knob, "{}", p.label);
                 assert!(p.label.contains(&knob.label()), "label {}", p.label);
             }
-            let labels: Vec<String> = values.iter().map(Knob::label).collect();
-            let entry = format!("\"{}\": {}", Knob::AXES[axis].0, json_str_list(&labels));
-            let def = grid.definition_json();
-            assert!(def.contains(&entry), "{entry} missing from {def}");
+            let labels = Json::Array(values.iter().map(|k| Json::Str(k.label())).collect());
+            let def = Json::parse(&grid.definition_json()).expect("definition parses");
+            assert_eq!(def.get(Knob::AXES[axis].0), Some(&labels));
         }
         // An unset axis serializes as the base marker and sweeps the base
         // config's own value.
         let plain = SweepGrid::new("plain")
             .workload(WorkloadAxis::catalog("hm_0").expect("catalog"))
             .requests(50);
-        let def = plain.definition_json();
+        let def = Json::parse(&plain.definition_json()).expect("definition parses");
+        let unset = Json::Array(vec![Json::Str("base".to_string())]);
         for (key, _) in Knob::AXES {
-            assert!(def.contains(&format!("\"{key}\": [\"base\"]")), "{def}");
+            assert_eq!(def.get(key), Some(&unset), "{key}");
         }
         let point = &plain.build_points()[0];
         for axis in 0..Knob::AXES.len() {
@@ -1382,36 +1142,64 @@ mod tests {
         assert_eq!(rows[1].1[0].config, "cost-optimized");
     }
 
+    /// The manifest reads back the outcome's fingerprints, definition and
+    /// exact per-point index.
     #[test]
     fn manifest_carries_fingerprints_and_points() {
         let outcome = tiny_grid().run_on(&WorkerPool::new(2));
-        let manifest = outcome.manifest_json();
-        assert!(manifest.contains("\"name\": \"unit\""));
-        assert!(manifest.contains(&format!("\"grid_hash\": \"{}\"", outcome.grid_hash())));
-        assert!(manifest
-            .contains(&format!("\"metrics_fingerprint\": \"{}\"", outcome.metrics_fingerprint())));
-        assert!(manifest.contains("\"points_total\": 4"));
-        assert!(manifest.contains("p0000-"));
+        let manifest = Json::parse(&outcome.manifest_json()).expect("manifest parses");
+        let text = |key| manifest.get(key).and_then(Json::as_str).map(str::to_string);
+        assert_eq!(text("name").as_deref(), Some("unit"));
+        assert_eq!(text("grid_hash"), Some(outcome.grid_hash()));
+        assert_eq!(text("metrics_fingerprint"), Some(outcome.metrics_fingerprint()));
+        assert_eq!(text("manifest_fingerprint"), Some(outcome.manifest_fingerprint()));
+        assert_eq!(manifest.get("points_total").and_then(Json::as_u64), Some(4));
+        let grid = Json::parse(&tiny_grid().definition_json()).ok();
+        assert_eq!(manifest.get("grid"), grid.as_ref());
+        let index = manifest.get("points").and_then(Json::as_array).expect("index");
+        assert_eq!(index.len(), outcome.records().len());
+        for (entry, r) in index.iter().zip(outcome.records()) {
+            let (num, text) = (|k| entry.get(k)?.as_u64(), |k| entry.get(k)?.as_str());
+            assert_eq!(num("id"), Some(r.point.id as u64));
+            assert_eq!((text("label"), text("status")), (Some(&*r.point.label), Some("complete")));
+            assert_eq!(text("file"), Some(&*r.point.file_name()));
+            assert_eq!(num("execution_time_ns"), Some(r.metrics.execution_time.as_nanos()));
+            assert_eq!(num("events"), Some(r.metrics.events));
+        }
         let summary = outcome.summary();
-        assert_eq!(summary.workloads, 2);
-        assert_eq!(summary.systems, 2);
-        assert_eq!(summary.events, outcome.events());
+        assert_eq!((summary.workloads, summary.systems), (2, 2));
+        let events: u64 = outcome.records().iter().map(|r| r.metrics.events).sum();
+        assert_eq!((summary.events, outcome.events()), (events, events));
     }
 
+    /// An artifact written from a plain run (the `repro` path) carries the
+    /// `grid.json` stamp, so a resumable run of the same grid reuses every
+    /// record and converges to the same fingerprints; a different grid
+    /// written into the same directory clears the old records first.
     #[test]
-    fn sweep_artifact_writes_manifest_and_points() {
-        let outcome = SweepGrid::new("unit-write")
-            .workload(WorkloadAxis::catalog("hm_0").expect("catalog"))
-            .fabrics(&[FabricKind::Ideal])
-            .requests(60)
-            .run_on(&WorkerPool::new(1));
+    fn a_written_artifact_resumes_in_full() {
         let base = std::env::temp_dir().join("venice-sweep-test");
         let _ = std::fs::remove_dir_all(&base);
+        let (grid, pool) = (tiny_grid(), WorkerPool::new(2));
+        let outcome = grid.run_on(&pool);
         let dir = outcome.write(&base).expect("write artifact");
         assert!(dir.join("manifest.json").is_file());
-        let point_file = dir.join(outcome.records()[0].point.file_name());
-        let json = std::fs::read_to_string(point_file).expect("point record");
-        assert!(json.contains("\"workload\": \"hm_0\""));
+        let stamp = std::fs::read_to_string(dir.join("grid.json")).expect("stamp");
+        assert_eq!(stamp, grid.definition_json());
+        let resumed = grid.run_resumable(&base, &pool, false);
+        assert_eq!(resumed.reused_count(), outcome.points().len());
+        assert!(resumed.records().is_empty());
+        assert_eq!(resumed.manifest_fingerprint(), outcome.manifest_fingerprint());
+        assert_eq!(resumed.events(), outcome.events());
+
+        let other = SweepGrid::new("unit")
+            .workload(WorkloadAxis::catalog("hm_0").expect("catalog"))
+            .fabrics(&[FabricKind::Ideal])
+            .requests(40);
+        other.run_on(&pool).write(&base).expect("write other grid");
+        let files = std::fs::read_dir(dir.join("points")).expect("points").count();
+        assert_eq!(files, 1, "the old grid's records were cleared");
+        assert_eq!(grid.run_resumable(&base, &pool, false).reused_count(), 0);
         let _ = std::fs::remove_dir_all(&base);
     }
 }

@@ -140,65 +140,30 @@ impl SsdConfig {
         }
     }
 
-    /// Table 1 cost-optimized configuration (PM9A3-like 3D TLC): same
-    /// channel layout, 16 KiB pages, tR = 45 µs.
+    /// Table 1 cost-optimized configuration (PM9A3-like 3D TLC): the
+    /// performance-optimized preset with 16 KiB pages, tR = 45 µs and 3D
+    /// TLC energy.
     pub fn cost_optimized() -> Self {
+        let perf = SsdConfig::performance_optimized();
         let chip = ChipGeometry {
-            dies: 1,
-            planes_per_die: 2,
-            blocks_per_plane: 64,
-            pages_per_block: 256,
             page_size: 16 * 1024,
+            ..perf.array.chip
         };
         SsdConfig {
             name: "cost-optimized",
-            array: ArrayGeometry::new(64, chip),
+            array: ArrayGeometry::new(perf.array.chips, chip),
             timing: NandTiming::tlc_3d(),
             energy: OpEnergy::tlc_3d(),
-            fabric: FabricParams::table1(),
-            hil: HilConfig::default(),
-            tenants: TenantSet::single(),
-            utilization: 0.75,
-            command_bytes: 8,
-            ftl_latency: SimDuration::from_nanos(250),
-            static_power: StaticPower::default(),
-            dispatch: DispatchPolicyKind::RetryAll,
-            scan: DispatchScanKind::Incremental,
-            fault_plan: FaultPlan::None,
-            resilience: ResiliencePolicy::None,
-            redundancy: RedundancyKind::None,
-            max_events: None,
-            max_sim_ns: None,
-            panic_after_events: None,
+            ..perf
         }
-    }
-
-    /// Reshapes the flash array to `rows` controllers × `cols` chips per row
-    /// while keeping the chip count (Figure 15's 4×16 / 8×8 / 16×4 sweep).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows × cols` differs from the current chip count.
-    pub fn with_shape(mut self, rows: u16, cols: u16) -> Self {
-        assert_eq!(
-            rows as u32 * cols as u32,
-            u32::from(self.array.chips),
-            "shape must preserve the chip count"
-        );
-        self.fabric = FabricParams {
-            rows,
-            cols,
-            ..self.fabric
-        };
-        self
     }
 
     /// Resizes the flash array to a `rows × cols` mesh: the fabric shape
     /// *and* the chip count become `rows × cols` (per-chip geometry is
-    /// kept). For shapes that preserve the current chip count this is
-    /// exactly [`SsdConfig::with_shape`]; larger meshes (16×16, 32×32 — the
-    /// big-mesh sweep entries) grow the array, scaling chip-level
-    /// parallelism with the fabric. Capacity is re-derived per workload by
+    /// kept). Shapes that preserve the chip count only reshape the array
+    /// (Figure 15's 4×16 / 8×8 / 16×4 sweep); larger meshes (16×16, 32×32 —
+    /// the big-mesh sweep entries) grow it, scaling chip-level parallelism
+    /// with the fabric. Capacity is re-derived per workload by
     /// [`SsdConfig::sized_for_footprint`], so over-provisioning pressure is
     /// unchanged.
     ///
@@ -412,7 +377,8 @@ mod tests {
     #[test]
     fn shape_sweep_preserves_chip_count() {
         for (r, c) in [(4u16, 16u16), (8, 8), (16, 4)] {
-            let cfg = SsdConfig::performance_optimized().with_shape(r, c);
+            let cfg = SsdConfig::performance_optimized().with_mesh(r, c);
+            assert_eq!(cfg.array.chips, 64);
             assert_eq!(cfg.fabric.rows, r);
             assert_eq!(cfg.fabric.cols, c);
             cfg.validate();
@@ -420,18 +386,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "preserve the chip count")]
-    fn bad_shape_rejected() {
-        SsdConfig::performance_optimized().with_shape(4, 4);
-    }
-
-    #[test]
     fn with_mesh_resizes_the_array_with_the_fabric() {
-        // Count-preserving meshes behave exactly like with_shape.
-        let same = SsdConfig::performance_optimized().with_mesh(4, 16);
-        assert_eq!(same.array.chips, 64);
-        assert_eq!((same.fabric.rows, same.fabric.cols), (4, 16));
-        same.validate();
         // Big meshes grow the chip array to match.
         for (r, c) in [(16u16, 16u16), (32, 32)] {
             let big = SsdConfig::performance_optimized().with_mesh(r, c);

@@ -90,14 +90,6 @@ impl DispatchPolicyKind {
         }
     }
 
-    /// Looks a policy up by its label, case-insensitively — the
-    /// manifest/CLI round-trip constructor.
-    pub fn by_label(label: &str) -> Option<DispatchPolicyKind> {
-        DispatchPolicyKind::ALL
-            .into_iter()
-            .find(|k| k.label().eq_ignore_ascii_case(label))
-    }
-
     /// The concrete policy this kind runs on `fabric` — the per-fabric
     /// default table behind [`DispatchPolicyKind::Auto`], chosen from the
     /// `results/policy_ablation.json` ablation: backoff pays on the mesh
@@ -317,16 +309,13 @@ mod tests {
 
     const CONFLICT: AcquireError = AcquireError::PathConflict;
 
+    /// Point labels and file names carry these labels, so no two policies
+    /// may share one.
     #[test]
-    fn labels_round_trip() {
-        for kind in DispatchPolicyKind::ALL {
-            assert_eq!(DispatchPolicyKind::by_label(kind.label()), Some(kind));
-        }
-        assert_eq!(
-            DispatchPolicyKind::by_label("Conflict-Backoff"),
-            Some(DispatchPolicyKind::ConflictBackoff)
-        );
-        assert_eq!(DispatchPolicyKind::by_label("fifo"), None);
+    fn labels_are_distinct() {
+        let labels: std::collections::HashSet<&str> =
+            DispatchPolicyKind::ALL.iter().map(DispatchPolicyKind::label).collect();
+        assert_eq!(labels.len(), DispatchPolicyKind::ALL.len());
         assert_eq!(DispatchPolicyKind::default(), DispatchPolicyKind::RetryAll);
     }
 

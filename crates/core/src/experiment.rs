@@ -109,23 +109,16 @@ impl ExperimentBuilder {
         }
     }
 
-    /// Starts from an explicit configuration.
-    pub fn with_config(config: SsdConfig) -> Self {
-        ExperimentBuilder {
-            config,
-            system: SystemKind::Baseline,
-        }
-    }
-
     /// Selects the fabric under test.
     pub fn system(mut self, system: SystemKind) -> Self {
         self.system = system;
         self
     }
 
-    /// Reshapes the array (Figure 15 sweep).
+    /// Reshapes the array to `rows × cols` chips (Figure 15 sweep; see
+    /// [`SsdConfig::with_mesh`]).
     pub fn shape(mut self, rows: u16, cols: u16) -> Self {
-        self.config = self.config.with_shape(rows, cols);
+        self.config = self.config.with_mesh(rows, cols);
         self
     }
 

@@ -133,14 +133,6 @@ impl FaultPlan {
         }
     }
 
-    /// Looks a plan up by its label, case-insensitively — the manifest/CLI
-    /// round-trip constructor.
-    pub fn by_label(label: &str) -> Option<FaultPlan> {
-        FaultPlan::ALL
-            .into_iter()
-            .find(|p| p.label().eq_ignore_ascii_case(label))
-    }
-
     /// Expands the plan into its timestamped action script for a
     /// `rows × cols` fabric. Pure and deterministic; actions that need
     /// geometry the shape cannot provide (links on a 1-wide mesh) are
@@ -318,13 +310,13 @@ impl std::fmt::Display for FaultPlan {
 mod tests {
     use super::*;
 
+    /// Point labels and file names carry these labels, so no two plans
+    /// may share one.
     #[test]
-    fn labels_round_trip() {
-        for plan in FaultPlan::ALL {
-            assert_eq!(FaultPlan::by_label(plan.label()), Some(plan));
-        }
-        assert_eq!(FaultPlan::by_label("Link-Repair"), Some(FaultPlan::LinkRepair));
-        assert_eq!(FaultPlan::by_label("meteor"), None);
+    fn labels_are_distinct() {
+        let labels: std::collections::HashSet<&str> =
+            FaultPlan::ALL.iter().map(FaultPlan::label).collect();
+        assert_eq!(labels.len(), FaultPlan::ALL.len());
         assert_eq!(FaultPlan::default(), FaultPlan::None);
     }
 

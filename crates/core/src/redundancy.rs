@@ -104,21 +104,6 @@ impl RedundancyKind {
         }
     }
 
-    /// Looks a scheme up by its label, case-insensitively — the
-    /// manifest/CLI round-trip constructor. Accepts any `parity<G>` with
-    /// `G` in `2..=64`, not just the [`RedundancyKind::ALL`] presets.
-    pub fn by_label(label: &str) -> Option<RedundancyKind> {
-        if label.eq_ignore_ascii_case("none") {
-            return Some(RedundancyKind::None);
-        }
-        let rest = label
-            .strip_prefix("parity")
-            .or_else(|| label.strip_prefix("PARITY"))
-            .or_else(|| label.strip_prefix("Parity"))?;
-        let group: u8 = rest.parse().ok()?;
-        (2..=64).contains(&group).then_some(RedundancyKind::Parity { group })
-    }
-
     /// True when the scheme arms any reconstruction machinery.
     pub fn is_armed(&self) -> bool {
         !matches!(self, RedundancyKind::None)
@@ -170,19 +155,14 @@ impl std::fmt::Display for RedundancyKind {
 mod tests {
     use super::*;
 
+    /// Point labels and file names carry these labels, so no two schemes
+    /// — presets or any other parity group — may share one.
     #[test]
-    fn labels_round_trip() {
-        for kind in RedundancyKind::ALL {
-            assert_eq!(RedundancyKind::by_label(&kind.label()), Some(kind));
-        }
-        assert_eq!(
-            RedundancyKind::by_label("Parity8"),
-            Some(RedundancyKind::Parity { group: 8 })
-        );
-        assert_eq!(RedundancyKind::by_label("NONE"), Some(RedundancyKind::None));
-        assert_eq!(RedundancyKind::by_label("parity1"), None, "needs survivors");
-        assert_eq!(RedundancyKind::by_label("parity65"), None);
-        assert_eq!(RedundancyKind::by_label("raid5"), None);
+    fn labels_are_distinct() {
+        let kinds = std::iter::once(RedundancyKind::None)
+            .chain((2..=64).map(|group| RedundancyKind::Parity { group }));
+        let labels: std::collections::HashSet<String> = kinds.map(|k| k.label()).collect();
+        assert_eq!(labels.len(), 64, "none plus parity2..=parity64");
         assert_eq!(RedundancyKind::default(), RedundancyKind::None);
     }
 

@@ -195,14 +195,6 @@ impl ResiliencePolicy {
         }
     }
 
-    /// Looks a preset up by its label, case-insensitively — the
-    /// manifest/CLI round-trip constructor.
-    pub fn by_label(label: &str) -> Option<ResiliencePolicy> {
-        ResiliencePolicy::ALL
-            .into_iter()
-            .find(|p| p.label().eq_ignore_ascii_case(label))
-    }
-
     /// Expands the preset into its knob groups. Pure and deterministic;
     /// [`ResiliencePolicy::None`] expands to all-`None`.
     pub fn params(&self) -> ResilienceParams {
@@ -232,16 +224,13 @@ impl std::fmt::Display for ResiliencePolicy {
 mod tests {
     use super::*;
 
+    /// Point labels and file names carry these labels, so no two presets
+    /// may share one.
     #[test]
-    fn labels_round_trip() {
-        for policy in ResiliencePolicy::ALL {
-            assert_eq!(ResiliencePolicy::by_label(policy.label()), Some(policy));
-        }
-        assert_eq!(
-            ResiliencePolicy::by_label("Deadline-Retry"),
-            Some(ResiliencePolicy::DeadlineRetry)
-        );
-        assert_eq!(ResiliencePolicy::by_label("bogus"), None);
+    fn labels_are_distinct() {
+        let labels: std::collections::HashSet<&str> =
+            ResiliencePolicy::ALL.iter().map(ResiliencePolicy::label).collect();
+        assert_eq!(labels.len(), ResiliencePolicy::ALL.len());
         assert_eq!(ResiliencePolicy::default(), ResiliencePolicy::None);
     }
 

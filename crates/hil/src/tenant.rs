@@ -234,16 +234,6 @@ impl TenantSet {
         ]
     }
 
-    /// Looks a preset up by its label (case-insensitive). Covers the
-    /// [`TenantSet::presets`] axis plus the named specialty sets
-    /// ([`TenantSet::deadline_split`]) that grids opt into individually.
-    pub fn by_label(label: &str) -> Option<TenantSet> {
-        TenantSet::presets()
-            .into_iter()
-            .chain([TenantSet::deadline_split()])
-            .find(|t| t.label.eq_ignore_ascii_case(label))
-    }
-
     /// Stable axis label (sweep point labels and manifests).
     pub fn label(&self) -> &str {
         &self.label
@@ -286,13 +276,16 @@ mod tests {
         assert_eq!(s.specs()[0].qd_cap, 0);
     }
 
+    /// Point labels and file names carry these labels, so no two named
+    /// sets — the presets and the specialty sets — may share one.
     #[test]
-    fn presets_round_trip_by_label() {
-        for p in TenantSet::presets() {
-            assert_eq!(TenantSet::by_label(p.label()), Some(p.clone()));
-            assert_eq!(TenantSet::by_label(&p.label().to_uppercase()), Some(p));
-        }
-        assert_eq!(TenantSet::by_label("no-such"), None);
+    fn labels_are_distinct() {
+        let sets: Vec<TenantSet> = TenantSet::presets()
+            .into_iter()
+            .chain([TenantSet::deadline_split()])
+            .collect();
+        let labels: std::collections::HashSet<&str> = sets.iter().map(TenantSet::label).collect();
+        assert_eq!(labels.len(), sets.len());
     }
 
     #[test]
@@ -326,9 +319,8 @@ mod tests {
         }
         assert_eq!(d.specs()[0].deadline, DeadlineClass::Latency);
         assert_eq!(d.specs()[1].deadline, DeadlineClass::None);
-        // Not on the default tenants axis, but label-addressable.
+        // Not on the default tenants axis.
         assert!(!TenantSet::presets().contains(&d));
-        assert_eq!(TenantSet::by_label("Deadline-Split"), Some(d));
         // Preset sets all carry the Default class (bit-identity contract).
         for set in TenantSet::presets() {
             for spec in set.specs() {

@@ -133,16 +133,6 @@ impl FabricParams {
         }
     }
 
-    /// Same electrical parameters with a different array shape (Figure 15's
-    /// 4×16 / 8×8 / 16×4 sweep).
-    pub fn with_shape(rows: u16, cols: u16) -> Self {
-        FabricParams {
-            rows,
-            cols,
-            ..Self::table1()
-        }
-    }
-
     /// The mesh topology implied by these parameters.
     pub fn mesh(&self) -> Mesh2D {
         Mesh2D::new(self.rows, self.cols)

@@ -78,7 +78,10 @@ impl std::error::Error for TraceParseError {}
 ///
 /// # Errors
 ///
-/// Returns a [`TraceParseError`] describing the first malformed line.
+/// Returns a [`TraceParseError`] describing the first malformed line. A
+/// request whose byte offset or end overflows `u64`, or whose size
+/// overflows the `u32` byte count, is a [`TraceParseError::BadNumber`] on
+/// its LBA or sector field. Never panics.
 ///
 /// # Example
 ///
@@ -124,9 +127,14 @@ pub fn parse_mqsim(name: &str, text: &str) -> Result<Trace, TraceParseError> {
             return Err(TraceParseError::OutOfOrder { line });
         }
         last_arrival = arrival;
-        let offset = lba * TRACE_SECTOR_BYTES;
-        let bytes = (sectors * TRACE_SECTOR_BYTES) as u32;
-        max_end = max_end.max(offset + u64::from(bytes));
+        let bad = |field| TraceParseError::BadNumber { line, field };
+        let bytes = sectors
+            .checked_mul(TRACE_SECTOR_BYTES)
+            .and_then(|b| u32::try_from(b).ok())
+            .ok_or(bad(3))?;
+        let offset = lba.checked_mul(TRACE_SECTOR_BYTES).ok_or(bad(2))?;
+        let end = offset.checked_add(u64::from(bytes)).ok_or(bad(2))?;
+        max_end = max_end.max(end);
         events.push(TraceEvent {
             arrival,
             op,
@@ -221,6 +229,53 @@ mod tests {
     fn zero_sector_request_clamped_to_one() {
         let t = parse_mqsim("x", "0 0 0 0 1\n").unwrap();
         assert_eq!(t.events()[0].bytes, 512);
+    }
+
+    /// Sizes and offsets past the `u32`/`u64` byte ranges are errors on the
+    /// offending field, not a wrapped or truncated request: the boundaries,
+    /// then a fuzz of valid lines with one field made oversized,
+    /// non-numeric, missing, extra, a bad type or out of order, which must
+    /// each fail at that line. Random printable garbage never panics.
+    #[test]
+    fn malformed_and_oversized_lines_are_errors_not_panics() {
+        let max_sectors = u64::from(u32::MAX) / TRACE_SECTOR_BYTES;
+        let t = parse_mqsim("x", &format!("0 0 0 {max_sectors} 1")).unwrap();
+        assert_eq!(u64::from(t.events()[0].bytes), max_sectors * TRACE_SECTOR_BYTES);
+        let last_lba = u64::MAX / TRACE_SECTOR_BYTES;
+        for (line, field) in [
+            (format!("0 0 0 {} 1", max_sectors + 1), 3),
+            (format!("0 0 0 {} 1", max_sectors + 2), 3),
+            (format!("0 0 {} 1 0", last_lba + 1), 2),
+            (format!("0 0 {last_lba} 1 0"), 2),
+        ] {
+            let err = TraceParseError::BadNumber { line: 1, field };
+            assert_eq!(parse_mqsim("x", &line).unwrap_err(), err, "{line}");
+        }
+        let mut rng = venice_sim::rng::Xorshift64Star::new(0x7ace);
+        for case in 0..2_100 {
+            let mut fields: Vec<String> = [1_000 + rng.next_bounded(1_000), 0]
+                .into_iter()
+                .chain([rng.next_bounded(1 << 20), 1 + rng.next_bounded(64), rng.next_bounded(2)])
+                .map(|n| n.to_string())
+                .collect();
+            let mut above = |lo: u64| (lo + 1 + rng.next_bounded(u64::MAX - lo)).to_string();
+            match case % 7 {
+                0 => fields[2] = above(last_lba),
+                1 => fields[3] = above(max_sectors),
+                2 => fields[case % 4] = ["x", "-1", "1.5", "18446744073709551616"][case % 3].into(),
+                3 => drop(fields.remove(case / 7 % 5)),
+                4 => fields.push("0".into()),
+                5 => fields[4] = (2 + case / 7 % 8).to_string(),
+                _ => fields[0] = (case / 7 % 1_000).to_string(),
+            }
+            let text = format!("1000 0 0 8 1\n{}\n", fields.join(" "));
+            let err = parse_mqsim("fuzz", &text).expect_err(&text).to_string();
+            assert!(err.starts_with("line 2:"), "{text}: {err}");
+            let garbage: String = (0..rng.next_bounded(40))
+                .map(|_| char::from(b' ' + rng.next_bounded(95) as u8))
+                .collect();
+            let _ = parse_mqsim("fuzz", &format!("{}\n{garbage}\n", fields.join(" ")));
+        }
     }
 
     #[test]

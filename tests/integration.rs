@@ -3,10 +3,30 @@
 
 use venice::interconnect::FabricKind;
 use venice::ssd::{all_systems, run_systems, ExperimentBuilder, SsdConfig, SystemKind};
-use venice::workloads::{catalog, mix, WorkloadSpec};
+use venice::workloads::{catalog, mix, WorkloadAxis, WorkloadSpec};
+use venice_bench::sweep::{Knob, SweepGrid, WorkerPool};
 
 fn quick(name: &str, requests: usize) -> venice::workloads::Trace {
     catalog::by_name(name).expect("catalog workload").generate(requests)
+}
+
+/// Runs `grid` on a one- and a four-thread pool, asserts the sweep
+/// engine's determinism contract — `points` points whose ids, labels,
+/// metrics, JSON records and fingerprints agree across pool sizes — and
+/// returns the serial outcome.
+fn pool_size_stable(grid: &SweepGrid, points: usize) -> venice_bench::sweep::SweepOutcome {
+    let serial = grid.run_on(&WorkerPool::new(1));
+    let pooled = grid.run_on(&WorkerPool::new(4));
+    assert_eq!(serial.records().len(), points);
+    for (a, b) in serial.records().iter().zip(pooled.records()) {
+        assert_eq!((a.point.id, &a.point.label), (b.point.id, &b.point.label));
+        assert_eq!(a.metrics, b.metrics, "{}: metrics differ across pool sizes", a.point.label);
+        assert_eq!(a.metrics.to_json(), b.metrics.to_json(), "{}: JSON differs", a.point.label);
+    }
+    assert_eq!(serial.grid_hash(), pooled.grid_hash());
+    assert_eq!(serial.metrics_fingerprint(), pooled.metrics_fingerprint());
+    assert_eq!(serial.manifest_fingerprint(), pooled.manifest_fingerprint());
+    serial
 }
 
 #[test]
@@ -155,9 +175,6 @@ fn sweep_grid_is_bit_identical_across_pool_sizes() {
     // one-thread pool and a four-thread pool must produce bit-identical
     // per-point RunMetrics (and therefore identical JSON records and
     // manifest fingerprints) — pool size may only change wall-clock time.
-    use venice_bench::sweep::{Knob, SweepGrid, WorkerPool};
-    use venice_workloads::WorkloadAxis;
-
     let grid = SweepGrid::new("determinism")
         .config(SsdConfig::performance_optimized())
         .workload(WorkloadAxis::catalog("hm_0").expect("catalog"))
@@ -166,23 +183,7 @@ fn sweep_grid_is_bit_identical_across_pool_sizes() {
         .fabrics(&[SystemKind::Baseline, SystemKind::Venice, SystemKind::Ideal])
         .knobs([Knob::QueueDepth(4), Knob::QueueDepth(8)])
         .requests(120);
-    let serial = grid.run_on(&WorkerPool::new(1));
-    let pooled = grid.run_on(&WorkerPool::new(4));
-    assert_eq!(serial.records().len(), 18); // 3 workloads × 2 depths × 3 fabrics
-    for (a, b) in serial.records().iter().zip(pooled.records()) {
-        assert_eq!(a.point.id, b.point.id);
-        assert_eq!(a.point.label, b.point.label);
-        assert_eq!(a.metrics, b.metrics, "{}: metrics differ across pool sizes", a.point.label);
-        assert_eq!(
-            a.metrics.to_json(),
-            b.metrics.to_json(),
-            "{}: JSON records differ across pool sizes",
-            a.point.label
-        );
-    }
-    assert_eq!(serial.grid_hash(), pooled.grid_hash());
-    assert_eq!(serial.metrics_fingerprint(), pooled.metrics_fingerprint());
-    assert_eq!(serial.manifest_fingerprint(), pooled.manifest_fingerprint());
+    pool_size_stable(&grid, 18); // 3 workloads × 2 depths × 3 fabrics
 }
 
 /// The dispatch-policy refactor's ground truth: with the default
@@ -291,8 +292,6 @@ fn armed_engine_is_bit_identical() {
 #[test]
 fn policies_are_deterministic_across_pool_sizes() {
     use venice::ssd::DispatchPolicyKind;
-    use venice_bench::sweep::{Knob, SweepGrid, WorkerPool};
-    use venice_workloads::WorkloadAxis;
 
     let grid = SweepGrid::new("policy-determinism")
         .config(SsdConfig::performance_optimized())
@@ -301,28 +300,19 @@ fn policies_are_deterministic_across_pool_sizes() {
         .knobs(DispatchPolicyKind::ALL.map(Knob::Policy))
         .fabrics(&[SystemKind::Baseline, SystemKind::Venice])
         .requests(150);
-    let serial = grid.run_on(&WorkerPool::new(1));
-    let pooled = grid.run_on(&WorkerPool::new(4));
-    assert_eq!(serial.records().len(), 12); // 2 workloads × 3 policies × 2 fabrics
-    for (a, b) in serial.records().iter().zip(pooled.records()) {
-        assert_eq!(a.point.config.dispatch, b.point.config.dispatch);
+    let serial = pool_size_stable(&grid, 12); // 2 workloads × 3 policies × 2 fabrics
+    for a in serial.records() {
         assert_eq!(
             a.metrics.policy, a.point.config.dispatch,
             "metrics must carry the policy"
         );
         assert_eq!(a.metrics.completed_requests, 150, "{}", a.point.label);
-        assert_eq!(
-            a.metrics, b.metrics,
-            "{}: metrics differ across pool sizes",
-            a.point.label
-        );
         assert!(
             a.metrics.dispatch.rounds > 0 && a.metrics.dispatch.attempts > 0,
             "{}: dispatcher stats must be populated",
             a.point.label
         );
     }
-    assert_eq!(serial.metrics_fingerprint(), pooled.metrics_fingerprint());
     // The policies really behave differently (same workload+fabric, all
     // three policies in one grid must not collapse to one fingerprint).
     let venice_congested: Vec<_> = serial
@@ -394,13 +384,13 @@ fn resumable_sweeps_skip_existing_points() {
 
     let first = grid.run_resumable(&base, &pool, false);
     assert_eq!(first.reused_count(), 0, "nothing on disk yet");
-    assert_eq!(first.executed().len(), 2);
+    assert_eq!(first.records().len(), 2);
 
     // Point records persist as they complete (no write() call yet), so a
     // killed sweep resumes from the points it finished.
     let second = grid.run_resumable(&base, &pool, false);
     assert_eq!(second.reused_count(), 2, "all records reused");
-    assert!(second.executed().is_empty());
+    assert!(second.records().is_empty());
     assert_eq!(second.metrics_fingerprint(), first.metrics_fingerprint());
     // Manifests agree up to run-local wall-clock time (whose f64 Display
     // length varies run to run — comparing raw lengths here was flaky).
@@ -414,17 +404,17 @@ fn resumable_sweeps_skip_existing_points() {
         strip_wall(second.manifest_json()),
         strip_wall(first.manifest_json())
     );
-    first.write().expect("write artifact");
-    assert!(first.dir().join("manifest.json").is_file());
-    assert!(first.dir().join("grid.json").is_file());
+    first.write(&base).expect("write artifact");
+    assert!(first.dir(&base).join("manifest.json").is_file());
+    assert!(first.dir(&base).join("grid.json").is_file());
 
     // Deleting one record resumes exactly the missing point.
     let victim = &first.points()[1];
-    std::fs::remove_file(first.dir().join(victim.file_name())).expect("remove one record");
+    std::fs::remove_file(first.dir(&base).join(victim.file_name())).expect("remove one record");
     let third = grid.run_resumable(&base, &pool, false);
     assert_eq!(third.reused_count(), 1);
-    assert_eq!(third.executed().len(), 1);
-    assert_eq!(third.executed()[0].0, victim.id);
+    assert_eq!(third.records().len(), 1);
+    assert_eq!(third.records()[0].point.id, victim.id);
     assert_eq!(third.metrics_fingerprint(), first.metrics_fingerprint());
 
     // A different grid definition must not reuse the artifact.
@@ -435,24 +425,24 @@ fn resumable_sweeps_skip_existing_points() {
         .requests(90);
     let fourth = other.run_resumable(&base, &pool, false);
     assert_eq!(fourth.reused_count(), 0, "grid definition changed");
-    let stamp = std::fs::read_to_string(fourth.dir().join("grid.json"))
+    let stamp = std::fs::read_to_string(fourth.dir(&base).join("grid.json"))
         .expect("stamp written before simulation");
     assert!(stamp.contains("\"requests\": 90"), "stamp follows the new grid");
 
     // A torn (truncated) record is never trusted, even under a matching
     // stamp: the structural filter forces that point to re-run.
-    let torn = fourth.dir().join(fourth.points()[0].file_name());
+    let torn = fourth.dir(&base).join(fourth.points()[0].file_name());
     std::fs::write(&torn, "{\"system\": \"Base").expect("plant torn record");
     let healed = other.run_resumable(&base, &pool, false);
     assert_eq!(healed.reused_count(), 1, "whole record reused");
-    assert_eq!(healed.executed().len(), 1, "torn record re-executed");
-    assert_eq!(healed.executed()[0].0, fourth.points()[0].id);
+    assert_eq!(healed.records().len(), 1, "torn record re-executed");
+    assert_eq!(healed.records()[0].point.id, fourth.points()[0].id);
     assert_eq!(healed.metrics_fingerprint(), fourth.metrics_fingerprint());
 
     // And --fresh bypasses matching records.
     let fifth = grid.run_resumable(&base, &pool, true);
     assert_eq!(fifth.reused_count(), 0);
-    assert_eq!(fifth.executed().len(), 2);
+    assert_eq!(fifth.records().len(), 2);
     assert_eq!(fifth.metrics_fingerprint(), first.metrics_fingerprint());
     let _ = std::fs::remove_dir_all(&base);
 }
@@ -508,7 +498,7 @@ fn a_panicking_point_is_isolated_and_reported_failed() {
     assert_eq!(first.reused_count(), 0);
     let second = grid.run_resumable(&base, &pool, false);
     assert_eq!(second.reused_count(), 2, "healthy records reused");
-    assert_eq!(second.executed().len(), 2, "failed records re-executed");
+    assert_eq!(second.records().len(), 2, "failed records re-executed");
     assert_eq!(second.metrics_fingerprint(), first.metrics_fingerprint());
     let _ = std::fs::remove_dir_all(&base);
 }

@@ -12,7 +12,24 @@ use venice::interconnect::{FcId, Mesh2D, NodeId};
 use venice::nand::ChipGeometry;
 use venice::sim::rng::{Lfsr2, Xorshift64Star};
 use venice::sim::{EventQueue, ReferenceHeapQueue, SimDuration, SimTime};
-use venice::workloads::WorkloadSpec;
+use venice::workloads::{WorkloadAxis, WorkloadSpec};
+use venice_bench::sweep::{Knob, SweepGrid};
+
+/// Runs `grid` on a one- and a four-thread pool and asserts the sweep
+/// engine's determinism contract: `points` points whose labels, metrics and
+/// fingerprints agree across pool sizes.
+fn assert_pool_size_stable(grid: &SweepGrid, points: usize) {
+    use venice_bench::sweep::WorkerPool;
+    let serial = grid.run_on(&WorkerPool::new(1));
+    let pooled = grid.run_on(&WorkerPool::new(4));
+    assert_eq!(serial.records().len(), points);
+    for (a, b) in serial.records().iter().zip(pooled.records()) {
+        assert_eq!(a.point.label, b.point.label);
+        assert_eq!(a.metrics, b.metrics, "{}: metrics differ across pool sizes", a.point.label);
+    }
+    assert_eq!(serial.metrics_fingerprint(), pooled.metrics_fingerprint());
+    assert_eq!(serial.manifest_fingerprint(), pooled.manifest_fingerprint());
+}
 
 /// A scout walk either reserves a valid simple path or leaves the mesh
 /// exactly as it was — never a partial reservation.
@@ -434,9 +451,6 @@ fn fault_injection_is_sound_on_every_fabric() {
 
     // (d) Fingerprints are pool-size-stable with faults on.
     {
-        use venice_bench::sweep::{Knob, SweepGrid, WorkerPool};
-        use venice::workloads::WorkloadAxis;
-
         let grid = SweepGrid::new("fault-determinism")
             .config(venice::ssd::SsdConfig::performance_optimized())
             .workload(WorkloadAxis::congested())
@@ -447,19 +461,7 @@ fn fault_injection_is_sound_on_every_fabric() {
                 venice::ssd::SystemKind::Venice,
             ])
             .requests(150);
-        let serial = grid.run_on(&WorkerPool::new(1));
-        let pooled = grid.run_on(&WorkerPool::new(4));
-        assert_eq!(serial.records().len(), 9); // 3 plans × 3 fabrics
-        for (a, b) in serial.records().iter().zip(pooled.records()) {
-            assert_eq!(a.point.label, b.point.label);
-            assert_eq!(
-                a.metrics, b.metrics,
-                "{}: faulted metrics differ across pool sizes",
-                a.point.label
-            );
-        }
-        assert_eq!(serial.metrics_fingerprint(), pooled.metrics_fingerprint());
-        assert_eq!(serial.manifest_fingerprint(), pooled.manifest_fingerprint());
+        assert_pool_size_stable(&grid, 9); // 3 plans × 3 fabrics
     }
 }
 
@@ -611,9 +613,6 @@ fn tenant_qos_invariants_under_random_tenancy() {
     // (c) Tenant-axis sweeps — per-tenant metrics included via the full
     // RunMetrics comparison — are pool-size-stable.
     {
-        use venice::workloads::WorkloadAxis;
-        use venice_bench::sweep::{Knob, SweepGrid, WorkerPool};
-
         let grid = SweepGrid::new("tenant-determinism")
             .config(SsdConfig::performance_optimized())
             .workload(WorkloadAxis::noisy_neighbor())
@@ -623,19 +622,7 @@ fn tenant_qos_invariants_under_random_tenancy() {
                 venice::ssd::SystemKind::Venice,
             ])
             .requests(120);
-        let serial = grid.run_on(&WorkerPool::new(1));
-        let pooled = grid.run_on(&WorkerPool::new(4));
-        assert_eq!(serial.records().len(), 8); // 4 tenant sets × 2 fabrics
-        for (a, b) in serial.records().iter().zip(pooled.records()) {
-            assert_eq!(a.point.label, b.point.label);
-            assert_eq!(
-                a.metrics, b.metrics,
-                "{}: per-tenant metrics differ across pool sizes",
-                a.point.label
-            );
-        }
-        assert_eq!(serial.metrics_fingerprint(), pooled.metrics_fingerprint());
-        assert_eq!(serial.manifest_fingerprint(), pooled.manifest_fingerprint());
+        assert_pool_size_stable(&grid, 8); // 4 tenant sets × 2 fabrics
     }
 }
 
@@ -741,9 +728,6 @@ fn host_resilience_is_sound_on_every_fabric() {
 
     // (d) Resilience-axis sweeps are pool-size-stable.
     {
-        use venice::workloads::WorkloadAxis;
-        use venice_bench::sweep::{Knob, SweepGrid, WorkerPool};
-
         let grid = SweepGrid::new("resilience-determinism")
             .config(SsdConfig::performance_optimized())
             .workload(WorkloadAxis::congested())
@@ -751,19 +735,7 @@ fn host_resilience_is_sound_on_every_fabric() {
             .knobs(ResiliencePolicy::ALL.map(Knob::Resilience))
             .fabrics(&[venice::ssd::SystemKind::Baseline, venice::ssd::SystemKind::Venice])
             .requests(150);
-        let serial = grid.run_on(&WorkerPool::new(1));
-        let pooled = grid.run_on(&WorkerPool::new(4));
-        assert_eq!(serial.records().len(), 24); // 2 plans × 6 policies × 2 fabrics
-        for (a, b) in serial.records().iter().zip(pooled.records()) {
-            assert_eq!(a.point.label, b.point.label);
-            assert_eq!(
-                a.metrics, b.metrics,
-                "{}: resilient metrics differ across pool sizes",
-                a.point.label
-            );
-        }
-        assert_eq!(serial.metrics_fingerprint(), pooled.metrics_fingerprint());
-        assert_eq!(serial.manifest_fingerprint(), pooled.manifest_fingerprint());
+        assert_pool_size_stable(&grid, 24); // 2 plans × 6 policies × 2 fabrics
     }
 }
 
@@ -840,9 +812,6 @@ fn rebuild_is_sound_on_every_fabric() {
 
     // (e) Redundancy-axis sweeps are pool-size-stable.
     {
-        use venice::workloads::WorkloadAxis;
-        use venice_bench::sweep::{Knob, SweepGrid, WorkerPool};
-
         let grid = SweepGrid::new("rebuild-determinism")
             .config(SsdConfig::performance_optimized().with_mesh(4, 4))
             .workload(WorkloadAxis::congested())
@@ -850,19 +819,7 @@ fn rebuild_is_sound_on_every_fabric() {
             .knobs(RedundancyKind::ALL.map(Knob::Redundancy))
             .fabrics(&[venice::ssd::SystemKind::Baseline, venice::ssd::SystemKind::Venice])
             .requests(150);
-        let serial = grid.run_on(&WorkerPool::new(1));
-        let pooled = grid.run_on(&WorkerPool::new(4));
-        assert_eq!(serial.records().len(), 4); // 2 schemes × 2 fabrics
-        for (a, b) in serial.records().iter().zip(pooled.records()) {
-            assert_eq!(a.point.label, b.point.label);
-            assert_eq!(
-                a.metrics, b.metrics,
-                "{}: rebuilt metrics differ across pool sizes",
-                a.point.label
-            );
-        }
-        assert_eq!(serial.metrics_fingerprint(), pooled.metrics_fingerprint());
-        assert_eq!(serial.manifest_fingerprint(), pooled.manifest_fingerprint());
+        assert_pool_size_stable(&grid, 4); // 2 schemes × 2 fabrics
     }
 }
 
