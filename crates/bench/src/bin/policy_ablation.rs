@@ -16,6 +16,7 @@
 
 use std::time::Instant;
 
+use venice_bench::flag_value;
 use venice_interconnect::FabricKind;
 use venice_ssd::report::{f2, json_f64, json_str, Table};
 use venice_ssd::{run_single, DispatchPolicyKind, RunMetrics, SsdConfig};
@@ -35,25 +36,27 @@ impl Cell {
     }
 }
 
+/// Parses `--requests <n>` and `--repeat <n>` from the arguments after
+/// the program name.
+fn parse_args(args: &[String]) -> Result<(usize, usize), String> {
+    let (mut requests, mut repeat) = (4000, 3);
+    let mut rest = args.iter();
+    while let Some(flag) = rest.next() {
+        match flag.as_str() {
+            "--requests" => requests = flag_value(flag, &mut rest)?,
+            "--repeat" => repeat = flag_value(flag, &mut rest)?,
+            other => return Err(format!("unknown flag {other:?}")),
+        }
+    }
+    Ok((requests, repeat))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut requests = 4000usize;
-    let mut repeat = 3usize;
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: &mut usize| -> String {
-            *i += 1;
-            args.get(*i)
-                .unwrap_or_else(|| panic!("missing value after {}", args[*i - 1]))
-                .clone()
-        };
-        match args[i].as_str() {
-            "--requests" => requests = value(&mut i).parse().expect("--requests takes a number"),
-            "--repeat" => repeat = value(&mut i).parse().expect("--repeat takes a number"),
-            other => panic!("unknown flag {other:?}"),
-        }
-        i += 1;
-    }
+    let (requests, repeat) = parse_args(&args).unwrap_or_else(|err| {
+        eprintln!("policy_ablation: {err}\nusage: policy_ablation [--requests <n>] [--repeat <n>]");
+        std::process::exit(2);
+    });
     let repeat = repeat.max(1);
     let axis = WorkloadAxis::congested();
     let trace = axis.trace(requests);

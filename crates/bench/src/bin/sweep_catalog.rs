@@ -49,16 +49,17 @@
 //! (dedicated pool size; default: the shared pool),
 //! `--systems a,b,c` (override the fabric axis by label, e.g.
 //! `Baseline,Venice`), `--scout-cache <off|on|checked>` (override the
-//! scout fast-fail-cache axis), `--fresh`, `--list`.
+//! scout fast-fail-cache axis), `--fresh`, `--list`. A bad argument
+//! prints the error and a usage line and exits 2.
 
-use venice_bench::report_sweep;
 use venice_bench::sweep::{Knob, SweepGrid, SweepOutcome, WorkerPool};
+use venice_bench::{flag_value, report_sweep};
 use venice_interconnect::FabricKind;
 use venice_nand::NandTiming;
 use venice_ssd::report::{json_f64, json_str, Json};
 use venice_ssd::{
-    all_systems, DispatchPolicyKind, FaultPlan, RedundancyKind, ResiliencePolicy, ScoutCacheKind,
-    SsdConfig, TenantSet,
+    DispatchPolicyKind, FaultPlan, RedundancyKind, ResiliencePolicy, ScoutCacheKind, SsdConfig,
+    TenantSet,
 };
 use venice_workloads::WorkloadAxis;
 
@@ -86,10 +87,10 @@ fn named_grid(name: &str, requests: Option<usize>) -> Option<SweepGrid> {
             .requests(requests.unwrap_or(200)),
         "table2" => SweepGrid::new("table2")
             .workloads(WorkloadAxis::table2())
-            .fabrics(&all_systems()),
+            .fabrics(&FabricKind::ALL),
         "mixes" => SweepGrid::new("mixes")
             .workloads(WorkloadAxis::table3())
-            .fabrics(&all_systems()),
+            .fabrics(&FabricKind::ALL),
         "shapes" => SweepGrid::new("shapes")
             .workloads(subset_axes())
             .knobs([
@@ -137,13 +138,7 @@ fn named_grid(name: &str, requests: Option<usize>) -> Option<SweepGrid> {
             .workload(WorkloadAxis::congested())
             .workload(WorkloadAxis::catalog("src2_1").expect("catalog"))
             .knobs(FaultPlan::ALL.map(Knob::Fault))
-            .fabrics(&[
-                FabricKind::Baseline,
-                FabricKind::Pssd,
-                FabricKind::PnSsd,
-                FabricKind::NoSsd,
-                FabricKind::Venice,
-            ])
+            .fabrics(&FabricKind::ALL[..5])
             .requests(requests.unwrap_or(400)),
         "tenants" => SweepGrid::new("tenants")
             .workload(WorkloadAxis::victim_solo())
@@ -164,26 +159,14 @@ fn named_grid(name: &str, requests: Option<usize>) -> Option<SweepGrid> {
             .knobs([FaultPlan::None, FaultPlan::Link, FaultPlan::Storm].map(Knob::Fault))
             .knobs([TenantSet::single(), TenantSet::deadline_split()].map(Knob::Tenants))
             .knobs(ResiliencePolicy::ALL.map(Knob::Resilience))
-            .fabrics(&[
-                FabricKind::Baseline,
-                FabricKind::Pssd,
-                FabricKind::PnSsd,
-                FabricKind::NoSsd,
-                FabricKind::Venice,
-            ])
+            .fabrics(&FabricKind::ALL[..5])
             .requests(requests.unwrap_or(800)),
         "rebuild" => SweepGrid::new("rebuild")
             .workload(WorkloadAxis::congested())
             .knobs([FaultPlan::Chip, FaultPlan::ChipAndLink].map(Knob::Fault))
             .knobs([Knob::Resilience(ResiliencePolicy::DeadlineRetry)])
             .knobs(RedundancyKind::ALL.map(Knob::Redundancy))
-            .fabrics(&[
-                FabricKind::Baseline,
-                FabricKind::Pssd,
-                FabricKind::PnSsd,
-                FabricKind::NoSsd,
-                FabricKind::Venice,
-            ])
+            .fabrics(&FabricKind::ALL[..5])
             .requests(requests.unwrap_or(800)),
         "scoutcache" => SweepGrid::new("scoutcache")
             .workload(WorkloadAxis::congested())
@@ -645,74 +628,97 @@ fn rebuild_ablation(outcome: &SweepOutcome) -> String {
     )
 }
 
+/// The one-line synopsis printed after an argument error.
+const USAGE: &str = "usage: sweep_catalog [--grid <name>] [--requests <n>] [--par <n>] \
+                     [--systems a,b,c] [--scout-cache off|on|checked] [--fresh] [--list]";
+
+/// What the command line asks for.
+#[derive(Debug)]
+struct Cli {
+    grid: &'static str,
+    requests: Option<usize>,
+    par: Option<usize>,
+    systems: Option<Vec<FabricKind>>,
+    scout_cache: Option<ScoutCacheKind>,
+    fresh: bool,
+    list: bool,
+}
+
+/// Parses the arguments after the program name.
+fn parse_args(args: &[String]) -> Result<Cli, String> {
+    let mut cli = Cli {
+        grid: "table2",
+        requests: None,
+        par: None,
+        systems: None,
+        scout_cache: None,
+        fresh: false,
+        list: false,
+    };
+    let mut rest = args.iter();
+    while let Some(flag) = rest.next() {
+        match flag.as_str() {
+            "--list" => cli.list = true,
+            "--fresh" => cli.fresh = true,
+            "--requests" => cli.requests = Some(flag_value(flag, &mut rest)?),
+            "--par" => cli.par = Some(flag_value(flag, &mut rest)?),
+            "--grid" => {
+                let name: String = flag_value(flag, &mut rest)?;
+                cli.grid = GRID_NAMES.into_iter().find(|g| *g == name).ok_or_else(|| {
+                    format!("unknown grid {name:?}; available: {}", GRID_NAMES.join(", "))
+                })?;
+            }
+            "--scout-cache" => {
+                let mode: String = flag_value(flag, &mut rest)?;
+                let cache = ScoutCacheKind::by_label(&mode)
+                    .ok_or_else(|| format!("unknown scout-cache mode {mode:?} (off|on|checked)"))?;
+                cli.scout_cache = Some(cache);
+            }
+            "--systems" => {
+                let labels: String = flag_value(flag, &mut rest)?;
+                let systems = labels
+                    .split(',')
+                    .map(|label| {
+                        FabricKind::by_label(label.trim())
+                            .ok_or_else(|| format!("unknown system {label:?}"))
+                    })
+                    .collect::<Result<_, _>>()?;
+                cli.systems = Some(systems);
+            }
+            other => return Err(format!("unknown flag {other:?}")),
+        }
+    }
+    Ok(cli)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut grid_name = "table2".to_string();
-    let mut requests: Option<usize> = None;
-    let mut par: Option<usize> = None;
-    let mut systems: Option<Vec<FabricKind>> = None;
-    let mut scout_cache: Option<ScoutCacheKind> = None;
-    let mut fresh = false;
-    let mut i = 0;
-    while i < args.len() {
-        let flag_value = |i: &mut usize| -> String {
-            *i += 1;
-            args.get(*i)
-                .unwrap_or_else(|| panic!("missing value after {}", args[*i - 1]))
-                .clone()
-        };
-        match args[i].as_str() {
-            "--list" => {
-                println!("available grids:");
-                for name in GRID_NAMES {
-                    let g = named_grid(name, None).expect("named grid");
-                    println!("  {:<8} {} points", name, g.build_points().len());
-                }
-                return;
-            }
-            "--grid" => grid_name = flag_value(&mut i),
-            "--requests" => {
-                requests = Some(flag_value(&mut i).parse().expect("--requests takes a number"))
-            }
-            "--par" => par = Some(flag_value(&mut i).parse().expect("--par takes a number")),
-            "--scout-cache" => {
-                let v = flag_value(&mut i);
-                scout_cache = Some(ScoutCacheKind::by_label(&v).unwrap_or_else(|| {
-                    panic!("unknown scout-cache mode {v:?} (off|on|checked)")
-                }));
-            }
-            "--fresh" => fresh = true,
-            "--systems" => {
-                systems = Some(
-                    flag_value(&mut i)
-                        .split(',')
-                        .map(|label| {
-                            FabricKind::by_label(label.trim())
-                                .unwrap_or_else(|| panic!("unknown system {label:?}"))
-                        })
-                        .collect(),
-                )
-            }
-            other => panic!("unknown flag {other:?} (try --list)"),
-        }
-        i += 1;
-    }
-    let mut grid = named_grid(&grid_name, requests).unwrap_or_else(|| {
-        panic!("unknown grid {grid_name:?}; available: {}", GRID_NAMES.join(", "))
+    let cli = parse_args(&args).unwrap_or_else(|err| {
+        eprintln!("sweep_catalog: {err}\n{USAGE}");
+        std::process::exit(2);
     });
-    if let Some(systems) = systems {
+    if cli.list {
+        println!("available grids:");
+        for name in GRID_NAMES {
+            let g = named_grid(name, None).expect("named grid");
+            println!("  {:<8} {} points", name, g.build_points().len());
+        }
+        return;
+    }
+    let mut grid = named_grid(cli.grid, cli.requests).expect("parse_args checks the grid name");
+    if let Some(systems) = cli.systems {
         grid = grid.replace_fabrics(&systems);
     }
-    if let Some(cache) = scout_cache {
+    if let Some(cache) = cli.scout_cache {
         grid = grid.replace_knobs([Knob::ScoutCache(cache)]);
     }
     let results = venice_bench::results_dir();
-    let outcome = match par {
-        Some(par) => grid.run_resumable(&results, &WorkerPool::new(par), fresh),
-        None => grid.run_resumable(&results, WorkerPool::global(), fresh),
+    let outcome = match cli.par {
+        Some(par) => grid.run_resumable(&results, &WorkerPool::new(par), cli.fresh),
+        None => grid.run_resumable(&results, WorkerPool::global(), cli.fresh),
     };
     report_sweep(&outcome, &results);
-    let distilled = match grid_name.as_str() {
+    let distilled = match cli.grid {
         "faults" => Some(("fault_ablation", fault_ablation(&outcome))),
         "tenants" => Some(("tenant_isolation", tenant_isolation(&outcome))),
         "resilience" => Some(("resilience_ablation", resilience_ablation(&outcome))),
@@ -749,6 +755,30 @@ mod tests {
             let line = format!("{}|{}|{}\n", p.id, p.label, p.file_name());
             fnv1a(line.as_bytes(), h)
         })
+    }
+
+    /// Good arguments parse; an unknown flag, a missing value, a bad number,
+    /// an unknown system and an unknown grid are errors, not panics.
+    #[test]
+    fn bad_arguments_are_errors() {
+        let parse = |line: &str| {
+            parse_args(&line.split_whitespace().map(String::from).collect::<Vec<_>>())
+        };
+        let cli = parse("--grid faults --requests 200 --par 2 --systems Baseline,venice --fresh")
+            .expect("valid arguments");
+        assert_eq!((cli.grid, cli.requests, cli.par), ("faults", Some(200), Some(2)));
+        assert!(cli.fresh && !cli.list);
+        assert_eq!(cli.systems, Some(vec![FabricKind::Baseline, FabricKind::Venice]));
+        for (line, error) in [
+            ("--bogus", "unknown flag \"--bogus\""),
+            ("--requests", "missing value after --requests"),
+            ("--requests abc", "bad value \"abc\" for --requests"),
+            ("--systems Venice,Nope", "unknown system \"Nope\""),
+            ("--grid nope", "unknown grid \"nope\"; available: mini, table2"),
+        ] {
+            let err = parse(line).expect_err(line);
+            assert!(err.starts_with(error), "{line}: {err}");
+        }
     }
 
     /// Every named grid expands byte-identically to the constants below,

@@ -21,9 +21,10 @@
 //! the `results/bench_*.json` files written by [`microbench`] this keeps the
 //! engine's performance trajectory measurable run over run.
 //!
-//! All simulation fan-out goes through the [`sweep`] engine's single shared
-//! [`sweep::WorkerPool`] — there is exactly one level of parallelism per
-//! process, and `VENICE_PAR × systems` thread multiplication cannot happen.
+//! All simulation fan-out goes through the [`sweep`] engine's
+//! [`sweep::WorkerPool`]: every figure that simulates is a
+//! [`sweep::SweepGrid`], one pool job per point, and `venice_ssd` itself
+//! starts no threads.
 
 #![warn(missing_docs)]
 
@@ -34,10 +35,10 @@ pub mod sweep;
 use std::path::{Path, PathBuf};
 
 use venice_interconnect::FabricKind;
-use venice_ssd::{run_single, RunMetrics, SsdConfig};
-use venice_workloads::{catalog, Trace, WorkloadAxis};
+use venice_ssd::{RunMetrics, SsdConfig};
+use venice_workloads::WorkloadAxis;
 
-use sweep::{SweepGrid, WorkerPool};
+use sweep::SweepGrid;
 
 /// Parses `name` from the environment, warning on stderr (and falling back
 /// to `default`) when the value is set but unparsable.
@@ -82,6 +83,21 @@ pub fn results_dir() -> PathBuf {
     }
 }
 
+/// Reads and parses the value after `flag` from the rest of a command
+/// line — the flag reader of the `sweep_catalog` and `policy_ablation`
+/// binaries.
+///
+/// # Errors
+///
+/// Names the flag when its value is missing or does not parse as `T`.
+pub fn flag_value<'a, T: std::str::FromStr>(
+    flag: &str,
+    rest: &mut impl Iterator<Item = &'a String>,
+) -> Result<T, String> {
+    let raw = rest.next().ok_or_else(|| format!("missing value after {flag}"))?;
+    raw.parse().map_err(|_| format!("bad value {raw:?} for {flag}"))
+}
+
 /// Catalog-sweep worker threads (`VENICE_PAR`, default: available cores).
 /// Zero is invalid and warns like an unparsable value.
 pub fn venice_par() -> usize {
@@ -93,17 +109,6 @@ pub fn venice_par() -> usize {
     } else {
         par
     }
-}
-
-/// The five real systems of the main figures (Ideal added separately).
-pub fn real_systems() -> [FabricKind; 5] {
-    [
-        FabricKind::Baseline,
-        FabricKind::Pssd,
-        FabricKind::PnSsd,
-        FabricKind::NoSsd,
-        FabricKind::Venice,
-    ]
 }
 
 /// Throughput summary of one sweep.
@@ -156,73 +161,23 @@ impl std::fmt::Display for SweepSummary {
 /// One catalog sweep row: a workload name and its per-system metrics.
 pub type CatalogRow = (String, Vec<RunMetrics>);
 
-/// The Table 2 catalog grid: every catalog workload × `systems` under
-/// `config` — the sweep behind most of the paper's figures.
-fn catalog_grid(config: &SsdConfig, systems: &[FabricKind], requests: usize) -> SweepGrid {
-    SweepGrid::new("catalog")
-        .config(config.clone())
-        .workloads(WorkloadAxis::table2())
-        .fabrics(systems)
-        .requests(requests)
-}
-
-/// Runs every Table 2 workload across `systems` under `config`, returning
-/// `(workload name, per-system metrics)` in catalog order.
-///
-/// Executes on the process-wide shared [`sweep::WorkerPool`] (sized by
-/// [`venice_par`] at first use) and prints a throughput summary to stderr;
-/// use [`sweep_catalog`] for explicit parallelism control or to consume the
-/// [`SweepSummary`].
+/// Runs every Table 2 workload across `systems` under `config` on the
+/// shared [`sweep::WorkerPool`] — the sweep behind most of the paper's
+/// figures — returning `(workload name, per-system metrics)` in catalog
+/// order, and prints a throughput summary to stderr.
 pub fn run_catalog(
     config: &SsdConfig,
     systems: &[FabricKind],
     requests: usize,
 ) -> Vec<CatalogRow> {
-    let outcome = catalog_grid(config, systems, requests).run();
+    let outcome = SweepGrid::new("catalog")
+        .config(config.clone())
+        .workloads(WorkloadAxis::table2())
+        .fabrics(systems)
+        .requests(requests)
+        .run();
     eprintln!("[venice-bench] {}", outcome.summary());
     outcome.catalog_rows()
-}
-
-/// [`run_catalog`] with an explicit worker-thread count and no summary
-/// print, on a dedicated [`WorkerPool`] of that size.
-///
-/// Every run is fully independent and deterministic per `(config, system,
-/// trace)`, so the returned metrics are identical for every `par`; only
-/// wall-clock time changes (this is what the pool-size determinism tests
-/// assert).
-pub fn sweep_catalog(
-    config: &SsdConfig,
-    systems: &[FabricKind],
-    requests: usize,
-    par: usize,
-) -> (Vec<CatalogRow>, SweepSummary) {
-    let pool = WorkerPool::new(par);
-    let outcome = catalog_grid(config, systems, requests).run_on(&pool);
-    (outcome.catalog_rows(), outcome.summary())
-}
-
-/// Runs one named workload across `systems` on the shared pool.
-pub fn run_workload(
-    config: &SsdConfig,
-    systems: &[FabricKind],
-    name: &str,
-    requests: usize,
-) -> Vec<RunMetrics> {
-    let trace = catalog::by_name(name)
-        .unwrap_or_else(|| panic!("unknown workload {name}"))
-        .generate(requests);
-    run_trace(config, systems, &trace)
-}
-
-/// Runs an arbitrary trace across `systems` on the shared pool (one job
-/// per system; identical metrics to serial execution).
-pub fn run_trace(config: &SsdConfig, systems: &[FabricKind], trace: &Trace) -> Vec<RunMetrics> {
-    WorkerPool::global().run(
-        systems
-            .iter()
-            .map(|&system| move || run_single(config, system, trace))
-            .collect(),
-    )
 }
 
 /// Renders point records as the per-point markdown table of a sweep
@@ -304,15 +259,16 @@ pub fn metrics(results: &[RunMetrics], system: FabricKind) -> &RunMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sweep::WorkerPool;
+    use venice_workloads::catalog;
 
     #[test]
     fn harness_runs_one_workload() {
         let cfg = SsdConfig::performance_optimized();
-        let results = run_workload(
+        let results = venice_ssd::run_systems(
             &cfg,
             &[FabricKind::Baseline, FabricKind::Venice],
-            "hm_0",
-            150,
+            &WorkloadAxis::catalog("hm_0").expect("catalog").trace(150),
         );
         assert_eq!(results.len(), 2);
         assert!(speedup(&results, FabricKind::Venice) > 0.0);
@@ -366,8 +322,12 @@ mod tests {
 
     #[test]
     fn sweep_summary_accounts_events() {
-        let cfg = SsdConfig::performance_optimized();
-        let (rows, summary) = sweep_catalog(&cfg, &[FabricKind::Ideal], 60, 4);
+        let outcome = SweepGrid::new("catalog")
+            .workloads(WorkloadAxis::table2())
+            .fabrics(&[FabricKind::Ideal])
+            .requests(60)
+            .run_on(&WorkerPool::new(4));
+        let (rows, summary) = (outcome.catalog_rows(), outcome.summary());
         assert_eq!(rows.len(), catalog::TABLE2.len());
         assert_eq!(summary.workloads, rows.len());
         assert_eq!(summary.systems, 1);

@@ -4,11 +4,9 @@
 //! queue depth, dispatch policy, scout cache, fault plan, tenant set,
 //! resilience and redundancy — are one [`Knob`] table.
 //!
-//! This module is the process's single arbiter of simulation parallelism:
-//! every simulation of a sweep is one job on a [`WorkerPool`], and while
-//! the pool is draining jobs, [`venice_ssd::run_systems`] detects it (via
-//! the shared-pool guard in `venice_ssd`) and clamps its own fan-out to
-//! serial execution, so threads never multiply to `VENICE_PAR × systems`.
+//! This module is the process's only source of simulation parallelism:
+//! every simulation of a sweep is one job on a [`WorkerPool`], and the
+//! engine crates start no threads of their own.
 //!
 //! # Determinism contract
 //!
@@ -38,7 +36,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -59,11 +57,7 @@ use crate::{CatalogRow, SweepSummary};
 /// There is one [`WorkerPool::global`] pool per process (sized by
 /// `VENICE_PAR`, default: available cores); explicitly sized pools exist
 /// for reproducibility tests. Workers are scoped threads spawned per
-/// batch — idle sweeps keep no threads alive — but the pool's *activity*
-/// is process-global: while any batch is draining, nested parallelism
-/// requests (a second `run` call, or `venice_ssd::run_systems` invoked
-/// from inside a job) log one warning and run inline on the calling
-/// thread instead of multiplying threads.
+/// batch, so idle sweeps keep no threads alive.
 #[derive(Debug)]
 pub struct WorkerPool {
     threads: usize,
@@ -71,9 +65,6 @@ pub struct WorkerPool {
 
 /// The process-wide pool instance behind [`WorkerPool::global`].
 static GLOBAL_POOL: OnceLock<WorkerPool> = OnceLock::new();
-
-/// Whether the nested-`run` clamp warning has been printed yet.
-static NESTED_RUN_WARNED: AtomicBool = AtomicBool::new(false);
 
 impl WorkerPool {
     /// Creates a pool with an explicit thread budget (floor of one).
@@ -98,9 +89,7 @@ impl WorkerPool {
     ///
     /// Jobs are claimed from a shared atomic queue by `min(threads, jobs)`
     /// scoped workers, so an expensive job never blocks the queue — idle
-    /// workers steal the remaining ones. If the pool is already active
-    /// (nested call), the jobs run inline serially on the calling thread
-    /// after a once-per-process warning; results are identical either way.
+    /// workers steal the remaining ones.
     ///
     /// # Panics
     ///
@@ -110,21 +99,6 @@ impl WorkerPool {
         F: FnOnce() -> T + Send,
         T: Send,
     {
-        // Claim-and-check is one atomic fetch_add inside enter_shared_pool,
-        // so two concurrent top-level runs can never both take the parallel
-        // path (the loser clamps inline).
-        let guard = venice_ssd::enter_shared_pool();
-        if guard.is_nested() {
-            if !NESTED_RUN_WARNED.swap(true, Ordering::Relaxed) {
-                eprintln!(
-                    "warning: nested WorkerPool::run ({} jobs) while the shared \
-                     pool is active; running inline serially \
-                     (further occurrences are silent)",
-                    jobs.len()
-                );
-            }
-            return jobs.into_iter().map(|job| job()).collect();
-        }
         let n = jobs.len();
         let workers = self.threads.min(n.max(1));
         let next = AtomicUsize::new(0);
@@ -983,17 +957,6 @@ mod tests {
         assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<_>>());
         // Thread budget floors at one and is visible.
         assert_eq!(WorkerPool::new(0).threads(), 1);
-    }
-
-    #[test]
-    fn nested_pool_runs_clamp_inline() {
-        let pool = WorkerPool::new(2);
-        // Jobs that themselves use a pool: must not deadlock or nest threads.
-        let out = pool.run(vec![
-            || WorkerPool::new(2).run(vec![|| 1, || 2]),
-            || WorkerPool::new(2).run(vec![|| 3, || 4]),
-        ]);
-        assert_eq!(out, vec![vec![1, 2], vec![3, 4]]);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //!
 //! This crate is the reproduction's equivalent of MQSim's front end: it
 //! wires together the substrates from the sibling crates and exposes a
-//! one-call experiment interface.
+//! one-call experiment interface. It is single-threaded and holds no
+//! global state: parallel sweeps live in `venice_bench::sweep`.
 //!
 //! * [`SsdConfig`] — the paper's Table 1 configurations
 //!   (performance-optimized Z-NAND, cost-optimized 3D TLC) plus shape and
@@ -12,8 +13,9 @@
 //!   paper's Figure 3),
 //! * [`DispatchPolicyKind`] — pluggable dispatcher retry strategies
 //!   (retry-all, conflict-aware backoff, per-fabric auto),
-//! * [`ExperimentBuilder`] / [`run_systems`] — run workloads across the six
-//!   systems (Baseline, pSSD, pnSSD, NoSSD, Venice, Ideal),
+//! * [`run_single`] / [`run_systems`] — run a workload on one fabric or
+//!   on several (Baseline, pSSD, pnSSD, NoSSD, Venice, Ideal; the fabric
+//!   type is `venice_interconnect::FabricKind`),
 //! * [`RunMetrics`] — execution time, IOPS, tail latency, conflict rate,
 //!   power/energy: every metric the paper's evaluation reports,
 //! * [`report`] — markdown/CSV table helpers for the figure harnesses.
@@ -21,16 +23,13 @@
 //! # Example
 //!
 //! ```
-//! use venice_ssd::{run_systems, SsdConfig, SystemKind};
+//! use venice_interconnect::FabricKind;
+//! use venice_ssd::{run_systems, SsdConfig};
 //! use venice_workloads::catalog;
 //!
 //! let trace = catalog::by_name("hm_0").unwrap().generate(500);
 //! let cfg = SsdConfig::performance_optimized();
-//! let results = run_systems(
-//!     &cfg,
-//!     &[SystemKind::Baseline, SystemKind::Venice],
-//!     &trace,
-//! );
+//! let results = run_systems(&cfg, &[FabricKind::Baseline, FabricKind::Venice], &trace);
 //! assert_eq!(results[1].completed_requests, 500);
 //! // Venice resolves far more requests without path conflicts.
 //! assert!(results[1].conflict_pct() < results[0].conflict_pct());
@@ -53,10 +52,7 @@ pub use config::{SsdConfig, StaticPower};
 pub use dispatch::{
     DispatchPolicyKind, DispatchScanKind, DispatchStats, BACKOFF_MAX_ROUNDS, STARVATION_NS,
 };
-pub use experiment::{
-    all_systems, enter_shared_pool, run_single, run_systems, shared_pool_active,
-    ExperimentBuilder, SharedPoolGuard, SystemKind,
-};
+pub use experiment::{run_single, run_systems};
 pub use fault::{FaultAction, FaultPlan};
 pub use metrics::{RunMetrics, RunStatus, TenantMetrics};
 pub use redundancy::{

@@ -494,7 +494,8 @@ mod tests {
     /// back equal. Nothing panics.
     #[test]
     fn truncated_and_mutated_records_are_errors_not_panics() {
-        let record = crate::RunMetrics::failed(crate::SystemKind::Venice, "hm_0", "c").to_json();
+        let venice = venice_interconnect::FabricKind::Venice;
+        let record = crate::RunMetrics::failed(venice, "hm_0", "c").to_json();
         let record = record.trim_end();
         for end in 0..record.len() {
             assert!(Json::parse(&record[..end]).is_err(), "{end}-byte prefix parsed");
@@ -534,7 +535,8 @@ mod tests {
     /// the reads equal the `RunMetrics` fields behind them.
     #[test]
     fn run_records_read_back_field_by_field() {
-        use crate::{FaultPlan, RedundancyKind, ResiliencePolicy, SsdConfig, SystemKind};
+        use crate::{FaultPlan, RedundancyKind, ResiliencePolicy, SsdConfig};
+        use venice_interconnect::FabricKind;
         use venice_workloads::WorkloadAxis;
         let off = SsdConfig::performance_optimized();
         let armed = off
@@ -549,7 +551,7 @@ mod tests {
         ];
         for (config, axis) in runs {
             let trace = axis.expect("workload").trace(150);
-            let mut m = crate::run_single(&config, SystemKind::Venice, &trace);
+            let mut m = crate::run_single(&config, FabricKind::Venice, &trace);
             let armed = config.fault_plan != FaultPlan::None;
             assert_eq!(armed, m.faults_injected > 0 && m.rebuilt_pages > 0 && m.tenants.len() == 2);
             let json = m.to_json();

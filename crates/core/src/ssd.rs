@@ -217,15 +217,18 @@ struct RebuildState {
     /// The dead chip being rebuilt.
     chip: usize,
     /// Scan cursor over the logical address space: pages mapped to the
-    /// dead chip are staged into the HIL's background lane as they are
+    /// dead chip are pushed onto [`RebuildState::staged`] as they are
     /// found.
     next_lpa: u64,
+    /// Dead-chip pages awaiting a reconstruction job, in staging order.
+    /// Host-side arbitration never sees them.
+    staged: VecDeque<u64>,
     /// Token bucket: [`REBUILD_RATE`] tokens per [`REBUILD_TICK`], capped
     /// at [`REBUILD_BURST`]; launching one job costs one token, so a
     /// saturated bucket defers staged pages instead of dropping them.
     tokens: u32,
-    /// In-flight reconstruction jobs (≤ [`REBUILD_MAX_JOBS`], enforced by
-    /// the HIL background lane's in-flight cap).
+    /// In-flight reconstruction jobs (≤ [`REBUILD_MAX_JOBS`]: staged pages
+    /// launch only below the cap).
     jobs: Vec<RebuildJob>,
     /// The scan cursor reached the end of the logical space.
     scan_done: bool,
@@ -234,10 +237,10 @@ struct RebuildState {
     /// rebuilt). A page that exhausts [`REBUILD_RETRY_LIMIT`] attempts is
     /// skipped.
     retries: Vec<(u64, u32)>,
-    /// Blocked pages parked until the next tick re-submits them to the
-    /// background lane — tick spacing keeps one page from burning all its
-    /// bounded attempts (and the whole token bucket) against a blocker
-    /// that has not had a single event's time to clear.
+    /// Blocked pages parked until the next tick re-stages them — tick
+    /// spacing keeps one page from burning all its bounded attempts (and
+    /// the whole token bucket) against a blocker that has not had a single
+    /// event's time to clear.
     deferred: Vec<u64>,
 }
 
@@ -1514,10 +1517,10 @@ impl SsdSim {
             self.rebuild_pending.push_back(chip);
             return;
         }
-        self.hil.set_background_cap(REBUILD_MAX_JOBS);
         self.rebuild = Some(RebuildState {
             chip,
             next_lpa: 0,
+            staged: VecDeque::new(),
             tokens: REBUILD_BURST,
             jobs: Vec::new(),
             scan_done: false,
@@ -1531,11 +1534,10 @@ impl SsdSim {
     }
 
     /// One pacing quantum of the rebuild engine: refill the token bucket,
-    /// advance the scan of the logical space (staging dead-chip pages into
-    /// the HIL's background lane), and launch reconstruction jobs while
-    /// tokens and job slots last. The tick re-arms itself only while a
-    /// rebuild is active, so a finished rebuild stops touching the
-    /// calendar.
+    /// advance the scan of the logical space (staging dead-chip pages),
+    /// and launch reconstruction jobs while tokens and job slots last. The
+    /// tick re-arms itself only while a rebuild is active, so a finished
+    /// rebuild stops touching the calendar.
     fn on_rebuild_tick(&mut self, now: SimTime) {
         if self.rebuild.is_none() {
             self.rebuild_tick_armed = false;
@@ -1546,15 +1548,11 @@ impl SsdSim {
             r.tokens = (r.tokens + REBUILD_RATE).min(REBUILD_BURST);
             r.chip
         };
-        // Re-submit last tick's blocked pages first: their blockers have
+        // Re-stage last tick's blocked pages first: their blockers have
         // had a tick to clear, and queue order retries them before fresh
         // scan output claims the tokens.
-        let parked = std::mem::take(
-            &mut self.rebuild.as_mut().expect("checked above").deferred,
-        );
-        for lpa in parked {
-            self.hil.submit_background(lpa);
-        }
+        let r = self.rebuild.as_mut().expect("checked above");
+        r.staged.extend(r.deferred.drain(..));
         let logical = self.ftl.logical_pages();
         let mut scanned = 0u64;
         while scanned < REBUILD_SCAN_BATCH {
@@ -1573,17 +1571,20 @@ impl SsdSim {
                 usize::from(self.ftl.config().array.unpack(g).chip.0) == chip
             });
             if on_dead {
-                // Stage into the HIL's background lane: invisible to
-                // foreground arbitration, deferred (never dropped) when
-                // the in-flight cap or the token bucket is exhausted.
-                self.hil.submit_background(lpa);
+                // Deferred (never dropped) while the job cap or the token
+                // bucket is exhausted.
+                self.rebuild.as_mut().expect("checked above").staged.push_back(lpa);
             }
         }
-        while self.rebuild.as_ref().expect("checked above").tokens > 0 {
-            let Some(lpa) = self.hil.fetch_background() else {
+        loop {
+            let r = self.rebuild.as_mut().expect("checked above");
+            if r.tokens == 0 || r.jobs.len() >= REBUILD_MAX_JOBS {
+                break;
+            }
+            let Some(lpa) = r.staged.pop_front() else {
                 break;
             };
-            self.rebuild.as_mut().expect("checked above").tokens -= 1;
+            r.tokens -= 1;
             self.launch_rebuild_job(now, lpa);
         }
         self.maybe_finish_rebuild(now);
@@ -1613,7 +1614,6 @@ impl SsdSim {
             .translate(lpa)
             .filter(|g| usize::from(self.ftl.config().array.unpack(*g).chip.0) == chip);
         let Some(gppa) = on_dead else {
-            self.hil.complete_background();
             return;
         };
         if self.pending_programs.contains(gppa.0 as usize) {
@@ -1632,7 +1632,6 @@ impl SsdSim {
             // Overlapping deaths destroyed a group member: the page stays
             // mapped to the dead chip and the recovery is incomplete.
             self.rebuild_skipped_pages += 1;
-            self.hil.complete_background();
             return;
         }
         if set.severed > 0 {
@@ -1655,7 +1654,6 @@ impl SsdSim {
                     r.deferred.push(lpa);
                 }
             }
-            self.hil.complete_background();
             return;
         }
         if set.migrating > 0 {
@@ -1663,9 +1661,7 @@ impl SsdSim {
             // finite and GC quiesces once writes drain, so parking the
             // page until the next tick always terminates — no bounded
             // attempt is burned on a blocker that is guaranteed to clear.
-            let r = self.rebuild.as_mut().expect("rebuild active");
-            r.deferred.push(lpa);
-            self.hil.complete_background();
+            self.rebuild.as_mut().expect("rebuild active").deferred.push(lpa);
             return;
         }
         let r = self.rebuild.as_mut().expect("rebuild active");
@@ -1705,9 +1701,9 @@ impl SsdSim {
     /// discarded pages are plain invalidated space for GC). The program is
     /// spawned immediately after its allocation — any interleaved
     /// allocation would break the chip's in-order program contract. Out of
-    /// space defers the page back into the background lane rather than
-    /// dropping it; GC frees room (the dead chip's invalidated blocks are
-    /// reclaimable) and a later tick retries.
+    /// space re-stages the page rather than dropping it; GC frees room (the
+    /// dead chip's invalidated blocks are reclaimable) and a later tick
+    /// retries.
     fn launch_rebuild_write(&mut self, now: SimTime, job_idx: usize) {
         let (lpa, chip) = {
             let r = self.rebuild.as_ref().expect("rebuild active");
@@ -1747,8 +1743,7 @@ impl SsdSim {
             None => {
                 let r = self.rebuild.as_mut().expect("rebuild active");
                 r.jobs.swap_remove(job_idx);
-                self.hil.complete_background();
-                self.hil.submit_background(lpa);
+                r.staged.push_back(lpa);
                 self.check_gc(now);
             }
         }
@@ -1778,16 +1773,13 @@ impl SsdSim {
             .expect("rebuild active")
             .jobs
             .swap_remove(job_idx);
-        self.hil.complete_background();
         self.maybe_finish_rebuild(now);
     }
 
     fn maybe_finish_rebuild(&mut self, now: SimTime) {
-        let done = self
-            .rebuild
-            .as_ref()
-            .is_some_and(|r| r.scan_done && r.jobs.is_empty() && r.deferred.is_empty())
-            && self.hil.background_queued() == 0;
+        let done = self.rebuild.as_ref().is_some_and(|r| {
+            r.scan_done && r.jobs.is_empty() && r.deferred.is_empty() && r.staged.is_empty()
+        });
         if !done {
             return;
         }

@@ -108,17 +108,6 @@ pub struct HostInterface {
     tenant_stats: Vec<HilStats>,
     inflight: u64,
     last_completion: SimTime,
-    /// Background (rebuild) lane: queued page tags awaiting a rebuild slot.
-    /// A separate lane, not a tenant — it holds no submission-queue slots,
-    /// consumes no WRR credits, and is invisible to every foreground
-    /// counter, so arming it cannot perturb foreground arbitration.
-    background: VecDeque<u64>,
-    /// Background fetches outstanding (fetched, not completed).
-    background_inflight: usize,
-    /// In-flight ceiling of the background lane; at the ceiling
-    /// [`HostInterface::fetch_background`] defers (returns `None`, keeps
-    /// the entry queued) rather than dropping.
-    background_cap: usize,
 }
 
 impl HostInterface {
@@ -166,9 +155,6 @@ impl HostInterface {
             stats: HilStats::default(),
             inflight: 0,
             last_completion: SimTime::ZERO,
-            background: VecDeque::new(),
-            background_inflight: 0,
-            background_cap: usize::MAX,
         }
     }
 
@@ -316,56 +302,6 @@ impl HostInterface {
             self.credits = 0;
         }
         None
-    }
-
-    /// Bounds the background lane's in-flight fetches (rebuild jobs the
-    /// engine may hold open at once). Entries beyond the cap stay queued.
-    pub fn set_background_cap(&mut self, cap: usize) {
-        self.background_cap = cap;
-    }
-
-    /// Queues one background (rebuild) work tag. Never rejects: the lane
-    /// holds no submission-queue slots, so there is no occupancy to
-    /// back-pressure against — pacing happens at fetch time.
-    pub fn submit_background(&mut self, tag: u64) {
-        self.background.push_back(tag);
-    }
-
-    /// Fetches the next background tag, strictly after foreground
-    /// arbitration (callers invoke this only when they choose to spend a
-    /// rebuild token) and only below the lane's in-flight cap. At the cap
-    /// or with nothing queued it returns `None` and the queue is left
-    /// intact — a saturated lane defers, it never drops.
-    pub fn fetch_background(&mut self) -> Option<u64> {
-        if self.background_inflight >= self.background_cap {
-            return None;
-        }
-        let tag = self.background.pop_front()?;
-        self.background_inflight += 1;
-        Some(tag)
-    }
-
-    /// Retires one background fetch, freeing its in-flight slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no background fetch is outstanding.
-    pub fn complete_background(&mut self) {
-        assert!(
-            self.background_inflight > 0,
-            "background completion without in-flight fetch"
-        );
-        self.background_inflight -= 1;
-    }
-
-    /// Background tags queued (not yet fetched).
-    pub fn background_queued(&self) -> usize {
-        self.background.len()
-    }
-
-    /// Background fetches outstanding.
-    pub fn background_inflight(&self) -> usize {
-        self.background_inflight
     }
 
     /// Posts a completion for a fetched request, releasing its queue slot
@@ -733,69 +669,6 @@ mod tests {
         );
         hil.complete(fetched.id, SimTime::from_micros(1));
         assert_eq!(hil.tenant_outstanding(0), 2, "completion releases it");
-    }
-
-    /// The background (rebuild) lane is strictly lower priority than, and
-    /// invisible to, foreground WRR arbitration: arming it never perturbs
-    /// the foreground fetch order, never consumes a tenant's queue-depth
-    /// cap, and a saturated lane defers fetches rather than dropping them.
-    #[test]
-    fn background_lane_never_starves_or_perturbs_foreground() {
-        let mk = || {
-            HostInterface::with_tenants(
-                HilConfig {
-                    queues: 2,
-                    queue_depth: 8,
-                    ..HilConfig::default()
-                },
-                pair(3, 1, 2),
-            )
-        };
-        let (mut with_bg, mut without_bg) = (mk(), mk());
-        for i in 0..6u64 {
-            assert!(with_bg.submit(treq(i, (i % 2) as u8, 0)));
-            assert!(without_bg.submit(treq(i, (i % 2) as u8, 0)));
-        }
-        // A deep rebuild backlog lands alongside the foreground work…
-        for tag in 0..32u64 {
-            with_bg.submit_background(tag);
-        }
-        // …and the foreground WRR order is bit-identical with and without.
-        loop {
-            let (a, b) = (with_bg.fetch(), without_bg.fetch());
-            assert_eq!(a, b, "background lane must not perturb foreground WRR");
-            if a.is_none() {
-                break;
-            }
-        }
-        // The aggressor (tenant 1, qd_cap 2) is at its cap; a pile of
-        // background fetches must not consume its (or anyone's) slots.
-        assert_eq!(with_bg.tenant_inflight(1), 2);
-        with_bg.set_background_cap(4);
-        for _ in 0..4 {
-            assert!(with_bg.fetch_background().is_some());
-        }
-        assert_eq!(with_bg.tenant_inflight(0), 3, "foreground lanes untouched");
-        assert_eq!(with_bg.tenant_inflight(1), 2, "caps unaffected by rebuild");
-        assert_eq!(with_bg.background_inflight(), 4);
-        // Saturated token bucket / cap: defer, don't drop.
-        assert!(with_bg.fetch_background().is_none(), "at cap: defer");
-        assert_eq!(with_bg.background_queued(), 28, "nothing dropped");
-        // Completion frees a slot and the deferred entry fetches in order.
-        with_bg.complete_background();
-        assert_eq!(with_bg.fetch_background(), Some(4));
-        // The background lane never starves outright: even with every
-        // foreground queue saturated, its fetches still progress.
-        assert!(with_bg.fetch().is_none(), "foreground drained/capped");
-        with_bg.complete_background();
-        assert!(with_bg.fetch_background().is_some());
-    }
-
-    #[test]
-    #[should_panic(expected = "background completion without in-flight")]
-    fn background_double_completion_panics() {
-        let mut hil = HostInterface::new(HilConfig::default());
-        hil.complete_background();
     }
 
     /// Per-tenant counters sum to the global ones across a mixed run.

@@ -9,8 +9,9 @@
 //! intra-SSD communication fabrics (Baseline shared bus, pSSD, pnSSD, NoSSD,
 //! Venice) plus an ideal path-conflict-free fabric.
 //!
-//! See [`ssd::ExperimentBuilder`] for the one-call entry point used by
-//! the figure harnesses, and `venice_bench::sweep` (a
+//! See [`ssd::run_single`] for the one-call entry point (one workload on
+//! one fabric, for example a Figure 15 reshape via
+//! [`ssd::SsdConfig::with_mesh`]), and `venice_bench::sweep` (a
 //! dev-dependency of this facade, used by the examples) for design-space
 //! sweep grids over a shared worker pool. `docs/ARCHITECTURE.md` maps the
 //! crates and a request's life through them.
@@ -18,13 +19,12 @@
 //! # Example
 //!
 //! ```
-//! use venice::ssd::{ExperimentBuilder, SystemKind};
+//! use venice::interconnect::FabricKind;
+//! use venice::ssd::{run_single, SsdConfig};
 //! use venice::workloads::catalog;
 //!
 //! let trace = catalog::by_name("hm_0").unwrap().generate(2_000);
-//! let metrics = ExperimentBuilder::performance_optimized()
-//!     .system(SystemKind::Venice)
-//!     .run(&trace);
+//! let metrics = run_single(&SsdConfig::performance_optimized(), FabricKind::Venice, &trace);
 //! assert!(metrics.completed_requests > 0);
 //! ```
 

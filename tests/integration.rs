@@ -2,7 +2,7 @@
 //! fabric + NAND together, checking paper-level behavioral claims.
 
 use venice::interconnect::FabricKind;
-use venice::ssd::{all_systems, run_systems, ExperimentBuilder, SsdConfig, SystemKind};
+use venice::ssd::{run_single, run_systems, SsdConfig};
 use venice::workloads::{catalog, mix, WorkloadAxis, WorkloadSpec};
 use venice_bench::sweep::{Knob, SweepGrid, WorkerPool};
 
@@ -18,6 +18,7 @@ fn pool_size_stable(grid: &SweepGrid, points: usize) -> venice_bench::sweep::Swe
     let serial = grid.run_on(&WorkerPool::new(1));
     let pooled = grid.run_on(&WorkerPool::new(4));
     assert_eq!(serial.records().len(), points);
+    assert_eq!(pooled.records().len(), points);
     for (a, b) in serial.records().iter().zip(pooled.records()) {
         assert_eq!((a.point.id, &a.point.label), (b.point.id, &b.point.label));
         assert_eq!(a.metrics, b.metrics, "{}: metrics differ across pool sizes", a.point.label);
@@ -26,6 +27,7 @@ fn pool_size_stable(grid: &SweepGrid, points: usize) -> venice_bench::sweep::Swe
     assert_eq!(serial.grid_hash(), pooled.grid_hash());
     assert_eq!(serial.metrics_fingerprint(), pooled.metrics_fingerprint());
     assert_eq!(serial.manifest_fingerprint(), pooled.manifest_fingerprint());
+    assert_eq!(serial.summary().events, pooled.summary().events);
     serial
 }
 
@@ -33,7 +35,7 @@ fn pool_size_stable(grid: &SweepGrid, points: usize) -> venice_bench::sweep::Swe
 fn catalog_workload_completes_on_all_systems() {
     let trace = quick("hm_0", 400);
     let cfg = SsdConfig::performance_optimized();
-    let results = run_systems(&cfg, &all_systems(), &trace);
+    let results = run_systems(&cfg, &FabricKind::ALL, &trace);
     for m in &results {
         assert_eq!(m.completed_requests, 400, "{}", m.system);
         assert_eq!(m.hil.completed, 400, "{}", m.system);
@@ -51,7 +53,7 @@ fn venice_at_least_ties_baseline_and_always_conflicts_less() {
     let cfg = SsdConfig::performance_optimized();
     for name in ["proj_3", "src2_1"] {
         let trace = quick(name, 800);
-        let results = run_systems(&cfg, &[SystemKind::Baseline, SystemKind::Venice], &trace);
+        let results = run_systems(&cfg, &[FabricKind::Baseline, FabricKind::Venice], &trace);
         let speedup = results[1].speedup_over(&results[0]);
         assert!(speedup >= 0.96, "{name}: venice speedup {speedup}");
         assert!(
@@ -65,7 +67,7 @@ fn venice_at_least_ties_baseline_and_always_conflicts_less() {
 fn ideal_upper_bounds_every_system() {
     let trace = quick("ssd-10", 600);
     let cfg = SsdConfig::performance_optimized();
-    let results = run_systems(&cfg, &all_systems(), &trace);
+    let results = run_systems(&cfg, &FabricKind::ALL, &trace);
     let ideal = results
         .iter()
         .find(|m| m.system == FabricKind::Ideal)
@@ -87,7 +89,7 @@ fn conflict_ordering_matches_figure13() {
     let cfg = SsdConfig::performance_optimized();
     let results = run_systems(
         &cfg,
-        &[SystemKind::Baseline, SystemKind::Venice, SystemKind::Ideal],
+        &[FabricKind::Baseline, FabricKind::Venice, FabricKind::Ideal],
         &trace,
     );
     let base = results[0].conflict_pct();
@@ -104,12 +106,12 @@ fn cost_optimized_gains_are_smaller_than_performance_optimized() {
     let trace = quick("ssd-10", 800);
     let perf = run_systems(
         &SsdConfig::performance_optimized(),
-        &[SystemKind::Baseline, SystemKind::Ideal],
+        &[FabricKind::Baseline, FabricKind::Ideal],
         &trace,
     );
     let cost = run_systems(
         &SsdConfig::cost_optimized(),
-        &[SystemKind::Baseline, SystemKind::Ideal],
+        &[FabricKind::Baseline, FabricKind::Ideal],
         &trace,
     );
     let perf_gain = perf[1].speedup_over(&perf[0]);
@@ -124,9 +126,7 @@ fn cost_optimized_gains_are_smaller_than_performance_optimized() {
 fn mixes_run_end_to_end() {
     let m = mix::by_name("mix5").expect("table 3 mix");
     let trace = mix::generate(m, 250);
-    let metrics = ExperimentBuilder::performance_optimized()
-        .system(SystemKind::Venice)
-        .run(&trace);
+    let metrics = run_single(&SsdConfig::performance_optimized(), FabricKind::Venice, &trace);
     assert_eq!(metrics.completed_requests, trace.len() as u64);
 }
 
@@ -135,7 +135,7 @@ fn write_heavy_workload_garbage_collects_on_every_fabric() {
     let trace = WorkloadSpec::new("churn-it", 10.0, 16.0, 6.0)
         .footprint_mb(64)
         .generate(2_500);
-    for kind in [SystemKind::Baseline, SystemKind::Venice] {
+    for kind in [FabricKind::Baseline, FabricKind::Venice] {
         let mut cfg = SsdConfig::performance_optimized();
         cfg.array.chip.blocks_per_plane = 8;
         cfg.array.chip.pages_per_block = 32;
@@ -150,10 +150,8 @@ fn write_heavy_workload_garbage_collects_on_every_fabric() {
 fn figure15_shapes_all_simulate() {
     let trace = quick("usr_0", 300);
     for (r, c) in [(4u16, 16u16), (8, 8), (16, 4)] {
-        let m = ExperimentBuilder::performance_optimized()
-            .shape(r, c)
-            .system(SystemKind::Venice)
-            .run(&trace);
+        let cfg = SsdConfig::performance_optimized().with_mesh(r, c);
+        let m = run_single(&cfg, FabricKind::Venice, &trace);
         assert_eq!(m.completed_requests, 300, "{r}x{c}");
     }
 }
@@ -162,8 +160,8 @@ fn figure15_shapes_all_simulate() {
 fn runs_are_deterministic_across_threads() {
     let trace = quick("web_1", 300);
     let cfg = SsdConfig::performance_optimized();
-    let a = run_systems(&cfg, &[SystemKind::Venice], &trace);
-    let b = run_systems(&cfg, &[SystemKind::Venice], &trace);
+    let a = run_systems(&cfg, &[FabricKind::Venice], &trace);
+    let b = run_systems(&cfg, &[FabricKind::Venice], &trace);
     assert_eq!(a[0].execution_time, b[0].execution_time);
     assert_eq!(a[0].conflicted_requests, b[0].conflicted_requests);
     assert_eq!(a[0].energy_mj, b[0].energy_mj);
@@ -180,7 +178,7 @@ fn sweep_grid_is_bit_identical_across_pool_sizes() {
         .workload(WorkloadAxis::catalog("hm_0").expect("catalog"))
         .workload(WorkloadAxis::catalog("src2_1").expect("catalog"))
         .workload(WorkloadAxis::mix("mix1").expect("table 3"))
-        .fabrics(&[SystemKind::Baseline, SystemKind::Venice, SystemKind::Ideal])
+        .fabrics(&[FabricKind::Baseline, FabricKind::Venice, FabricKind::Ideal])
         .knobs([Knob::QueueDepth(4), Knob::QueueDepth(8)])
         .requests(120);
     pool_size_stable(&grid, 18); // 3 workloads × 2 depths × 3 fabrics
@@ -298,7 +296,7 @@ fn policies_are_deterministic_across_pool_sizes() {
         .workload(WorkloadAxis::congested())
         .workload(WorkloadAxis::catalog("src2_1").expect("catalog"))
         .knobs(DispatchPolicyKind::ALL.map(Knob::Policy))
-        .fabrics(&[SystemKind::Baseline, SystemKind::Venice])
+        .fabrics(&[FabricKind::Baseline, FabricKind::Venice])
         .requests(150);
     let serial = pool_size_stable(&grid, 12); // 2 workloads × 3 policies × 2 fabrics
     for a in serial.records() {
@@ -318,7 +316,7 @@ fn policies_are_deterministic_across_pool_sizes() {
     let venice_congested: Vec<_> = serial
         .records()
         .iter()
-        .filter(|r| r.point.fabric == SystemKind::Venice && r.point.workload == "congested")
+        .filter(|r| r.point.fabric == FabricKind::Venice && r.point.workload == "congested")
         .collect();
     assert_eq!(venice_congested.len(), 3);
     let backoff = venice_congested
@@ -343,7 +341,7 @@ fn policies_are_deterministic_across_pool_sizes() {
         .records()
         .iter()
         .find(|r| {
-            r.point.fabric == SystemKind::Baseline
+            r.point.fabric == FabricKind::Baseline
                 && r.point.workload == "congested"
                 && r.point.config.dispatch == DispatchPolicyKind::Auto
         })
@@ -352,7 +350,7 @@ fn policies_are_deterministic_across_pool_sizes() {
         .records()
         .iter()
         .find(|r| {
-            r.point.fabric == SystemKind::Baseline
+            r.point.fabric == FabricKind::Baseline
                 && r.point.workload == "congested"
                 && r.point.config.dispatch == DispatchPolicyKind::RetryAll
         })
@@ -378,7 +376,7 @@ fn resumable_sweeps_skip_existing_points() {
     let grid = SweepGrid::new("resume")
         .config(SsdConfig::performance_optimized())
         .workload(WorkloadAxis::catalog("hm_0").expect("catalog"))
-        .fabrics(&[SystemKind::Baseline, SystemKind::Venice])
+        .fabrics(&[FabricKind::Baseline, FabricKind::Venice])
         .requests(80);
     let pool = WorkerPool::new(2);
 
@@ -421,7 +419,7 @@ fn resumable_sweeps_skip_existing_points() {
     let other = SweepGrid::new("resume")
         .config(SsdConfig::performance_optimized())
         .workload(WorkloadAxis::catalog("hm_0").expect("catalog"))
-        .fabrics(&[SystemKind::Baseline, SystemKind::Venice])
+        .fabrics(&[FabricKind::Baseline, FabricKind::Venice])
         .requests(90);
     let fourth = other.run_resumable(&base, &pool, false);
     assert_eq!(fourth.reused_count(), 0, "grid definition changed");
@@ -467,7 +465,7 @@ fn a_panicking_point_is_isolated_and_reported_failed() {
         .config(SsdConfig::performance_optimized())
         .config(poisoned)
         .workload(WorkloadAxis::catalog("hm_0").expect("catalog"))
-        .fabrics(&[SystemKind::Baseline, SystemKind::Venice])
+        .fabrics(&[FabricKind::Baseline, FabricKind::Venice])
         .requests(100);
     let pool = WorkerPool::new(2);
 
@@ -505,16 +503,13 @@ fn a_panicking_point_is_isolated_and_reported_failed() {
 
 #[test]
 fn catalog_sweep_is_deterministic_across_parallelism() {
-    // The parallel sweep runner must produce bit-identical RunMetrics
-    // whether workloads run on one worker thread or four.
-    let cfg = SsdConfig::performance_optimized();
-    let systems = [SystemKind::Baseline, SystemKind::Venice];
-    let (serial, s1) = venice_bench::sweep_catalog(&cfg, &systems, 120, 1);
-    let (parallel, s4) = venice_bench::sweep_catalog(&cfg, &systems, 120, 4);
-    assert_eq!(serial.len(), parallel.len());
-    assert_eq!(s1.events, s4.events);
-    for ((name_a, row_a), (name_b, row_b)) in serial.iter().zip(parallel.iter()) {
-        assert_eq!(name_a, name_b, "catalog order must not depend on VENICE_PAR");
-        assert_eq!(row_a, row_b, "{name_a}: metrics differ between PAR=1 and PAR=4");
-    }
+    // The Table 2 catalog sweep behind most figures must produce
+    // bit-identical RunMetrics, in catalog order, whether its points run
+    // on one worker thread or four.
+    let grid = SweepGrid::new("catalog")
+        .config(SsdConfig::performance_optimized())
+        .workloads(WorkloadAxis::table2())
+        .fabrics(&[FabricKind::Baseline, FabricKind::Venice])
+        .requests(120);
+    pool_size_stable(&grid, 38); // 19 workloads × 2 fabrics
 }

@@ -456,9 +456,9 @@ fn fault_injection_is_sound_on_every_fabric() {
             .workload(WorkloadAxis::congested())
             .knobs([FaultPlan::Link, FaultPlan::LinkRepair, FaultPlan::Storm].map(Knob::Fault))
             .fabrics(&[
-                venice::ssd::SystemKind::Baseline,
-                venice::ssd::SystemKind::NoSsd,
-                venice::ssd::SystemKind::Venice,
+                venice::interconnect::FabricKind::Baseline,
+                venice::interconnect::FabricKind::NoSsd,
+                venice::interconnect::FabricKind::Venice,
             ])
             .requests(150);
         assert_pool_size_stable(&grid, 9); // 3 plans × 3 fabrics
@@ -618,8 +618,8 @@ fn tenant_qos_invariants_under_random_tenancy() {
             .workload(WorkloadAxis::noisy_neighbor())
             .knobs(TenantSet::presets().into_iter().map(Knob::Tenants))
             .fabrics(&[
-                venice::ssd::SystemKind::Baseline,
-                venice::ssd::SystemKind::Venice,
+                venice::interconnect::FabricKind::Baseline,
+                venice::interconnect::FabricKind::Venice,
             ])
             .requests(120);
         assert_pool_size_stable(&grid, 8); // 4 tenant sets × 2 fabrics
@@ -733,7 +733,7 @@ fn host_resilience_is_sound_on_every_fabric() {
             .workload(WorkloadAxis::congested())
             .knobs([Knob::Fault(FaultPlan::None), Knob::Fault(FaultPlan::Storm)])
             .knobs(ResiliencePolicy::ALL.map(Knob::Resilience))
-            .fabrics(&[venice::ssd::SystemKind::Baseline, venice::ssd::SystemKind::Venice])
+            .fabrics(&[FabricKind::Baseline, FabricKind::Venice])
             .requests(150);
         assert_pool_size_stable(&grid, 24); // 2 plans × 6 policies × 2 fabrics
     }
@@ -817,7 +817,7 @@ fn rebuild_is_sound_on_every_fabric() {
             .workload(WorkloadAxis::congested())
             .knobs([Knob::Fault(FaultPlan::Chip)])
             .knobs(RedundancyKind::ALL.map(Knob::Redundancy))
-            .fabrics(&[venice::ssd::SystemKind::Baseline, venice::ssd::SystemKind::Venice])
+            .fabrics(&[FabricKind::Baseline, FabricKind::Venice])
             .requests(150);
         assert_pool_size_stable(&grid, 4); // 2 schemes × 2 fabrics
     }
