@@ -11,7 +11,9 @@ use crate::tenant::TenantSet;
 /// One host I/O request as seen at the device boundary.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HostRequest {
-    /// Host-assigned request id (unique per run).
+    /// Host-assigned request id, unique per run. Ids index a dense
+    /// per-request slot inside [`HostInterface`], so number requests from
+    /// zero without gaps (trace indices do).
     pub id: u64,
     /// Tenant (namespace) the request belongs to; index into the host
     /// interface's [`TenantSet`]. `0` on the single-tenant default path.
@@ -91,8 +93,9 @@ pub struct HostInterface {
     /// matching completion is posted (the host sees queue_depth outstanding
     /// commands at most — how trace replay against a real device behaves).
     occupied: Vec<usize>,
-    /// Queue and tenant each in-flight request was fetched from.
-    inflight_queue: std::collections::HashMap<u64, (usize, u8)>,
+    /// The queue each in-flight request was fetched from, plus one (zero
+    /// when not in flight), indexed by request id and grown on demand.
+    inflight_queue: Vec<u32>,
     /// Queue-range starts: tenant `t` owns `[range_start[t], range_start[t+1])`.
     range_start: Vec<usize>,
     /// Per-tenant round-robin cursor (absolute queue index in the tenant's
@@ -102,11 +105,8 @@ pub struct HostInterface {
     active: usize,
     /// Fetch credits the active tenant has left this cycle.
     credits: u32,
-    /// In-flight (fetched, not completed) requests per tenant.
-    tenant_inflight: Vec<u64>,
     stats: HilStats,
     tenant_stats: Vec<HilStats>,
-    inflight: u64,
     last_completion: SimTime,
 }
 
@@ -143,17 +143,15 @@ impl HostInterface {
         HostInterface {
             queues: (0..config.queues).map(|_| VecDeque::new()).collect(),
             occupied: vec![0; config.queues],
-            inflight_queue: std::collections::HashMap::new(),
+            inflight_queue: Vec::new(),
             range_start,
             cursor,
             active: 0,
             credits,
-            tenant_inflight: vec![0; t],
             tenant_stats: vec![HilStats::default(); t],
             tenants,
             config,
             stats: HilStats::default(),
-            inflight: 0,
             last_completion: SimTime::ZERO,
         }
     }
@@ -185,12 +183,12 @@ impl HostInterface {
 
     /// Requests fetched but not yet completed.
     pub fn inflight(&self) -> u64 {
-        self.inflight
+        self.stats.fetched - self.stats.completed
     }
 
     /// In-flight requests of one tenant (what the queue-depth cap bounds).
     pub fn tenant_inflight(&self, tenant: usize) -> u64 {
-        self.tenant_inflight[tenant]
+        self.tenant_stats[tenant].fetched - self.tenant_stats[tenant].completed
     }
 
     /// Total entries currently queued (not yet fetched).
@@ -259,7 +257,7 @@ impl HostInterface {
     /// tenant's queue-depth cap.
     fn fetch_from(&mut self, tenant: usize) -> Option<HostRequest> {
         let cap = self.tenants.specs()[tenant].qd_cap;
-        if cap != 0 && self.tenant_inflight[tenant] >= u64::from(cap) {
+        if cap != 0 && self.tenant_inflight(tenant) >= u64::from(cap) {
             return None;
         }
         let (start, end) = self.queue_range(tenant);
@@ -270,9 +268,12 @@ impl HostInterface {
                 self.cursor[tenant] = start + (q - start + 1) % len;
                 self.stats.fetched += 1;
                 self.tenant_stats[tenant].fetched += 1;
-                self.inflight += 1;
-                self.tenant_inflight[tenant] += 1;
-                self.inflight_queue.insert(req.id, (q, req.tenant));
+                let id = req.id as usize;
+                if id >= self.inflight_queue.len() {
+                    self.inflight_queue.resize(id + 1, 0);
+                }
+                debug_assert_eq!(self.inflight_queue[id], 0, "request {id} fetched twice");
+                self.inflight_queue[id] = q as u32 + 1;
                 return Some(req);
             }
         }
@@ -309,18 +310,18 @@ impl HostInterface {
     ///
     /// # Panics
     ///
-    /// Panics if there are no in-flight requests (double completion).
+    /// Panics if `id` is not in flight (never fetched, or completed
+    /// already).
     pub fn complete(&mut self, id: u64, now: SimTime) {
-        assert!(self.inflight > 0, "completion without in-flight request");
-        self.inflight -= 1;
-        if let Some((q, t)) = self.inflight_queue.remove(&id) {
-            debug_assert!(self.occupied[q] > 0);
-            self.occupied[q] -= 1;
-            let t = usize::from(t);
-            debug_assert!(self.tenant_inflight[t] > 0);
-            self.tenant_inflight[t] -= 1;
-            self.tenant_stats[t].completed += 1;
-        }
+        assert!(self.inflight() > 0, "completion without in-flight request");
+        let slot = self.inflight_queue.get_mut(id as usize).filter(|q| **q > 0);
+        let q = std::mem::take(slot.unwrap_or_else(|| panic!("request {id} is not in flight")));
+        let q = q as usize - 1;
+        // The owner is the last tenant whose queue range starts at or below q.
+        let t = self.range_start.partition_point(|&start| start <= q) - 1;
+        debug_assert!(self.occupied[q] > 0);
+        self.occupied[q] -= 1;
+        self.tenant_stats[t].completed += 1;
         self.stats.completed += 1;
         self.last_completion = self.last_completion.max(now);
     }
@@ -401,6 +402,18 @@ mod tests {
     #[should_panic(expected = "without in-flight")]
     fn double_completion_panics() {
         let mut hil = HostInterface::new(HilConfig::default());
+        hil.complete(1, SimTime::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "not in flight")]
+    fn double_completion_panics_while_other_requests_are_in_flight() {
+        let mut hil = HostInterface::new(HilConfig::default());
+        assert!(hil.submit(req(1, 0)));
+        assert!(hil.submit(req(2, 0)));
+        assert_eq!(hil.fetch().map(|r| r.id), Some(1));
+        assert_eq!(hil.fetch().map(|r| r.id), Some(2));
+        hil.complete(1, SimTime::ZERO);
         hil.complete(1, SimTime::ZERO);
     }
 
