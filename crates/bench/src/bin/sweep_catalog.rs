@@ -517,7 +517,8 @@ impl RebuildCell {
 /// entry per point plus a headline with three claims. (1) Die-level
 /// parity turns the permanent chip death from silent data loss into
 /// degraded-but-correct service: every parity point on every fabric and
-/// fault plan has zero [`venice_ssd::RequestOutcome::DataLoss`] requests.
+/// fault plan has zero data-loss requests
+/// ([`venice_ssd::RunMetrics::data_loss_requests`]).
 /// (2, 3) On the `chip-link` plan — the chip death landing on an
 /// already-degraded fabric: the severed row link plus the crossing column
 /// cut through the east-neighbor survivor — Venice sustains the highest

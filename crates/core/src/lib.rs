@@ -10,7 +10,8 @@
 //!   (performance-optimized Z-NAND, cost-optimized 3D TLC) plus shape and
 //!   sizing knobs,
 //! * [`SsdSim`] — the event-driven SSD model (request lifecycle per the
-//!   paper's Figure 3),
+//!   paper's Figure 3); its fault, host-resilience and RAIN state exists
+//!   only when the config arms that subsystem,
 //! * [`DispatchPolicyKind`] — pluggable dispatcher retry strategies
 //!   (retry-all, conflict-aware backoff, per-fabric auto),
 //! * [`run_single`] / [`run_systems`] — run a workload on one fabric or
@@ -60,8 +61,8 @@ pub use redundancy::{
     REBUILD_RETRY_LIMIT, REBUILD_SCAN_BATCH, REBUILD_TICK,
 };
 pub use resilience::{
-    AdmissionParams, RequestOutcome, ResilienceParams, ResiliencePolicy, RetryParams,
-    BATCH_DEADLINE, LATENCY_DEADLINE, RETRY_JITTER_SEED,
+    AdmissionParams, ResilienceParams, ResiliencePolicy, RetryParams, BATCH_DEADLINE,
+    LATENCY_DEADLINE, RETRY_JITTER_SEED,
 };
 pub use ssd::SsdSim;
 // Re-exported for config/sweep ergonomics: the scout fast-fail cache mode is

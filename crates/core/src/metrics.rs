@@ -67,8 +67,8 @@ pub struct TenantMetrics {
     pub backpressured: u64,
     /// This tenant's requests that completed with error status.
     pub failed: u64,
-    /// This tenant's requests that hit unreconstructable data loss
-    /// ([`crate::RequestOutcome::DataLoss`]; a subset of `failed`).
+    /// This tenant's requests that hit unreconstructable data loss: the
+    /// page's only copy sat on a dead chip (a subset of `failed`).
     pub data_loss: u64,
     /// This tenant's requests whose final attempt was aborted by its
     /// deadline (a subset of `failed`).
@@ -182,8 +182,7 @@ pub struct RunMetrics {
     /// Host-resilience preset the run used (`None` on the default path).
     pub resilience: ResiliencePolicy,
     /// Requests whose final attempt was aborted by its deadline
-    /// ([`crate::RequestOutcome::DeadlineMiss`]; a subset of
-    /// `failed_requests`).
+    /// (the tenants' `deadline_misses`; a subset of `failed_requests`).
     pub deadline_misses: u64,
     /// Host resubmissions performed by the bounded retry policy.
     pub host_retries: u64,
@@ -215,9 +214,8 @@ pub struct RunMetrics {
     /// fault-plan injection time is the rebuild makespan). Zero when no
     /// rebuild ran or it did not finish.
     pub rebuild_done_ns: u64,
-    /// Requests that hit unreconstructable data loss
-    /// ([`crate::RequestOutcome::DataLoss`]; a subset of
-    /// `failed_requests`).
+    /// Requests that hit unreconstructable data loss (the tenants'
+    /// `data_loss`; a subset of `failed_requests`).
     pub data_loss_requests: u64,
 }
 
@@ -267,8 +265,8 @@ impl RunMetrics {
     /// degraded reads reconstructed (a reconstructed read counts as a
     /// success). What it does **not** cover: durability. Without
     /// redundancy a dead chip's data is gone; those requests complete with
-    /// [`crate::RequestOutcome::DataLoss`] and are counted here merely as
-    /// failures — see `data_loss_requests` for the durability story.
+    /// error status and are counted here merely as failures — see
+    /// `data_loss_requests` for the durability story.
     pub fn availability(&self) -> f64 {
         if self.completed_requests == 0 {
             0.0

@@ -75,7 +75,8 @@ pub const REBUILD_RETRY_LIMIT: u32 = 3;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum RedundancyKind {
     /// No redundancy: a permanent chip death loses the chip's data and
-    /// requests to it classify as [`crate::RequestOutcome::DataLoss`].
+    /// requests to it count as data loss
+    /// ([`crate::TenantMetrics::data_loss`]).
     /// Bit-identical to the pre-redundancy engine (zero calendar events,
     /// identical allocation).
     #[default]

@@ -21,13 +21,14 @@
 //!   watermarks with hysteresis: over the high watermark the tenant is
 //!   *overloaded* and new submissions are deferred (backpressure) or — when
 //!   the running tail-latency estimate says the deadline cannot be met —
-//!   shed outright with a structured [`RequestOutcome::Shed`].
+//!   shed outright (the tenant's `shed` counter).
 //!
-//! Every request reaches exactly one terminal [`RequestOutcome`];
-//! `shed + completed` partitions the trace, and `Ok + DeadlineMiss +
-//! FailedAfterRetries + DataLoss` partitions the completions
-//! ([`RequestOutcome::DataLoss`] — unreconstructable data on a dead chip —
-//! is carved out of the generic failure class by the redundancy layer).
+//! Every request reaches exactly one terminal outcome, counted once against
+//! its tenant in [`crate::TenantMetrics`]: `shed + completed` partitions the
+//! trace, and `deadline_met + deadline_misses + other failures` covers the
+//! completions (a successful completion past its deadline counts in
+//! neither), with `data_loss` — unreconstructable data on a dead chip —
+//! carved out of the failures by the redundancy layer.
 //!
 //! [`ResiliencePolicy::None`] expands to all-off parameters and therefore
 //! schedules zero calendar events and takes no admission branches — the
@@ -41,47 +42,6 @@ use venice_sim::SimDuration;
 /// when a retry is actually scheduled, so runs with no retries never touch
 /// it and identical runs replay identical jitter.
 pub const RETRY_JITTER_SEED: u64 = 0x5EED_4E57_0000_0001;
-
-/// Terminal outcome of one host request under the resilience layer.
-///
-/// The engine classifies every request exactly once, at its terminal
-/// completion (or at the shedding decision); [`crate::RunMetrics`] carries
-/// the aggregate counts (`deadline_misses`, `shed_requests`,
-/// `failed_requests`, and `deadline_met_requests` — the goodput numerator).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum RequestOutcome {
-    /// Completed successfully (no error status, deadline met or unarmed).
-    #[default]
-    Ok,
-    /// The final attempt was aborted by its deadline.
-    DeadlineMiss,
-    /// The final attempt completed with error status (dead chip or dead
-    /// path) and the retry policy had no attempt left (a cap of zero
-    /// retries makes every device failure terminal immediately).
-    FailedAfterRetries,
-    /// Rejected at submission by the overload admission policy; the request
-    /// never entered the device.
-    Shed,
-    /// The request addressed data on a permanently dead chip that no
-    /// redundancy scheme can reconstruct ([`crate::RedundancyKind::None`],
-    /// or a parity group with no survivors): the data is *gone*, not
-    /// merely unreachable. Distinct from fabric-level failure — retrying
-    /// cannot help — and a subset of the failed completions.
-    DataLoss,
-}
-
-impl RequestOutcome {
-    /// Stable label used in JSON and reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            RequestOutcome::Ok => "ok",
-            RequestOutcome::DeadlineMiss => "deadline-miss",
-            RequestOutcome::FailedAfterRetries => "failed-after-retries",
-            RequestOutcome::Shed => "shed",
-            RequestOutcome::DataLoss => "data-loss",
-        }
-    }
-}
 
 /// Bounded host-retry parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -260,17 +220,7 @@ mod tests {
     }
 
     #[test]
-    fn outcome_labels_are_stable() {
-        assert_eq!(RequestOutcome::Ok.label(), "ok");
-        assert_eq!(RequestOutcome::DeadlineMiss.label(), "deadline-miss");
-        assert_eq!(
-            RequestOutcome::FailedAfterRetries.label(),
-            "failed-after-retries"
-        );
-        assert_eq!(RequestOutcome::Shed.label(), "shed");
-        assert_eq!(RequestOutcome::DataLoss.label(), "data-loss");
-        assert_eq!(RequestOutcome::default(), RequestOutcome::Ok);
-        // Per-class deadlines straddle the policy's own 250 µs contract.
+    fn class_deadlines_straddle_the_policy_deadline() {
         assert!(LATENCY_DEADLINE < SimDuration::from_micros(250));
         assert!(BATCH_DEADLINE > SimDuration::from_micros(250));
     }
