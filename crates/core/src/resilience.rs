@@ -25,10 +25,9 @@
 //!
 //! Every request reaches exactly one terminal outcome, counted once against
 //! its tenant in [`crate::TenantMetrics`]: `shed + completed` partitions the
-//! trace, and `deadline_met + deadline_misses + other failures` covers the
-//! completions (a successful completion past its deadline counts in
-//! neither), with `data_loss` — unreconstructable data on a dead chip —
-//! carved out of the failures by the redundancy layer.
+//! trace, and `deadline_met + failed` partitions the completions, with
+//! `deadline_misses` and `data_loss` (unreconstructable data on a dead
+//! chip, carved out by the redundancy layer) subsets of the failures.
 //!
 //! [`ResiliencePolicy::None`] expands to all-off parameters and therefore
 //! schedules zero calendar events and takes no admission branches — the
