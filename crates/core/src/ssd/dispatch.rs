@@ -361,11 +361,14 @@ impl SsdSim<'_> {
     /// whose service hit ≥ 1 conflict). True when out of controllers.
     fn note_acquire_failure(&mut self, chip: u16, txn_id: TxnId, e: AcquireError) -> bool {
         self.dispatch.policy.note_failure(chip, &e);
-        let slot = self.slot_mut(txn_id);
-        if e.is_path_conflict() && !std::mem::replace(&mut slot.conflict_flagged, true) {
-            if let Some(r) = slot.txn.request {
-                let st = &mut self.requests[r.0 as usize];
-                st.conflicted |= st.live;
+        if e.is_path_conflict() {
+            let slot = self.slot_mut(txn_id);
+            if !slot.conflict_flagged {
+                slot.conflict_flagged = true;
+                if let Some(r) = slot.txn.request {
+                    let st = &mut self.requests[r.0 as usize];
+                    st.conflicted |= st.live;
+                }
             }
         }
         e == AcquireError::NoFreeController
