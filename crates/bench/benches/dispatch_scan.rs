@@ -20,6 +20,7 @@ use std::time::Duration;
 
 use venice_bench::microbench::Runner;
 use venice_interconnect::FabricKind;
+use venice_ssd::report::Json;
 use venice_ssd::{DispatchPolicyKind, DispatchScanKind, RunMetrics, SsdConfig, SsdSim};
 use venice_workloads::WorkloadAxis;
 
@@ -86,9 +87,9 @@ fn run(cfg: &SsdConfig, fabric: FabricKind, trace: &venice_workloads::Trace) -> 
 
 fn main() {
     let mut r = Runner::new("dispatch_scan").sample_budget(Duration::from_millis(250));
-    let mut summary = String::from("{\n  \"bench\": \"dispatch_scan\",\n  \"scenarios\": [\n");
+    let mut scenarios = Vec::new();
     let mut speedups: Vec<(String, f64)> = Vec::new();
-    for (i, s) in SCENARIOS.iter().enumerate() {
+    for s in &SCENARIOS {
         let trace = WorkloadAxis::congested().trace(s.requests);
         let base = SsdConfig::performance_optimized()
             .with_mesh(s.rows, s.cols)
@@ -103,13 +104,10 @@ fn main() {
 
         let mut timed: Vec<f64> = Vec::new();
         for (tag, cfg) in [("incremental", &incr_cfg), ("full_scan", &full_cfg)] {
-            let ms = {
-                r.bench(&format!("{}_{}", s.name, tag), || {
-                    black_box(run(cfg, s.fabric, black_box(&trace)));
-                });
-                r_last_ns(&r)
-            };
-            timed.push(ms);
+            r.bench(&format!("{}_{}", s.name, tag), || {
+                black_box(run(cfg, s.fabric, black_box(&trace)));
+            });
+            timed.push(r.last_ns_per_iter().expect("bench just ran"));
         }
         let (ns_incr, ns_full) = (timed[0], timed[1]);
         let evps_incr = events as f64 / (ns_incr / 1e9);
@@ -122,46 +120,31 @@ fn main() {
             evps_full / 1e6,
             speedup
         );
-        summary.push_str(&format!(
-            "    {{\"name\": \"{}\", \"shape\": \"{}x{}\", \"fabric\": \"{}\", \
-             \"policy\": \"{}\", \
-             \"requests\": {}, \"events\": {}, \"events_per_sec_incremental\": {:.0}, \
-             \"events_per_sec_full_scan\": {:.0}, \"speedup\": {:.3}}}{}\n",
-            s.name,
-            s.rows,
-            s.cols,
-            s.fabric.label(),
-            s.policy.label(),
-            s.requests,
-            events,
-            evps_incr,
-            evps_full,
-            speedup,
-            if i + 1 == SCENARIOS.len() { "" } else { "," }
-        ));
+        scenarios.push(
+            Json::object()
+                .with("name", s.name)
+                .with("shape", format!("{}x{}", s.rows, s.cols))
+                .with("fabric", s.fabric.label())
+                .with("policy", s.policy.label())
+                .with("requests", s.requests as u64)
+                .with("events", events)
+                .with("events_per_sec_incremental", Json::fixed(evps_incr, 0))
+                .with("events_per_sec_full_scan", Json::fixed(evps_full, 0))
+                .with("speedup", Json::fixed(speedup, 3)),
+        );
         speedups.push((s.name.to_string(), speedup));
     }
-    summary.push_str("  ]\n}\n");
     r.finish();
-
-    let dir = venice_bench::results_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let out = dir.join("bench_dispatch.json");
-    match std::fs::write(&out, &summary) {
-        Ok(()) => println!("dispatch summary -> {}", out.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", out.display()),
-    }
+    let summary = Json::object()
+        .with("bench", "dispatch_scan")
+        .with("scenarios", Json::Array(scenarios));
+    venice_bench::write_result("bench_dispatch", &summary);
 
     // Perf-smoke gate against the checked-in baseline ratios.
     venice_bench::microbench::enforce_speedup_baseline(
         "dispatch_scan",
-        &dir.join("bench_dispatch_baseline.json"),
+        &venice_bench::results_dir().join("bench_dispatch_baseline.json"),
         &speedups,
         REGRESSION_FLOOR,
     );
-}
-
-/// The ns/iter of the most recent [`Runner::bench`] call.
-fn r_last_ns(r: &Runner) -> f64 {
-    r.last_ns_per_iter().expect("bench just ran")
 }

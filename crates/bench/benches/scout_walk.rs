@@ -22,6 +22,7 @@ use std::time::Duration;
 
 use venice_bench::microbench::Runner;
 use venice_interconnect::FabricKind;
+use venice_ssd::report::Json;
 use venice_ssd::{DispatchPolicyKind, RunMetrics, ScoutCacheKind, SsdConfig, SsdSim};
 use venice_workloads::WorkloadAxis;
 
@@ -115,9 +116,9 @@ fn assert_behaviorally_identical(off: &RunMetrics, on: &RunMetrics, name: &str) 
 
 fn main() {
     let mut r = Runner::new("scout_walk").sample_budget(Duration::from_millis(250));
-    let mut summary = String::from("{\n  \"bench\": \"scout_walk\",\n  \"scenarios\": [\n");
+    let mut scenarios = Vec::new();
     let mut speedups: Vec<(String, f64)> = Vec::new();
-    for (i, s) in SCENARIOS.iter().enumerate() {
+    for s in &SCENARIOS {
         let trace = WorkloadAxis::congested().trace(s.requests);
         let base = SsdConfig::performance_optimized()
             .with_mesh(s.rows, s.cols)
@@ -156,45 +157,34 @@ fn main() {
             fastfails,
             invalidations
         );
-        summary.push_str(&format!(
-            "    {{\"name\": \"{}\", \"shape\": \"{}x{}\", \"fabric\": \"Venice\", \
-             \"queue_depth\": {}, \"policy\": \"{}\", \"requests\": {}, \"events\": {}, \
-             \"scout_failed_steps\": {}, \"scout_fastfails\": {}, \
-             \"scout_cache_invalidations\": {}, \
-             \"events_per_sec_cache_on\": {:.0}, \
-             \"events_per_sec_cache_off\": {:.0}, \"speedup\": {:.3}}}{}\n",
-            s.name,
-            s.rows,
-            s.cols,
-            s.queue_depth,
-            s.policy.label(),
-            s.requests,
-            events,
-            failed_steps,
-            fastfails,
-            invalidations,
-            evps_on,
-            evps_off,
-            speedup,
-            if i + 1 == SCENARIOS.len() { "" } else { "," }
-        ));
+        scenarios.push(
+            Json::object()
+                .with("name", s.name)
+                .with("shape", format!("{}x{}", s.rows, s.cols))
+                .with("fabric", "Venice")
+                .with("queue_depth", s.queue_depth as u64)
+                .with("policy", s.policy.label())
+                .with("requests", s.requests as u64)
+                .with("events", events)
+                .with("scout_failed_steps", failed_steps)
+                .with("scout_fastfails", fastfails)
+                .with("scout_cache_invalidations", invalidations)
+                .with("events_per_sec_cache_on", Json::fixed(evps_on, 0))
+                .with("events_per_sec_cache_off", Json::fixed(evps_off, 0))
+                .with("speedup", Json::fixed(speedup, 3)),
+        );
         speedups.push((s.name.to_string(), speedup));
     }
-    summary.push_str("  ]\n}\n");
     r.finish();
-
-    let dir = venice_bench::results_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let out = dir.join("bench_scout.json");
-    match std::fs::write(&out, &summary) {
-        Ok(()) => println!("scout summary -> {}", out.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", out.display()),
-    }
+    let summary = Json::object()
+        .with("bench", "scout_walk")
+        .with("scenarios", Json::Array(scenarios));
+    venice_bench::write_result("bench_scout", &summary);
 
     // Perf-smoke gate against the checked-in baseline ratios.
     venice_bench::microbench::enforce_speedup_baseline(
         "scout_walk",
-        &dir.join("bench_scout_baseline.json"),
+        &venice_bench::results_dir().join("bench_scout_baseline.json"),
         &speedups,
         REGRESSION_FLOOR,
     );

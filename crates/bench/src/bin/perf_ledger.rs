@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 
 use venice_bench::microbench::read_array;
 use venice_bench::sweep::{fnv1a, git_describe, FNV_OFFSET};
-use venice_ssd::report::{f2, json_str, Json};
+use venice_ssd::report::{f2, Json};
 
 /// Mean of `values` (`None` when empty).
 fn mean(values: &[f64]) -> Option<f64> {
@@ -66,7 +66,7 @@ fn ledger_doc(ledger_name: &str, entries: &[Json]) -> String {
     let lines: Vec<String> = entries.iter().map(|e| format!("  {e}")).collect();
     format!(
         "{{\n \"ledger\": {},\n \"entries\": [\n{}\n ]\n}}\n",
-        json_str(ledger_name),
+        Json::from(ledger_name),
         lines.join(",\n"),
     )
 }

@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use venice_bench::flag_value;
 use venice_interconnect::FabricKind;
-use venice_ssd::report::{f2, json_f64, json_str, Table};
+use venice_ssd::report::{f2, Json, Table};
 use venice_ssd::{run_single, DispatchPolicyKind, RunMetrics, SsdConfig};
 use venice_workloads::WorkloadAxis;
 
@@ -124,44 +124,30 @@ fn main() {
     );
     print!("{}", t.to_markdown());
 
-    let mut rows = String::from("[\n");
-    for (i, c) in cells.iter().enumerate() {
-        rows.push_str(&format!(
-            "    {{\"fabric\": {}, \"policy\": {}, \"events\": {}, \
-             \"best_wall_s\": {}, \"events_per_sec\": {}, \
-             \"speedup_vs_retry_all\": {}, \"execution_time_ns\": {}, \
-             \"attempts\": {}, \"skipped_backoff\": {}, \"failed_walks\": {}, \
-             \"conflict_pct\": {}}}{}\n",
-            json_str(c.fabric.label()),
-            json_str(c.policy.label()),
-            c.metrics.events,
-            json_f64(c.best_wall_s),
-            json_f64(c.events_per_sec()),
-            json_f64(c.events_per_sec() / baseline_eps(c.fabric)),
-            c.metrics.execution_time.as_nanos(),
-            c.metrics.dispatch.attempts,
-            c.metrics.dispatch.skipped_backoff,
-            c.metrics.dispatch.failed_walks,
-            json_f64(c.metrics.conflict_pct()),
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    rows.push_str("  ]");
-    let json = format!(
-        "{{\n  \"bench\": \"policy_ablation\",\n  \"workload\": {},\n  \
-         \"requests\": {},\n  \"repeat\": {},\n  \"cells\": {}\n}}\n",
-        json_str(axis.name()),
-        requests,
-        repeat,
-        rows
-    );
-    let dir = venice_bench::results_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join("policy_ablation.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => eprintln!("[venice-bench] wrote {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
+    let cell = |c: &Cell| {
+        Json::object()
+            .with("fabric", c.fabric.label())
+            .with("policy", c.policy.label())
+            .with("events", c.metrics.events)
+            .with("best_wall_s", c.best_wall_s)
+            .with("events_per_sec", c.events_per_sec())
+            .with(
+                "speedup_vs_retry_all",
+                c.events_per_sec() / baseline_eps(c.fabric),
+            )
+            .with("execution_time_ns", c.metrics.execution_time.as_nanos())
+            .with("attempts", c.metrics.dispatch.attempts)
+            .with("skipped_backoff", c.metrics.dispatch.skipped_backoff)
+            .with("failed_walks", c.metrics.dispatch.failed_walks)
+            .with("conflict_pct", c.metrics.conflict_pct())
+    };
+    let json = Json::object()
+        .with("bench", "policy_ablation")
+        .with("workload", axis.name())
+        .with("requests", requests as u64)
+        .with("repeat", repeat as u64)
+        .with("cells", Json::Array(cells.iter().map(cell).collect()));
+    venice_bench::write_result("policy_ablation", &json);
 
     let venice_backoff = cells
         .iter()

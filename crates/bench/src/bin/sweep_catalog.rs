@@ -56,7 +56,7 @@ use venice_bench::sweep::{Knob, SweepGrid, SweepOutcome, WorkerPool};
 use venice_bench::{flag_value, report_sweep};
 use venice_interconnect::FabricKind;
 use venice_nand::NandTiming;
-use venice_ssd::report::{json_f64, json_str, Json};
+use venice_ssd::report::Json;
 use venice_ssd::{
     DispatchPolicyKind, FaultPlan, RedundancyKind, ResiliencePolicy, ScoutCacheKind, SsdConfig,
     TenantSet,
@@ -197,15 +197,20 @@ fn field(doc: &Json, path: &str) -> f64 {
     doc.get(path).and_then(Json::as_f64).unwrap_or(0.0)
 }
 
-/// The number at `key` in tenant `name`'s entry of a point record's
+/// The value at `path` in a point record, copied as the record wrote it
+/// (`null` when absent).
+fn copy(doc: &Json, path: &str) -> Json {
+    doc.get(path).cloned().unwrap_or(Json::Null)
+}
+
+/// The value at `key` in tenant `name`'s entry of a point record's
 /// `tenants` array.
-fn tenant_field(doc: &Json, name: &str, key: &str) -> Option<f64> {
+fn tenant_field<'a>(doc: &'a Json, name: &str, key: &str) -> Option<&'a Json> {
     doc.get("tenants")?
         .as_array()?
         .iter()
         .find(|t| t.get("name").and_then(Json::as_str) == Some(name))?
-        .get(key)?
-        .as_f64()
+        .get(key)
 }
 
 /// Per-(fault plan, fabric) availability accumulator cell.
@@ -215,24 +220,22 @@ type AvailabilityCell<'a> = ((&'a str, &'a str), (f64, u32));
 /// entry per point plus per-(plan × fabric) mean availability, with a
 /// headline comparing Venice against the bus fabrics under the single-link
 /// plan (the bus loses a whole row to one dead link; the mesh reroutes).
-fn fault_ablation(outcome: &SweepOutcome) -> String {
-    let mut point_lines = Vec::new();
+fn fault_ablation(outcome: &SweepOutcome) -> Json {
+    let mut points = Vec::new();
     // (plan label, fabric label) -> (availability sum, points)
     let mut agg: Vec<AvailabilityCell> = Vec::new();
     for (p, doc) in outcome.documents() {
         let avail = field(&doc, "faults.availability");
-        let failed = field(&doc, "faults.failed_requests") as u64;
-        let completed = field(&doc, "completed_requests") as u64;
-        point_lines.push(format!(
-            "    {{\"label\": {}, \"workload\": {}, \"fabric\": {}, \
-             \"fault_plan\": {}, \"completed_requests\": {completed}, \
-             \"failed_requests\": {failed}, \"availability\": {}}}",
-            json_str(&p.label),
-            json_str(&p.workload),
-            json_str(p.fabric.label()),
-            json_str(p.config.fault_plan.label()),
-            json_f64(avail),
-        ));
+        points.push(
+            Json::object()
+                .with("label", p.label.as_str())
+                .with("workload", p.workload.as_str())
+                .with("fabric", p.fabric.label())
+                .with("fault_plan", p.config.fault_plan.label())
+                .with("completed_requests", copy(&doc, "completed_requests"))
+                .with("failed_requests", copy(&doc, "faults.failed_requests"))
+                .with("availability", copy(&doc, "faults.availability")),
+        );
         let key = (p.config.fault_plan.label(), p.fabric.label());
         match agg.iter_mut().find(|(k, _)| *k == key) {
             Some((_, (sum, n))) => {
@@ -247,17 +250,12 @@ fn fault_ablation(outcome: &SweepOutcome) -> String {
             .find(|((pl, fb), _)| *pl == plan && *fb == fabric)
             .map(|(_, (sum, n))| sum / f64::from(*n))
     };
-    let agg_lines: Vec<String> = agg
-        .iter()
-        .map(|((plan, fabric), (sum, n))| {
-            format!(
-                "    {{\"fault_plan\": {}, \"fabric\": {}, \"mean_availability\": {}}}",
-                json_str(plan),
-                json_str(fabric),
-                json_f64(sum / f64::from(*n)),
-            )
-        })
-        .collect();
+    let by_plan = agg.iter().map(|((plan, fabric), (sum, n))| {
+        Json::object()
+            .with("fault_plan", *plan)
+            .with("fabric", *fabric)
+            .with("mean_availability", sum / f64::from(*n))
+    });
     // Two-tier headline. A single dead link strands a whole row on the
     // row-bus designs (Baseline, pSSD) while the mesh reroutes; pnSSD's
     // row+column redundancy genuinely survives one bus outage, so the
@@ -274,21 +272,26 @@ fn fault_ablation(outcome: &SweepOutcome) -> String {
         .filter_map(|b| mean("link-cross", b))
         .fold(0.0f64, f64::max);
     let sustains = venice_link > best_row_bus && venice_cross > best_bus_cross;
-    format!(
-        "{{\n  \"name\": \"fault_ablation\",\n  \"grid\": \"faults\",\n  \
-         \"headline\": {{\"venice_sustains_higher\": {sustains}, \
-         \"single_link\": {{\"fault_plan\": \"link\", \"venice_availability\": {}, \
-         \"best_row_bus_availability\": {}}}, \
-         \"crossing_links\": {{\"fault_plan\": \"link-cross\", \"venice_availability\": {}, \
-         \"best_bus_availability\": {}}}}},\n  \
-         \"availability_by_plan\": [\n{}\n  ],\n  \"points\": [\n{}\n  ]\n}}\n",
-        json_f64(venice_link),
-        json_f64(best_row_bus),
-        json_f64(venice_cross),
-        json_f64(best_bus_cross),
-        agg_lines.join(",\n"),
-        point_lines.join(",\n"),
-    )
+    let single_link = Json::object()
+        .with("fault_plan", "link")
+        .with("venice_availability", venice_link)
+        .with("best_row_bus_availability", best_row_bus);
+    let crossing_links = Json::object()
+        .with("fault_plan", "link-cross")
+        .with("venice_availability", venice_cross)
+        .with("best_bus_availability", best_bus_cross);
+    Json::object()
+        .with("name", "fault_ablation")
+        .with("grid", "faults")
+        .with(
+            "headline",
+            Json::object()
+                .with("venice_sustains_higher", sustains)
+                .with("single_link", single_link)
+                .with("crossing_links", crossing_links),
+        )
+        .with("availability_by_plan", Json::Array(by_plan.collect()))
+        .with("points", Json::Array(points))
 }
 
 /// Distills the `tenants` grid into `results/tenant_isolation.json`.
@@ -300,8 +303,8 @@ fn fault_ablation(outcome: &SweepOutcome) -> String {
 /// `venice_protects_victim` asserts Venice's degradation under the
 /// fair-share tenant set is strictly lower than every bus design's — path
 /// diversity, not just queue arbitration, is what isolates the victim.
-fn tenant_isolation(outcome: &SweepOutcome) -> String {
-    let mut point_lines = Vec::new();
+fn tenant_isolation(outcome: &SweepOutcome) -> Json {
+    let mut points = Vec::new();
     // (workload, tenant set, fabric) -> victim p99 ns
     let mut victim_p99: Vec<((&str, &str, &str), f64)> = Vec::new();
     for (p, doc) in outcome.documents() {
@@ -309,23 +312,21 @@ fn tenant_isolation(outcome: &SweepOutcome) -> String {
         // stream is tenant "victim" on the multi-tenant sets.
         let victim = tenant_field(&doc, "victim", "p99_ns")
             .or_else(|| tenant_field(&doc, "all", "p99_ns"))
-            .unwrap_or(0.0);
-        let aggressor = tenant_field(&doc, "aggressor", "p99_ns");
-        let fairness = doc.get("fairness_index").and_then(Json::as_f64).unwrap_or(1.0);
-        point_lines.push(format!(
-            "    {{\"label\": {}, \"workload\": {}, \"tenants\": {}, \
-             \"fabric\": {}, \"victim_p99_ns\": {}, \"aggressor_p99_ns\": {}, \
-             \"fairness_index\": {}}}",
-            json_str(&p.label),
-            json_str(&p.workload),
-            json_str(p.config.tenants.label()),
-            json_str(p.fabric.label()),
-            json_f64(victim),
-            aggressor.map_or("null".to_string(), |a| json_f64(a).to_string()),
-            json_f64(fairness),
-        ));
+            .cloned()
+            .unwrap_or_else(|| 0u64.into());
         let key = (p.workload.as_str(), p.config.tenants.label(), p.fabric.label());
-        victim_p99.push((key, victim));
+        victim_p99.push((key, victim.as_f64().unwrap_or(0.0)));
+        let aggressor = tenant_field(&doc, "aggressor", "p99_ns");
+        points.push(
+            Json::object()
+                .with("label", p.label.as_str())
+                .with("workload", p.workload.as_str())
+                .with("tenants", p.config.tenants.label())
+                .with("fabric", p.fabric.label())
+                .with("victim_p99_ns", victim)
+                .with("aggressor_p99_ns", aggressor.cloned().unwrap_or(Json::Null))
+                .with("fairness_index", copy(&doc, "fairness_index")),
+        );
     }
     let lookup = |workload: &str, tenants: &str, fabric: &str| {
         victim_p99
@@ -341,17 +342,15 @@ fn tenant_isolation(outcome: &SweepOutcome) -> String {
         Some(shared / solo)
     };
     let buses = ["Baseline", "pSSD", "pnSSD"];
-    let deg_lines: Vec<String> = ["Baseline", "pSSD", "pnSSD", "Venice"]
-        .iter()
-        .map(|fabric| {
-            format!(
-                "    {{\"fabric\": {}, \"pair_fair\": {}, \"victim_boost\": {}}}",
-                json_str(fabric),
-                json_f64(degradation(fabric, "pair-fair").unwrap_or(0.0)),
-                json_f64(degradation(fabric, "victim-boost").unwrap_or(0.0)),
+    let by_fabric = ["Baseline", "pSSD", "pnSSD", "Venice"].map(|fabric| {
+        Json::object()
+            .with("fabric", fabric)
+            .with("pair_fair", degradation(fabric, "pair-fair").unwrap_or(0.0))
+            .with(
+                "victim_boost",
+                degradation(fabric, "victim-boost").unwrap_or(0.0),
             )
-        })
-        .collect();
+    });
     let venice = degradation("Venice", "pair-fair").unwrap_or(f64::MAX);
     let worst_bus = buses
         .iter()
@@ -362,20 +361,22 @@ fn tenant_isolation(outcome: &SweepOutcome) -> String {
         .filter_map(|b| degradation(b, "pair-fair"))
         .fold(f64::MAX, f64::min);
     let protects = venice < best_bus;
-    format!(
-        "{{\n  \"name\": \"tenant_isolation\",\n  \"grid\": \"tenants\",\n  \
-         \"headline\": {{\"venice_protects_victim\": {protects}, \
-         \"venice_victim_p99_degradation\": {}, \
-         \"best_bus_victim_p99_degradation\": {}, \
-         \"worst_bus_victim_p99_degradation\": {}}},\n  \
-         \"victim_p99_degradation_by_fabric\": [\n{}\n  ],\n  \
-         \"points\": [\n{}\n  ]\n}}\n",
-        json_f64(venice),
-        json_f64(best_bus),
-        json_f64(worst_bus),
-        deg_lines.join(",\n"),
-        point_lines.join(",\n"),
-    )
+    Json::object()
+        .with("name", "tenant_isolation")
+        .with("grid", "tenants")
+        .with(
+            "headline",
+            Json::object()
+                .with("venice_protects_victim", protects)
+                .with("venice_victim_p99_degradation", venice)
+                .with("best_bus_victim_p99_degradation", best_bus)
+                .with("worst_bus_victim_p99_degradation", worst_bus),
+        )
+        .with(
+            "victim_p99_degradation_by_fabric",
+            Json::Array(by_fabric.into()),
+        )
+        .with("points", Json::Array(points))
 }
 
 /// Per-(fault plan, resilience policy, tenant set, fabric) goodput
@@ -390,37 +391,36 @@ type GoodputCell<'a> = ((&'a str, &'a str, &'a str, &'a str), (f64, u32));
 /// deadlines when faults and overload hit together — path diversity turns
 /// the host layer's aborts and retries into recovered goodput instead of
 /// repeated misses against a dead row.
-fn resilience_ablation(outcome: &SweepOutcome) -> String {
-    let mut point_lines = Vec::new();
+fn resilience_ablation(outcome: &SweepOutcome) -> Json {
+    let mut points = Vec::new();
     let mut agg: Vec<GoodputCell> = Vec::new();
     for (p, doc) in outcome.documents() {
         let goodput = field(&doc, "resilience.goodput");
-        let met = field(&doc, "resilience.deadline_met") as u64;
-        let misses = field(&doc, "resilience.deadline_misses") as u64;
-        let retries = field(&doc, "resilience.host_retries") as u64;
-        let shed = field(&doc, "resilience.shed_requests") as u64;
-        let completed = field(&doc, "completed_requests") as u64;
         // On deadline-split points, the per-class miss counts show the
         // latency class absorbing the policy's pressure while the batch
         // class (relaxed deadline) and the unarmed class stay clean.
-        let class_misses =
-            |class| tenant_field(&doc, class, "deadline_misses").unwrap_or(0.0) as u64;
-        let (victim_misses, batch_misses) = (class_misses("victim"), class_misses("batch"));
-        point_lines.push(format!(
-            "    {{\"label\": {}, \"workload\": {}, \"fabric\": {}, \
-             \"fault_plan\": {}, \"resilience\": {}, \"tenants\": {}, \
-             \"completed_requests\": {completed}, \"deadline_met\": {met}, \
-             \"deadline_misses\": {misses}, \"latency_class_misses\": {victim_misses}, \
-             \"batch_class_misses\": {batch_misses}, \"host_retries\": {retries}, \
-             \"shed_requests\": {shed}, \"goodput\": {}}}",
-            json_str(&p.label),
-            json_str(&p.workload),
-            json_str(p.fabric.label()),
-            json_str(p.config.fault_plan.label()),
-            json_str(p.config.resilience.label()),
-            json_str(p.config.tenants.label()),
-            json_f64(goodput),
-        ));
+        let class_misses = |class| {
+            tenant_field(&doc, class, "deadline_misses")
+                .cloned()
+                .unwrap_or_else(|| 0u64.into())
+        };
+        points.push(
+            Json::object()
+                .with("label", p.label.as_str())
+                .with("workload", p.workload.as_str())
+                .with("fabric", p.fabric.label())
+                .with("fault_plan", p.config.fault_plan.label())
+                .with("resilience", p.config.resilience.label())
+                .with("tenants", p.config.tenants.label())
+                .with("completed_requests", copy(&doc, "completed_requests"))
+                .with("deadline_met", copy(&doc, "resilience.deadline_met"))
+                .with("deadline_misses", copy(&doc, "resilience.deadline_misses"))
+                .with("latency_class_misses", class_misses("victim"))
+                .with("batch_class_misses", class_misses("batch"))
+                .with("host_retries", copy(&doc, "resilience.host_retries"))
+                .with("shed_requests", copy(&doc, "resilience.shed_requests"))
+                .with("goodput", copy(&doc, "resilience.goodput")),
+        );
         let key = (
             p.config.fault_plan.label(),
             p.config.resilience.label(),
@@ -444,20 +444,16 @@ fn resilience_ablation(outcome: &SweepOutcome) -> String {
             })
             .map(|(_, (sum, n))| sum / f64::from(*n))
     };
-    let agg_lines: Vec<String> = agg
+    let by_policy = agg
         .iter()
         .map(|((plan, policy, tenants, fabric), (sum, n))| {
-            format!(
-                "    {{\"fault_plan\": {}, \"resilience\": {}, \"tenants\": {}, \
-                 \"fabric\": {}, \"mean_goodput\": {}}}",
-                json_str(plan),
-                json_str(policy),
-                json_str(tenants),
-                json_str(fabric),
-                json_f64(sum / f64::from(*n)),
-            )
-        })
-        .collect();
+            Json::object()
+                .with("fault_plan", *plan)
+                .with("resilience", *policy)
+                .with("tenants", *tenants)
+                .with("fabric", *fabric)
+                .with("mean_goodput", sum / f64::from(*n))
+        });
     // Headline: the permanent link fault with the whole host layer armed.
     // The bus fabrics lose a whole row to the dead link, so a slice of
     // every tenant's requests burns through its retry budget and goes
@@ -472,17 +468,20 @@ fn resilience_ablation(outcome: &SweepOutcome) -> String {
         .filter_map(|b| mean("link", "full", b))
         .fold(0.0f64, f64::max);
     let highest = venice > best_bus;
-    format!(
-        "{{\n  \"name\": \"resilience_ablation\",\n  \"grid\": \"resilience\",\n  \
-         \"headline\": {{\"venice_highest_goodput\": {highest}, \
-         \"fault_plan\": \"link\", \"resilience\": \"full\", \
-         \"venice_goodput\": {}, \"best_bus_goodput\": {}}},\n  \
-         \"goodput_by_policy\": [\n{}\n  ],\n  \"points\": [\n{}\n  ]\n}}\n",
-        json_f64(venice),
-        json_f64(best_bus),
-        agg_lines.join(",\n"),
-        point_lines.join(",\n"),
-    )
+    Json::object()
+        .with("name", "resilience_ablation")
+        .with("grid", "resilience")
+        .with(
+            "headline",
+            Json::object()
+                .with("venice_highest_goodput", highest)
+                .with("fault_plan", "link")
+                .with("resilience", "full")
+                .with("venice_goodput", venice)
+                .with("best_bus_goodput", best_bus),
+        )
+        .with("goodput_by_policy", Json::Array(by_policy.collect()))
+        .with("points", Json::Array(points))
 }
 
 /// Simulated nanosecond at which [`FaultPlan::Chip`] kills its die — the
@@ -531,12 +530,11 @@ impl RebuildCell {
 /// NoSSD, the other mesh, is excluded from the booleans (its points still
 /// land in the artifact), mirroring the bus-only precedent of the fault,
 /// tenant-isolation, and resilience ablation headlines.
-fn rebuild_ablation(outcome: &SweepOutcome) -> String {
-    let mut point_lines = Vec::new();
+fn rebuild_ablation(outcome: &SweepOutcome) -> Json {
+    let mut points = Vec::new();
     let mut cells: Vec<RebuildCell> = Vec::new();
     for (p, doc) in outcome.documents() {
         let data_loss = field(&doc, "redundancy.data_loss_requests") as u64;
-        let degraded = field(&doc, "redundancy.degraded_reads") as u64;
         let rebuilt = field(&doc, "redundancy.rebuilt_pages") as u64;
         let skipped = field(&doc, "redundancy.rebuild_skipped_pages") as u64;
         let done_ns = field(&doc, "redundancy.rebuild_done_ns");
@@ -556,23 +554,27 @@ fn rebuild_ablation(outcome: &SweepOutcome) -> String {
         } else {
             0.0
         };
-        point_lines.push(format!(
-            "    {{\"label\": {}, \"workload\": {}, \"fault\": {}, \
-             \"fabric\": {}, \
-             \"redundancy\": {}, \"completed_requests\": {}, \
-             \"data_loss_requests\": {data_loss}, \"degraded_reads\": {degraded}, \
-             \"rebuilt_pages\": {rebuilt}, \"rebuild_skipped_pages\": {skipped}, \
-             \"rebuild_mttr_ns\": {}, \
-             \"foreground_goodput\": {}}}",
-            json_str(&p.label),
-            json_str(&p.workload),
-            json_str(p.config.fault_plan.label()),
-            json_str(p.fabric.label()),
-            json_str(&p.config.redundancy.label()),
-            completed as u64,
-            json_f64(mttr_ns),
-            json_f64(goodput),
-        ));
+        points.push(
+            Json::object()
+                .with("label", p.label.as_str())
+                .with("workload", p.workload.as_str())
+                .with("fault", p.config.fault_plan.label())
+                .with("fabric", p.fabric.label())
+                .with("redundancy", p.config.redundancy.label())
+                .with("completed_requests", copy(&doc, "completed_requests"))
+                .with(
+                    "data_loss_requests",
+                    copy(&doc, "redundancy.data_loss_requests"),
+                )
+                .with("degraded_reads", copy(&doc, "redundancy.degraded_reads"))
+                .with("rebuilt_pages", copy(&doc, "redundancy.rebuilt_pages"))
+                .with(
+                    "rebuild_skipped_pages",
+                    copy(&doc, "redundancy.rebuild_skipped_pages"),
+                )
+                .with("rebuild_mttr_ns", mttr_ns)
+                .with("foreground_goodput", goodput),
+        );
         cells.push(RebuildCell {
             fault: p.config.fault_plan.label(),
             redundancy: p.config.redundancy.label(),
@@ -615,18 +617,20 @@ fn rebuild_ablation(outcome: &SweepOutcome) -> String {
     });
     let (venice_goodput, venice_mttr) =
         venice.map_or((0.0, 0.0), |v| (v.goodput, v.mttr_ns));
-    format!(
-        "{{\n  \"name\": \"rebuild_ablation\",\n  \"grid\": \"rebuild\",\n  \
-         \"headline\": {{\"parity_zero_data_loss\": {parity_zero_data_loss}, \
-         \"venice_highest_goodput\": {venice_highest_goodput}, \
-         \"venice_lowest_mttr\": {venice_lowest_mttr}, \
-         \"bare_data_loss_requests\": {bare_data_loss}, \
-         \"venice_foreground_goodput\": {}, \"venice_mttr_ns\": {}}},\n  \
-         \"points\": [\n{}\n  ]\n}}\n",
-        json_f64(venice_goodput),
-        json_f64(venice_mttr),
-        point_lines.join(",\n"),
-    )
+    Json::object()
+        .with("name", "rebuild_ablation")
+        .with("grid", "rebuild")
+        .with(
+            "headline",
+            Json::object()
+                .with("parity_zero_data_loss", parity_zero_data_loss)
+                .with("venice_highest_goodput", venice_highest_goodput)
+                .with("venice_lowest_mttr", venice_lowest_mttr)
+                .with("bare_data_loss_requests", bare_data_loss)
+                .with("venice_foreground_goodput", venice_goodput)
+                .with("venice_mttr_ns", venice_mttr),
+        )
+        .with("points", Json::Array(points))
 }
 
 /// The one-line synopsis printed after an argument error.
@@ -727,11 +731,7 @@ fn main() {
         _ => None,
     };
     if let Some((name, doc)) = distilled {
-        let path = results.join(format!("{name}.json"));
-        match std::fs::write(&path, doc) {
-            Ok(()) => eprintln!("[venice-bench] {name}: {}", path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-        }
+        venice_bench::write_result(name, &doc);
     }
 }
 
@@ -751,7 +751,10 @@ mod tests {
     /// the definition JSON (the `grid.json` stamp behind `grid_hash`) and
     /// every point's id, label and file name.
     fn expansion_hash(grid: &SweepGrid) -> u64 {
-        let def = fnv1a(grid.definition_json().as_bytes(), 0xcbf2_9ce4_8422_2325);
+        let def = fnv1a(
+            grid.definition().to_string().as_bytes(),
+            0xcbf2_9ce4_8422_2325,
+        );
         grid.build_points().iter().fold(def, |h, p| {
             let line = format!("{}|{}|{}\n", p.id, p.label, p.file_name());
             fnv1a(line.as_bytes(), h)

@@ -35,6 +35,7 @@ pub mod sweep;
 use std::path::{Path, PathBuf};
 
 use venice_interconnect::FabricKind;
+use venice_ssd::report::Json;
 use venice_ssd::{RunMetrics, SsdConfig};
 use venice_workloads::WorkloadAxis;
 
@@ -80,6 +81,18 @@ pub fn results_dir() -> PathBuf {
                 p
             }
         }
+    }
+}
+
+/// Writes `doc` to `<name>.json` in [`results_dir`], laid out by
+/// [`Json::document`] with arrays one item per line (the layout of every
+/// results artifact), and reports the path, or warns when the write fails.
+pub fn write_result(name: &str, doc: &Json) {
+    let dir = results_dir();
+    let path = dir.join(format!("{name}.json"));
+    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, doc.document(true))) {
+        Ok(()) => eprintln!("[venice-bench] wrote {}", path.display()),
+        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
     }
 }
 

@@ -116,34 +116,19 @@ impl Runner {
         self.measurements.last().map(|m| m.ns_per_iter)
     }
 
-    /// Writes `results/bench_<target>.json` and returns the measurements.
-    ///
-    /// JSON is emitted by hand (no serde in this workspace); the schema is
-    /// `[{"name": ..., "ns_per_iter": ..., "iters": ..., "samples": ...}]`.
+    /// Writes `results/bench_<target>.json` and returns the measurements:
+    /// `[{"name": ..., "ns_per_iter": ..., "iters": ..., "samples": ...}]`,
+    /// one measurement per line.
     pub fn finish(self) -> Vec<Measurement> {
-        let dir = crate::results_dir();
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("warning: cannot create {}: {e}", dir.display());
-            return self.measurements;
-        }
-        let path = dir.join(format!("bench_{}.json", self.target));
-        let mut json = String::from("[\n");
-        for (i, m) in self.measurements.iter().enumerate() {
-            json.push_str(&format!(
-                "  {{\"name\": \"{}\", \"ns_per_iter\": {:.1}, \"iters\": {}, \"samples\": {}}}{}\n",
-                m.name.replace('"', "'"),
-                m.ns_per_iter,
-                m.iters_per_sample,
-                m.samples,
-                if i + 1 == self.measurements.len() { "" } else { "," }
-            ));
-        }
-        json.push_str("]\n");
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("warning: cannot write {}: {e}", path.display());
-        } else {
-            println!("bench results -> {}", path.display());
-        }
+        let measurement = |m: &Measurement| {
+            Json::object()
+                .with("name", m.name.as_str())
+                .with("ns_per_iter", Json::fixed(m.ns_per_iter, 1))
+                .with("iters", m.iters_per_sample)
+                .with("samples", m.samples as u64)
+        };
+        let json = Json::Array(self.measurements.iter().map(measurement).collect());
+        crate::write_result(&format!("bench_{}", self.target), &json);
         self.measurements
     }
 }

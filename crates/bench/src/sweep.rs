@@ -42,7 +42,7 @@ use std::time::Instant;
 
 use venice_interconnect::FabricKind;
 use venice_nand::NandTiming;
-use venice_ssd::report::{json_str, Json};
+use venice_ssd::report::Json;
 use venice_ssd::{
     run_single, DispatchPolicyKind, FaultPlan, RedundancyKind, ResiliencePolicy, RunMetrics,
     ScoutCacheKind, SsdConfig, TenantSet,
@@ -484,7 +484,7 @@ impl SweepGrid {
         let dir = base_dir.join(format!("sweep_{}", self.name));
         // Best-effort: an unwritable results dir degrades to a
         // non-resumable sweep, not a failure.
-        let resumable = claim_dir(&dir, &self.definition_json(), fresh).unwrap_or(false);
+        let resumable = claim_dir(&dir, &self.definition(), fresh).unwrap_or(false);
         let reuse = |p: &SweepPoint| {
             let json = std::fs::read_to_string(dir.join(p.file_name())).ok()?;
             // Only a whole document is trusted, and a failed (panicked)
@@ -550,7 +550,7 @@ impl SweepGrid {
             })
             .collect();
         SweepOutcome {
-            grid_json: self.definition_json(),
+            grid: self.definition(),
             name: self.name.clone(),
             requests,
             workload_count: workloads.len(),
@@ -567,30 +567,28 @@ impl SweepGrid {
     }
 
     /// The grid definition as one stable JSON object (embedded in the
-    /// manifest and hashed into [`SweepOutcome::grid_hash`]). An unset
-    /// config axis lists `"base"`.
-    pub fn definition_json(&self) -> String {
+    /// manifest, and its one-line text is the `grid.json` stamp hashed
+    /// into [`SweepOutcome::grid_hash`]). An unset config axis lists
+    /// `"base"`.
+    pub fn definition(&self) -> Json {
         let list = |labels: Vec<String>| Json::Array(labels.into_iter().map(Json::Str).collect());
         let configs = self.effective_configs().iter().map(|c| c.name.to_string()).collect();
         let workloads = self.effective_workloads().iter().map(|w| w.name().to_string()).collect();
         let fabrics = self.effective_fabrics().iter().map(|f| f.label().to_string()).collect();
-        let mut fields = vec![
-            ("name", Json::Str(self.name.clone())),
-            ("requests", Json::Num(self.requests.to_string())),
-            ("configs", list(configs)),
-            ("workloads", list(workloads)),
-        ];
+        let mut definition = Json::object()
+            .with("name", self.name.as_str())
+            .with("requests", self.requests as u64)
+            .with("configs", list(configs))
+            .with("workloads", list(workloads));
         for ((key, _), set) in Knob::AXES.iter().zip(&self.knobs) {
             let labels = if set.is_empty() {
                 vec!["base".to_string()]
             } else {
                 set.iter().map(Knob::label).collect()
             };
-            fields.push((key, list(labels)));
+            definition = definition.with(key, list(labels));
         }
-        fields.push(("fabrics", list(fabrics)));
-        Json::Object(fields.into_iter().map(|(key, value)| (key.to_string(), value)).collect())
-            .to_string()
+        definition.with("fabrics", list(fabrics))
     }
 }
 
@@ -661,7 +659,7 @@ pub struct PointRecord {
 /// reproducible artifact.
 #[derive(Clone, Debug)]
 pub struct SweepOutcome {
-    grid_json: String,
+    grid: Json,
     name: String,
     requests: usize,
     workload_count: usize,
@@ -717,7 +715,10 @@ impl SweepOutcome {
 
     /// FNV-1a hash of the grid definition JSON: identifies *what* was swept.
     pub fn grid_hash(&self) -> String {
-        format!("{:016x}", fnv1a(self.grid_json.as_bytes(), FNV_OFFSET))
+        format!(
+            "{:016x}",
+            fnv1a(self.grid.to_string().as_bytes(), FNV_OFFSET)
+        )
     }
 
     /// FNV-1a hash chained over every point record in id order, from
@@ -739,7 +740,7 @@ impl SweepOutcome {
     /// seeded with the grid-definition hash): the manifest's single
     /// comparison handle for "same sweep, same results".
     pub fn manifest_fingerprint(&self) -> String {
-        let seed = fnv1a(self.grid_json.as_bytes(), FNV_OFFSET);
+        let seed = fnv1a(self.grid.to_string().as_bytes(), FNV_OFFSET);
         format!("{:016x}", self.chain_points(seed))
     }
 
@@ -804,45 +805,43 @@ impl SweepOutcome {
     /// and the per-point index with headline numbers read back out of the
     /// records (so a reused record and a fresh one index identically).
     pub fn manifest_json(&self) -> String {
-        let mut index = String::from("[\n");
-        for (i, (p, doc)) in self.documents().enumerate() {
+        let index = self.documents().map(|(p, doc)| {
             let num = |key| doc.get(key).and_then(Json::as_u64).unwrap_or(0);
-            index.push_str(&format!(
-                "    {{\"id\": {}, \"label\": {}, \"file\": {}, \"status\": {}, \
-                 \"execution_time_ns\": {}, \"events\": {}}}{}\n",
-                p.id,
-                json_str(&p.label),
-                json_str(&p.file_name()),
-                json_str(doc.get("status").and_then(Json::as_str).unwrap_or("complete")),
-                num("execution_time_ns"),
-                num("events"),
-                if i + 1 == self.points.len() { "" } else { "," }
-            ));
-        }
-        index.push_str("  ]");
-        format!(
-            "{{\n  \"name\": {},\n  \"engine\": \"venice_bench::sweep\",\n  \
-             \"git\": {},\n  \"requests\": {},\n  \"points_total\": {},\n  \
-             \"pool_threads\": {},\n  \"wall_seconds\": {},\n  \
-             \"env\": {{\"VENICE_REQUESTS\": {}, \"VENICE_PAR\": {}, \
-             \"VENICE_RESULTS_DIR\": {}}},\n  \"grid\": {},\n  \
-             \"grid_hash\": {},\n  \"metrics_fingerprint\": {},\n  \
-             \"manifest_fingerprint\": {},\n  \"points\": {}\n}}\n",
-            json_str(&self.name),
-            json_str(&git_describe()),
-            self.requests,
-            self.points.len(),
-            self.pool_threads,
-            self.wall_seconds,
-            json_env("VENICE_REQUESTS"),
-            json_env("VENICE_PAR"),
-            json_env("VENICE_RESULTS_DIR"),
-            self.grid_json,
-            json_str(&self.grid_hash()),
-            json_str(&self.metrics_fingerprint()),
-            json_str(&self.manifest_fingerprint()),
-            index,
-        )
+            Json::object()
+                .with("id", p.id as u64)
+                .with("label", p.label.as_str())
+                .with("file", p.file_name())
+                .with(
+                    "status",
+                    doc.get("status")
+                        .and_then(Json::as_str)
+                        .unwrap_or("complete"),
+                )
+                .with("execution_time_ns", num("execution_time_ns"))
+                .with("events", num("events"))
+        });
+        let env = |name| std::env::var(name).map_or(Json::Null, Json::Str);
+        Json::object()
+            .with("name", self.name.as_str())
+            .with("engine", "venice_bench::sweep")
+            .with("git", git_describe())
+            .with("requests", self.requests as u64)
+            .with("points_total", self.points.len() as u64)
+            .with("pool_threads", self.pool_threads as u64)
+            .with("wall_seconds", self.wall_seconds)
+            .with(
+                "env",
+                Json::object()
+                    .with("VENICE_REQUESTS", env("VENICE_REQUESTS"))
+                    .with("VENICE_PAR", env("VENICE_PAR"))
+                    .with("VENICE_RESULTS_DIR", env("VENICE_RESULTS_DIR")),
+            )
+            .with("grid", self.grid.clone())
+            .with("grid_hash", self.grid_hash())
+            .with("metrics_fingerprint", self.metrics_fingerprint())
+            .with("manifest_fingerprint", self.manifest_fingerprint())
+            .with("points", Json::Array(index.collect()))
+            .document(true)
     }
 
     /// Writes the sweep artifact into [`SweepOutcome::dir`]: the
@@ -856,7 +855,7 @@ impl SweepOutcome {
     /// Propagates I/O errors from directory creation or file writes.
     pub fn write(&self, base_dir: &Path) -> std::io::Result<PathBuf> {
         let dir = self.dir(base_dir);
-        claim_dir(&dir, &self.grid_json, false)?;
+        claim_dir(&dir, &self.grid, false)?;
         for (p, json) in self.points.iter().zip(&self.point_jsons) {
             write_atomic(&dir.join(p.file_name()), json.as_bytes())?;
         }
@@ -902,12 +901,13 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// Makes `dir` the artifact directory of the grid defined by `grid_json`
-/// and stamps it (`grid.json`). When the old stamp names another grid (or
-/// `fresh`), the old point records are cleared first, so records of two
-/// grids never mix. Returns whether the old records are this grid's.
-fn claim_dir(dir: &Path, grid_json: &str, fresh: bool) -> std::io::Result<bool> {
-    let stamp = dir.join("grid.json");
+/// Makes `dir` the artifact directory of the grid defined by `grid` and
+/// stamps it with the definition's one-line text (`grid.json`). When the
+/// old stamp names another grid (or `fresh`), the old point records are
+/// cleared first, so records of two grids never mix. Returns whether the
+/// old records are this grid's.
+fn claim_dir(dir: &Path, grid: &Json, fresh: bool) -> std::io::Result<bool> {
+    let (stamp, grid_json) = (dir.join("grid.json"), grid.to_string());
     let ours = !fresh && std::fs::read_to_string(&stamp).is_ok_and(|g| g == grid_json);
     if !ours {
         let _ = std::fs::remove_dir_all(dir.join("points"));
@@ -915,11 +915,6 @@ fn claim_dir(dir: &Path, grid_json: &str, fresh: bool) -> std::io::Result<bool> 
     std::fs::create_dir_all(dir.join("points"))?;
     write_atomic(&stamp, grid_json.as_bytes())?;
     Ok(ours)
-}
-
-/// The raw value of env var `name` as a JSON value (`null` when unset).
-fn json_env(name: &str) -> String {
-    std::env::var(name).map_or(Json::Null, Json::Str).to_string()
 }
 
 /// `git describe --always --dirty` of the working tree, or `"unknown"`
@@ -1039,15 +1034,14 @@ mod tests {
                 assert!(p.label.contains(&knob.label()), "label {}", p.label);
             }
             let labels = Json::Array(values.iter().map(|k| Json::Str(k.label())).collect());
-            let def = Json::parse(&grid.definition_json()).expect("definition parses");
-            assert_eq!(def.get(Knob::AXES[axis].0), Some(&labels));
+            assert_eq!(grid.definition().get(Knob::AXES[axis].0), Some(&labels));
         }
         // An unset axis serializes as the base marker and sweeps the base
         // config's own value.
         let plain = SweepGrid::new("plain")
             .workload(WorkloadAxis::catalog("hm_0").expect("catalog"))
             .requests(50);
-        let def = Json::parse(&plain.definition_json()).expect("definition parses");
+        let def = plain.definition();
         let unset = Json::Array(vec![Json::Str("base".to_string())]);
         for (key, _) in Knob::AXES {
             assert_eq!(def.get(key), Some(&unset), "{key}");
@@ -1117,8 +1111,7 @@ mod tests {
         assert_eq!(text("metrics_fingerprint"), Some(outcome.metrics_fingerprint()));
         assert_eq!(text("manifest_fingerprint"), Some(outcome.manifest_fingerprint()));
         assert_eq!(manifest.get("points_total").and_then(Json::as_u64), Some(4));
-        let grid = Json::parse(&tiny_grid().definition_json()).ok();
-        assert_eq!(manifest.get("grid"), grid.as_ref());
+        assert_eq!(manifest.get("grid"), Some(&tiny_grid().definition()));
         let index = manifest.get("points").and_then(Json::as_array).expect("index");
         assert_eq!(index.len(), outcome.records().len());
         for (entry, r) in index.iter().zip(outcome.records()) {
@@ -1148,7 +1141,7 @@ mod tests {
         let dir = outcome.write(&base).expect("write artifact");
         assert!(dir.join("manifest.json").is_file());
         let stamp = std::fs::read_to_string(dir.join("grid.json")).expect("stamp");
-        assert_eq!(stamp, grid.definition_json());
+        assert_eq!(stamp, grid.definition().to_string());
         let resumed = grid.run_resumable(&base, &pool, false);
         assert_eq!(resumed.reused_count(), outcome.points().len());
         assert!(resumed.records().is_empty());

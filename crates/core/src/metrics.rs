@@ -9,7 +9,7 @@ use venice_sim::{SimDuration, SimTime};
 use venice_hil::{DeadlineClass, TenantSpec};
 
 use crate::dispatch::DispatchStats;
-use crate::report::{json_f64, json_str};
+use crate::report::Json;
 use crate::{DispatchPolicyKind, RedundancyKind, ResiliencePolicy};
 
 /// How a run ended (part of [`RunMetrics`] and the sweep manifest's
@@ -97,22 +97,24 @@ impl TenantMetrics {
     /// Median end-to-end latency of this tenant's requests (zero when the
     /// tenant completed nothing).
     pub fn p50(&self) -> SimDuration {
-        self.quantile(0.50)
+        quantile(&self.latencies, 0.50)
     }
 
     /// 99th-percentile end-to-end latency of this tenant's requests (zero
     /// when the tenant completed nothing).
     pub fn p99(&self) -> SimDuration {
-        self.quantile(0.99)
+        quantile(&self.latencies, 0.99)
     }
+}
 
-    fn quantile(&self, q: f64) -> SimDuration {
-        let mut lat = self.latencies.clone();
-        if lat.is_empty() {
-            SimDuration::ZERO
-        } else {
-            lat.percentile(q)
-        }
+/// The `q`-quantile of `samples`, zero when there are none: a run or a
+/// tenant that completed nothing is a valid record everywhere, but
+/// `percentile` panics on an empty sample set.
+fn quantile(samples: &LatencySamples, q: f64) -> SimDuration {
+    if samples.is_empty() {
+        SimDuration::ZERO
+    } else {
+        samples.clone().percentile(q)
     }
 }
 
@@ -362,175 +364,144 @@ impl RunMetrics {
     }
 
     /// Serializes the run as one stable JSON object (the sweep engine's
-    /// per-point record format).
+    /// per-point record format), built as a [`Json`] value and laid out by
+    /// [`Json::document`], the workspace's one JSON writer.
     ///
-    /// The workspace builds without registry access, so JSON is emitted by
-    /// hand: field order is fixed, integers print exactly, and floats use
-    /// Rust's shortest round-trip `Display` — the same metrics always
-    /// produce the same bytes, which is what lets sweep manifests carry a
-    /// content fingerprint. Raw latency samples are summarized (count,
-    /// mean, p50/p95/p99, max) rather than dumped.
+    /// Field order is fixed, integers print exactly, and floats use Rust's
+    /// shortest round-trip `Display`: the same metrics always produce the
+    /// same bytes, which is what lets sweep manifests carry a content
+    /// fingerprint. Raw latency samples are summarized (count, mean,
+    /// p50/p95/p99, max) rather than dumped.
     pub fn to_json(&self) -> String {
-        let mut lat = self.latencies.clone();
-        // Zero-sample runs serialize as zero latencies (percentile() would
-        // panic on an empty sample set, and RunMetrics with no completions
-        // is a valid value everywhere else).
-        let q = |l: &mut LatencySamples, q: f64| {
-            if l.is_empty() {
-                0
-            } else {
-                l.percentile(q).as_nanos()
-            }
+        let q = |q| quantile(&self.latencies, q).as_nanos();
+        let (fb, ftl, hil, dsp) = (&self.fabric, &self.ftl, &self.hil, &self.dispatch);
+        let tenant = |t: &TenantMetrics| {
+            Json::object()
+                .with("name", t.name)
+                .with("weight", u64::from(t.weight))
+                .with("qd_cap", u64::from(t.qd_cap))
+                .with("deadline_class", t.deadline_class.label())
+                .with("completed", t.completed)
+                .with("conflicted", t.conflicted)
+                .with("backpressured", t.backpressured)
+                .with("failed", t.failed)
+                .with("data_loss", t.data_loss)
+                .with("deadline_misses", t.deadline_misses)
+                .with("host_retries", t.host_retries)
+                .with("shed", t.shed)
+                .with("deadline_met", t.deadline_met)
+                .with("mean_ns", t.latencies.mean().as_nanos())
+                .with("p50_ns", t.p50().as_nanos())
+                .with("p99_ns", t.p99().as_nanos())
         };
-        let (p50, p95, p99, max) = (
-            q(&mut lat, 0.50),
-            q(&mut lat, 0.95),
-            q(&mut lat, 0.99),
-            q(&mut lat, 1.0),
-        );
-        let fb = &self.fabric;
-        let ftl = &self.ftl;
-        let hil = &self.hil;
-        let dsp = &self.dispatch;
-        // Per-tenant QoS records: variable-length, so pre-rendered with the
-        // same fixed field order and hand-formatting as the outer object.
-        let mut tenants_json = String::new();
-        for (i, t) in self.tenants.iter().enumerate() {
-            if i > 0 {
-                tenants_json.push_str(", ");
-            }
-            tenants_json.push_str(&format!(
-                "{{\"name\": {}, \"weight\": {}, \"qd_cap\": {}, \
-                 \"deadline_class\": {}, \
-                 \"completed\": {}, \"conflicted\": {}, \"backpressured\": {}, \
-                 \"failed\": {}, \"data_loss\": {}, \"deadline_misses\": {}, \
-                 \"host_retries\": {}, \
-                 \"shed\": {}, \"deadline_met\": {}, \
-                 \"mean_ns\": {}, \"p50_ns\": {}, \"p99_ns\": {}}}",
-                json_str(t.name),
-                t.weight,
-                t.qd_cap,
-                json_str(t.deadline_class.label()),
-                t.completed,
-                t.conflicted,
-                t.backpressured,
-                t.failed,
-                t.data_loss,
-                t.deadline_misses,
-                t.host_retries,
-                t.shed,
-                t.deadline_met,
-                t.latencies.mean().as_nanos(),
-                t.p50().as_nanos(),
-                t.p99().as_nanos(),
-            ));
-        }
-        format!(
-            "{{\n  \"system\": {},\n  \"workload\": {},\n  \"config\": {},\n  \
-             \"policy\": {},\n  \"scout_cache\": {},\n  \
-             \"completed_requests\": {},\n  \"execution_time_ns\": {},\n  \
-             \"iops\": {},\n  \"latency\": {{\"samples\": {}, \"mean_ns\": {}, \
-             \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}},\n  \
-             \"conflicted_requests\": {},\n  \"conflict_pct\": {},\n  \
-             \"energy_mj\": {},\n  \"avg_power_mw\": {},\n  \
-             \"fabric\": {{\"acquisitions\": {}, \"conflicts\": {}, \
-             \"controller_unavailable\": {}, \"channel_busy\": {}, \
-             \"transfers\": {}, \"bytes\": {}, \"transfer_energy_nj\": {}, \
-             \"scout_steps\": {}, \"scout_detours\": {}, \"scout_misroutes\": {}, \
-             \"scout_failed_steps\": {}, \"scout_fastfails\": {}, \
-             \"scout_cache_invalidations\": {}, \"hops_total\": {}}},\n  \
-             \"ftl\": {{\"user_writes\": {}, \"user_reads\": {}, \
-             \"gc_relocations\": {}, \"gc_erases\": {}, \"wear_relocations\": {}, \
-             \"wear_erases\": {}, \"stale_relocations\": {}, \
-             \"write_amplification\": {}}},\n  \
-             \"hil\": {{\"submitted\": {}, \"backpressured\": {}, \
-             \"fetched\": {}, \"completed\": {}}},\n  \
-             \"tenants\": [{}],\n  \"fairness_index\": {},\n  \
-             \"dispatch\": {{\"rounds\": {}, \"attempts\": {}, \
-             \"skipped_backoff\": {}, \"failed_walks\": {}}},\n  \
-             \"status\": {},\n  \
-             \"faults\": {{\"injected\": {}, \"active\": {}, \"retried_ops\": {}, \
-             \"failed_requests\": {}, \"availability\": {}}},\n  \
-             \"resilience\": {{\"policy\": {}, \"deadline_met\": {}, \
-             \"deadline_misses\": {}, \"host_retries\": {}, \
-             \"shed_requests\": {}, \"goodput\": {}}},\n  \
-             \"redundancy\": {{\"kind\": {}, \"degraded_reads\": {}, \
-             \"rebuilt_pages\": {}, \"rebuild_skipped_pages\": {}, \
-             \"rebuild_done_ns\": {}, \
-             \"data_loss_requests\": {}}},\n  \
-             \"transactions\": {},\n  \"events\": {},\n  \"end_time_ns\": {}\n}}\n",
-            json_str(self.system.label()),
-            json_str(&self.workload),
-            json_str(self.config),
-            json_str(self.policy.label()),
-            json_str(self.scout_cache.label()),
-            self.completed_requests,
-            self.execution_time.as_nanos(),
-            json_f64(self.iops()),
-            lat.len(),
-            self.mean_latency().as_nanos(),
-            p50,
-            p95,
-            p99,
-            max,
-            self.conflicted_requests,
-            json_f64(self.conflict_pct()),
-            json_f64(self.energy_mj),
-            json_f64(self.avg_power_mw),
-            fb.acquisitions,
-            fb.conflicts,
-            fb.controller_unavailable,
-            fb.channel_busy,
-            fb.transfers,
-            fb.bytes,
-            json_f64(fb.transfer_energy_nj),
-            fb.scout_steps,
-            fb.scout_detours,
-            fb.scout_misroutes,
-            fb.scout_failed_steps,
-            fb.scout_fastfails,
-            fb.scout_cache_invalidations,
-            fb.hops_total,
-            ftl.user_writes,
-            ftl.user_reads,
-            ftl.gc_relocations,
-            ftl.gc_erases,
-            ftl.wear_relocations,
-            ftl.wear_erases,
-            ftl.stale_relocations,
-            json_f64(ftl.write_amplification()),
-            hil.submitted,
-            hil.backpressured,
-            hil.fetched,
-            hil.completed,
-            tenants_json,
-            json_f64(self.fairness_index()),
-            dsp.rounds,
-            dsp.attempts,
-            dsp.skipped_backoff,
-            dsp.failed_walks,
-            json_str(self.status.label()),
-            self.faults_injected,
-            self.faults_active,
-            self.retried_ops,
-            self.failed_requests,
-            json_f64(self.availability()),
-            json_str(self.resilience.label()),
-            self.deadline_met_requests,
-            self.deadline_misses,
-            self.host_retries,
-            self.shed_requests,
-            json_f64(self.goodput()),
-            json_str(&self.redundancy.label()),
-            self.degraded_reads,
-            self.rebuilt_pages,
-            self.rebuild_skipped_pages,
-            self.rebuild_done_ns,
-            self.data_loss_requests,
-            self.transactions,
-            self.events,
-            self.end_time.as_nanos(),
-        )
+        Json::object()
+            .with("system", self.system.label())
+            .with("workload", self.workload.as_str())
+            .with("config", self.config)
+            .with("policy", self.policy.label())
+            .with("scout_cache", self.scout_cache.label())
+            .with("completed_requests", self.completed_requests)
+            .with("execution_time_ns", self.execution_time.as_nanos())
+            .with("iops", self.iops())
+            .with(
+                "latency",
+                Json::object()
+                    .with("samples", self.latencies.len() as u64)
+                    .with("mean_ns", self.mean_latency().as_nanos())
+                    .with("p50_ns", q(0.50))
+                    .with("p95_ns", q(0.95))
+                    .with("p99_ns", q(0.99))
+                    .with("max_ns", q(1.0)),
+            )
+            .with("conflicted_requests", self.conflicted_requests)
+            .with("conflict_pct", self.conflict_pct())
+            .with("energy_mj", self.energy_mj)
+            .with("avg_power_mw", self.avg_power_mw)
+            .with(
+                "fabric",
+                Json::object()
+                    .with("acquisitions", fb.acquisitions)
+                    .with("conflicts", fb.conflicts)
+                    .with("controller_unavailable", fb.controller_unavailable)
+                    .with("channel_busy", fb.channel_busy)
+                    .with("transfers", fb.transfers)
+                    .with("bytes", fb.bytes)
+                    .with("transfer_energy_nj", fb.transfer_energy_nj)
+                    .with("scout_steps", fb.scout_steps)
+                    .with("scout_detours", fb.scout_detours)
+                    .with("scout_misroutes", fb.scout_misroutes)
+                    .with("scout_failed_steps", fb.scout_failed_steps)
+                    .with("scout_fastfails", fb.scout_fastfails)
+                    .with("scout_cache_invalidations", fb.scout_cache_invalidations)
+                    .with("hops_total", fb.hops_total),
+            )
+            .with(
+                "ftl",
+                Json::object()
+                    .with("user_writes", ftl.user_writes)
+                    .with("user_reads", ftl.user_reads)
+                    .with("gc_relocations", ftl.gc_relocations)
+                    .with("gc_erases", ftl.gc_erases)
+                    .with("wear_relocations", ftl.wear_relocations)
+                    .with("wear_erases", ftl.wear_erases)
+                    .with("stale_relocations", ftl.stale_relocations)
+                    .with("write_amplification", ftl.write_amplification()),
+            )
+            .with(
+                "hil",
+                Json::object()
+                    .with("submitted", hil.submitted)
+                    .with("backpressured", hil.backpressured)
+                    .with("fetched", hil.fetched)
+                    .with("completed", hil.completed),
+            )
+            .with(
+                "tenants",
+                Json::Array(self.tenants.iter().map(tenant).collect()),
+            )
+            .with("fairness_index", self.fairness_index())
+            .with(
+                "dispatch",
+                Json::object()
+                    .with("rounds", dsp.rounds)
+                    .with("attempts", dsp.attempts)
+                    .with("skipped_backoff", dsp.skipped_backoff)
+                    .with("failed_walks", dsp.failed_walks),
+            )
+            .with("status", self.status.label())
+            .with(
+                "faults",
+                Json::object()
+                    .with("injected", self.faults_injected)
+                    .with("active", self.faults_active)
+                    .with("retried_ops", self.retried_ops)
+                    .with("failed_requests", self.failed_requests)
+                    .with("availability", self.availability()),
+            )
+            .with(
+                "resilience",
+                Json::object()
+                    .with("policy", self.resilience.label())
+                    .with("deadline_met", self.deadline_met_requests)
+                    .with("deadline_misses", self.deadline_misses)
+                    .with("host_retries", self.host_retries)
+                    .with("shed_requests", self.shed_requests)
+                    .with("goodput", self.goodput()),
+            )
+            .with(
+                "redundancy",
+                Json::object()
+                    .with("kind", self.redundancy.label())
+                    .with("degraded_reads", self.degraded_reads)
+                    .with("rebuilt_pages", self.rebuilt_pages)
+                    .with("rebuild_skipped_pages", self.rebuild_skipped_pages)
+                    .with("rebuild_done_ns", self.rebuild_done_ns)
+                    .with("data_loss_requests", self.data_loss_requests),
+            )
+            .with("transactions", self.transactions)
+            .with("events", self.events)
+            .with("end_time_ns", self.end_time.as_nanos())
+            .document(false)
     }
 }
 

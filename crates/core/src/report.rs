@@ -1,6 +1,10 @@
 //! Report formatting: markdown tables and CSV emission for the figure
-//! harnesses, the JSON writers every artifact shares, and the one [`Json`]
-//! reader that reads those artifacts back.
+//! harnesses, and [`Json`], the one JSON reader and writer. Every artifact
+//! the workspace writes (point records, sweep manifests, the ablation
+//! distillations, bench summaries) is a [`Json`] value laid out by
+//! [`Json::document`], and every artifact it reads back goes through
+//! [`Json::parse`]. The perf-trajectory ledgers keep a layout of their
+//! own.
 
 use std::fmt::{self, Write as _};
 use std::path::Path;
@@ -104,9 +108,8 @@ pub fn f3(x: f64) -> String {
 
 /// JSON string literal: quotes, backslashes and control characters escaped
 /// (the harness only emits identifier-like names, so in practice only the
-/// quotes are added). Shared by the metrics serializer, the sweep-manifest
-/// writer and [`Json`]'s `Display`, so they can never diverge.
-pub fn json_str(s: &str) -> String {
+/// quotes are added).
+fn json_str(s: &str) -> String {
     let mut out = String::from("\"");
     for c in s.chars() {
         match c {
@@ -118,22 +121,14 @@ pub fn json_str(s: &str) -> String {
     out + "\""
 }
 
-/// JSON number from a float: shortest round-trip `Display`, `null` for
-/// non-finite values (JSON has no NaN/Inf).
-pub fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// A JSON value read back from a document the workspace wrote: a point
-/// record, a manifest, a bench artifact or baseline, a ledger.
+/// A JSON value: a document the workspace writes (a point record, a
+/// manifest, an ablation, a bench summary) is built as one and laid out by
+/// [`Json::document`], and a document it reads back parses into one.
 ///
 /// Objects keep their key order and numbers keep their source text, so a
-/// `u64` counter or an `f64` reads back exactly; `Display` writes a value
-/// back on one line in the writers' own layout (`", "` and `": "`).
+/// `u64` counter or an `f64` reads back exactly and a parsed document
+/// re-renders byte for byte; `Display` writes a value on one line
+/// (`", "` and `": "`).
 ///
 /// # Example
 ///
@@ -144,6 +139,10 @@ pub fn json_f64(x: f64) -> String {
 /// assert_eq!(doc.get("p").and_then(Json::as_f64), Some(0.1));
 /// assert_eq!(doc.to_string(), r#"{"fabric": {"bytes": 18446744073709551615}, "p": 0.1}"#);
 /// assert!(Json::parse(r#"{"fabric": {"by"#).is_err());
+///
+/// let built = Json::object().with("fabric", Json::object().with("bytes", u64::MAX)).with("p", 0.1);
+/// assert_eq!(built, doc);
+/// assert_eq!(built.document(false), "{\n  \"fabric\": {\"bytes\": 18446744073709551615},\n  \"p\": 0.1\n}\n");
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -220,6 +219,102 @@ impl Json {
             Json::Array(items) => Some(items),
             _ => None,
         }
+    }
+
+    /// An empty object, to fill with [`Json::with`].
+    pub fn object() -> Json {
+        Json::Object(Vec::new())
+    }
+
+    /// This object with `key: value` appended.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self` is not an object.
+    pub fn with(mut self, key: &str, value: impl Into<Json>) -> Json {
+        match &mut self {
+            Json::Object(entries) => entries.push((key.to_string(), value.into())),
+            other => panic!("Json::with on a non-object {other}"),
+        }
+        self
+    }
+
+    /// A number with exactly `places` decimals, for the bench summaries'
+    /// rounded rates and ratios; `null` for a non-finite value.
+    pub fn fixed(x: f64, places: usize) -> Json {
+        if x.is_finite() {
+            Json::Num(format!("{x:.places$}"))
+        } else {
+            Json::Null
+        }
+    }
+
+    /// The value as a document, the layout of every artifact the workspace
+    /// writes: a top-level object or array goes one entry per line,
+    /// indented two spaces, and everything deeper stays on one line
+    /// through `Display`. With `rows`, each non-empty array of a top-level
+    /// object goes one item per line, indented four spaces (a manifest's
+    /// point index, an ablation's points). An empty container or a scalar
+    /// is one line. The text ends with a newline.
+    pub fn document(&self, rows: bool) -> String {
+        let text = match self {
+            Json::Object(entries) if !entries.is_empty() => {
+                let entry = |(key, value): &(String, Json)| match value {
+                    Json::Array(items) if rows && !items.is_empty() => {
+                        format!("{}: {}", json_str(key), block('[', items, ']', 4))
+                    }
+                    _ => format!("{}: {value}", json_str(key)),
+                };
+                block('{', &entries.iter().map(entry).collect::<Vec<_>>(), '}', 2)
+            }
+            Json::Array(items) if !items.is_empty() => block('[', items, ']', 2),
+            _ => self.to_string(),
+        };
+        text + "\n"
+    }
+}
+
+/// `items` one per line at `indent` spaces, comma-separated, between
+/// `open` and a `close` two spaces left of them.
+fn block(open: char, items: &[impl fmt::Display], close: char, indent: usize) -> String {
+    let pad = " ".repeat(indent);
+    let lines: Vec<String> = items.iter().map(|item| format!("{pad}{item}")).collect();
+    format!("{open}\n{}\n{}{close}", lines.join(",\n"), &pad[2..])
+}
+
+impl From<u64> for Json {
+    fn from(n: u64) -> Json {
+        Json::Num(n.to_string())
+    }
+}
+
+/// Rust's shortest round-trip `Display`, so the number reads back to the
+/// same `f64`; `null` for a non-finite value (JSON has no NaN or Inf).
+impl From<f64> for Json {
+    fn from(x: f64) -> Json {
+        if x.is_finite() {
+            Json::Num(x.to_string())
+        } else {
+            Json::Null
+        }
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
     }
 }
 
@@ -489,6 +584,91 @@ mod tests {
         }
     }
 
+    /// The layout rule: the top-level container one entry per line at two
+    /// spaces, deeper values inline, and with `rows` each non-empty array
+    /// of a top-level object one item per line at four spaces.
+    #[test]
+    fn documents_lay_out_the_top_level_only() {
+        let point = |id: u64| {
+            Json::object()
+                .with("id", id)
+                .with("tags", Json::Array(vec![]))
+        };
+        let points = Json::Array(vec![point(0), point(1)]);
+        // A top-level array goes one item per line either way; rows only
+        // reaches the arrays of a top-level object.
+        let listed = "[\n  {\"id\": 0, \"tags\": []},\n  {\"id\": 1, \"tags\": []}\n]\n";
+        assert_eq!(
+            (points.document(true), points.document(false)),
+            (listed.into(), listed.into())
+        );
+        let doc = Json::object()
+            .with("name", "mini")
+            .with(
+                "grid",
+                Json::object().with("fabrics", Json::Array(vec!["Venice".into()])),
+            )
+            .with("empty", Json::Array(vec![]))
+            .with(
+                "points",
+                Json::Array(vec![point(0), Json::Array(vec![1u64.into(), 2u64.into()])]),
+            );
+        // Without rows, a top-level array of objects stays on its line.
+        assert_eq!(
+            doc.document(false),
+            "{\n  \"name\": \"mini\",\n  \"grid\": {\"fabrics\": [\"Venice\"]},\n  \"empty\": [],\n  \
+             \"points\": [{\"id\": 0, \"tags\": []}, [1, 2]]\n}\n"
+        );
+        // With rows, its items go one per line; arrays below the top level
+        // (inside `grid`, inside each item) stay inline, and so does an
+        // empty one.
+        assert_eq!(
+            doc.document(true),
+            "{\n  \"name\": \"mini\",\n  \"grid\": {\"fabrics\": [\"Venice\"]},\n  \"empty\": [],\n  \
+             \"points\": [\n    {\"id\": 0, \"tags\": []},\n    [1, 2]\n  ]\n}\n"
+        );
+        for (value, line) in [
+            (Json::object(), "{}\n"),
+            (Json::Array(vec![]), "[]\n"),
+            (7u64.into(), "7\n"),
+        ] {
+            assert_eq!(
+                (value.document(true), value.document(false)),
+                (line.into(), line.into())
+            );
+        }
+        assert_eq!(Json::parse(&doc.document(true)), Ok(doc));
+    }
+
+    /// Numbers keep the writers' rules: shortest round-trip floats, fixed
+    /// decimals where asked, `null` for what JSON cannot hold.
+    #[test]
+    fn number_constructors_follow_the_writers_rules() {
+        let texts = [
+            Json::from(0.1),
+            Json::from(2.0),
+            Json::from(u64::MAX),
+            Json::fixed(2.0456, 3),
+        ]
+        .map(|n| n.to_string());
+        assert_eq!(texts, ["0.1", "2", "18446744073709551615", "2.046"]);
+        assert_eq!(Json::fixed(578_433.4, 0).to_string(), "578433");
+        for bad in [f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                (Json::from(bad), Json::fixed(bad, 1)),
+                (Json::Null, Json::Null)
+            );
+        }
+        assert_eq!(Json::from("a\"b").to_string(), r#""a\"b""#);
+        assert_eq!(Json::from(true), Json::Bool(true));
+    }
+
+    #[test]
+    #[should_panic(expected = "non-object")]
+    fn with_needs_an_object() {
+        let _ = Json::Array(vec![]).with("k", 1u64);
+    }
+
     /// Fuzz: every strict prefix of a point record is an error, and random
     /// byte changes either fail or read back a value that writes and reads
     /// back equal. Nothing panics.
@@ -531,7 +711,7 @@ mod tests {
     /// deadline-split tenants, full host resilience, parity) read back
     /// every field exactly: the document re-renders to the record's own
     /// text, every number reads back to the value it was written from (a
-    /// `u64`, or the `f64` that `json_f64` writes as the same text), and
+    /// `u64`, or the `f64` that `Json::from` writes as the same text), and
     /// the reads equal the `RunMetrics` fields behind them.
     #[test]
     fn run_records_read_back_field_by_field() {
@@ -563,10 +743,10 @@ mod tests {
             leaves(&doc, String::new(), &mut all);
             assert_eq!(all.len(), 70 + 16 * m.tenants.len());
             for (path, leaf) in &all {
-                if let Json::Num(text) = leaf {
-                    let back = leaf.as_u64().map(|n| n.to_string());
-                    let back = back.or_else(|| leaf.as_f64().map(json_f64));
-                    assert_eq!(back.as_ref(), Some(text), "{path}");
+                if let Json::Num(_) = leaf {
+                    let back = leaf.as_u64().map(Json::from);
+                    let back = back.or_else(|| leaf.as_f64().map(Json::from));
+                    assert_eq!(back.as_ref(), Some(leaf), "{path}");
                 }
             }
             let p99 = m.p99().as_nanos();

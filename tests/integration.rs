@@ -513,3 +513,58 @@ fn catalog_sweep_is_deterministic_across_parallelism() {
         .requests(120);
     pool_size_stable(&grid, 38); // 19 workloads × 2 fabrics
 }
+
+/// Every checked-in artifact is exactly what `Json::document` lays out for
+/// its parsed value: point records one field per line (`rows = false`),
+/// sweep manifests and `results/*.json` with their arrays one item per
+/// line (`rows = true`), and the `grid.json` stamps on one line. For the
+/// wall-clock artifacts (`policy_ablation.json`, `bench_*.json`), which no
+/// run reproduces, this is the only byte check.
+#[test]
+fn checked_in_artifacts_rerender_byte_for_byte() {
+    use std::path::{Path, PathBuf};
+    use venice::ssd::report::Json;
+    let read = |path: &Path| {
+        let text = std::fs::read_to_string(path).expect("artifact reads");
+        let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        (text, doc)
+    };
+    let entries = |dir: PathBuf| {
+        let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
+            .expect("directory")
+            .map(|e| e.expect("entry").path())
+            .collect();
+        paths.sort();
+        paths
+    };
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let sweeps = entries(root.join("baselines"));
+    assert_eq!(sweeps.len(), 6, "six baselined grids");
+    for sweep in sweeps {
+        let (text, grid) = read(&sweep.join("grid.json"));
+        assert_eq!(grid.to_string(), text, "{}", sweep.display());
+        let (text, manifest) = read(&sweep.join("manifest.json"));
+        assert_eq!(manifest.document(true), text, "{}", sweep.display());
+        let points = entries(sweep.join("points"));
+        assert_eq!(
+            manifest.get("points_total").and_then(Json::as_u64),
+            Some(points.len() as u64)
+        );
+        for point in points {
+            let (text, record) = read(&point);
+            assert_eq!(record.document(false), text, "{}", point.display());
+        }
+    }
+    let results: Vec<PathBuf> = entries(root.join("results"))
+        .into_iter()
+        .filter(|p| p.extension().is_some_and(|e| e == "json"))
+        .collect();
+    assert!(
+        results.len() >= 9,
+        "four ablations, the policy ablation, four bench files"
+    );
+    for path in results {
+        let (text, doc) = read(&path);
+        assert_eq!(doc.document(true), text, "{}", path.display());
+    }
+}
