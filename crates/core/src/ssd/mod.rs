@@ -203,6 +203,8 @@ pub struct SsdSim<'a> {
     free_migrations: Vec<usize>,
     /// Per-plane "GC in progress" flags, indexed by dense plane index.
     active_gc_planes: Vec<bool>,
+    /// Scratch for `check_gc`'s snapshot of the planes below threshold.
+    gc_planes: Vec<usize>,
     /// In-flight reads/programs per global block: an erase must wait until
     /// every operation targeting its block has drained (a stale read may
     /// legally target an invalidated page until the block is erased, and a
@@ -259,17 +261,7 @@ impl<'a> SsdSim<'a> {
             "trace footprint ({logical_pages} pages) must fit under physical \
              capacity ({physical} pages); call sized_for_footprint first"
         );
-        let spare_blocks_per_plane = (physical - logical_pages)
-            / u64::from(config.array.chip.pages_per_block)
-            / u64::from(config.array.total_planes());
-        let mut ftl = Ftl::new(FtlConfig {
-            array: config.array,
-            logical_pages,
-            // Trigger GC with half the over-provisioned blocks still free,
-            // capped at the paper-scale default of 4.
-            gc_threshold_blocks: (spare_blocks_per_plane / 2).clamp(1, 4) as u32,
-            wear_delta_threshold: 64,
-        });
+        let mut ftl = Ftl::new(FtlConfig::new(config.array, logical_pages));
         let mut chips: Vec<FlashChip> = (0..config.array.chips)
             .map(|_| FlashChip::with_energy(config.array.chip, config.timing, config.energy))
             .collect();
@@ -304,6 +296,7 @@ impl<'a> SsdSim<'a> {
             migrations: Vec::new(),
             free_migrations: Vec::new(),
             active_gc_planes: vec![false; total_planes],
+            gc_planes: Vec::new(),
             block_users: vec![0; total_blocks],
             blocked_erases: Vec::new(),
             pending_programs: DenseBitSet::with_capacity(physical as usize),
@@ -938,8 +931,14 @@ impl<'a> SsdSim<'a> {
     // Garbage collection and wear leveling
     // ------------------------------------------------------------------
 
+    /// Starts GC on every plane below threshold without one running, from
+    /// a snapshot taken first, in ascending plane order: a plane that a
+    /// relocation started here pushes under threshold waits for the next
+    /// check.
     fn check_gc(&mut self, now: SimTime) {
-        for plane in self.ftl.planes_needing_gc() {
+        let mut planes = std::mem::take(&mut self.gc_planes);
+        self.ftl.planes_needing_gc_into(&mut planes);
+        for &plane in &planes {
             if self.active_gc_planes[plane] {
                 continue;
             }
@@ -948,6 +947,7 @@ impl<'a> SsdSim<'a> {
                 self.start_migration(now, job, false);
             }
         }
+        self.gc_planes = planes;
     }
 
     fn check_wear(&mut self, now: SimTime) {

@@ -22,28 +22,19 @@ pub struct FtlConfig {
 }
 
 impl FtlConfig {
-    /// A config exposing `utilization` (0..1) of the physical capacity as
-    /// logical space, with default GC/wear thresholds.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < utilization < 1`.
-    pub fn with_utilization(array: ArrayGeometry, utilization: f64) -> Self {
-        assert!(
-            utilization > 0.0 && utilization < 1.0,
-            "utilization must leave over-provisioning headroom"
-        );
-        let logical_pages = (array.total_pages() as f64 * utilization) as u64;
+    /// The engine's config for `logical_pages` of host-visible space on
+    /// `array`, which must leave over-provisioning headroom: GC triggers
+    /// with half the spare blocks per plane still free (at least 1, at
+    /// most the paper-scale 4), wear leveling at a 64-erase spread.
+    pub fn new(array: ArrayGeometry, logical_pages: u64) -> Self {
         let spare_blocks_per_plane = (array.total_pages() - logical_pages)
             / u64::from(array.chip.pages_per_block)
             / u64::from(array.total_planes());
         FtlConfig {
             array,
             logical_pages,
-            // Keep the trigger comfortably inside the over-provisioned
-            // headroom even for scaled-down test geometries.
             gc_threshold_blocks: (spare_blocks_per_plane / 2).clamp(1, 4) as u32,
-            wear_delta_threshold: 16,
+            wear_delta_threshold: 64,
         }
     }
 }
@@ -202,7 +193,7 @@ enum Reserve {
 /// use venice_nand::ChipGeometry;
 ///
 /// let array = ArrayGeometry::new(4, ChipGeometry::z_nand_small());
-/// let mut ftl = Ftl::new(FtlConfig::with_utilization(array, 0.5));
+/// let mut ftl = Ftl::new(FtlConfig::new(array, array.total_pages() / 2));
 /// let gppa = ftl.allocate_write(7).unwrap();
 /// assert_eq!(ftl.translate(7), Some(gppa));
 /// ```
@@ -385,9 +376,18 @@ impl Ftl {
         self.free_blocks(plane_idx) < self.config.gc_threshold_blocks
     }
 
-    /// Planes currently in need of garbage collection.
+    /// Planes currently in need of garbage collection, in ascending order.
     pub fn planes_needing_gc(&self) -> Vec<usize> {
-        (0..self.planes.len()).filter(|&p| self.needs_gc(p)).collect()
+        let mut planes = Vec::new();
+        self.planes_needing_gc_into(&mut planes);
+        planes
+    }
+
+    /// [`Ftl::planes_needing_gc`] into `out` (cleared first), so a caller
+    /// that checks on every request reuses one buffer.
+    pub fn planes_needing_gc_into(&self, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend((0..self.planes.len()).filter(|&p| self.needs_gc(p)));
     }
 
     /// Starts garbage collection on a plane: picks the fully written,

@@ -251,27 +251,6 @@ impl TransactionScheduler {
         }
         out.extend(self.busy_chips());
     }
-
-    /// Requeues a transaction at the *front* of its class queue with its
-    /// original enqueue time `at` (used when a dispatch attempt fails to
-    /// acquire a path and must be retried without losing its position or
-    /// its age).
-    pub fn requeue_front(&mut self, txn: Transaction, at: SimTime) {
-        let chip = usize::from(txn.target.chip.0);
-        let q = &mut self.chips[chip];
-        let e = Queued { txn, at };
-        if txn.kind == TxnKind::RebuildRead {
-            q.rebuilds.push_front(e);
-        } else if txn.kind.is_read() {
-            q.reads.push_front(e);
-        } else if txn.kind.is_write() {
-            q.writes.push_front(e);
-        } else {
-            q.erases.push_front(e);
-        }
-        self.pending += 1;
-        self.busy_set.insert(chip);
-    }
 }
 
 #[cfg(test)]
@@ -351,11 +330,8 @@ mod tests {
         assert_eq!(tsu.pop(0).unwrap().id, TxnId(3));
         assert_eq!(tsu.pop(0).unwrap().id, TxnId(1));
         assert!(tsu.pop(0).is_none());
-        // requeue_front puts a failed rebuild read back at its class head
-        // with its age intact, and the drain path empties the class too.
+        // The drain path empties the rebuild class too.
         tsu.enqueue(txn(6, TxnKind::RebuildRead, 0), at(6));
-        let head = tsu.pop(0).unwrap();
-        tsu.requeue_front(head, at(6));
         assert_eq!(tsu.oldest_enqueue(0), Some(at(6)));
         tsu.enqueue(txn(7, TxnKind::UserRead, 0), at(7));
         let mut out = Vec::new();
@@ -377,18 +353,6 @@ mod tests {
         for id in 0..5 {
             assert_eq!(tsu.pop(0).unwrap().id, TxnId(id));
         }
-    }
-
-    #[test]
-    fn requeue_front_preserves_position_and_age() {
-        let mut tsu = TransactionScheduler::new(1);
-        tsu.enqueue(txn(1, TxnKind::UserRead, 0), at(10));
-        tsu.enqueue(txn(2, TxnKind::UserRead, 0), at(20));
-        let head = tsu.pop(0).unwrap();
-        tsu.requeue_front(head, at(10));
-        assert_eq!(tsu.oldest_enqueue(0), Some(at(10)));
-        assert_eq!(tsu.pop(0).unwrap().id, TxnId(1));
-        assert_eq!(tsu.pop(0).unwrap().id, TxnId(2));
     }
 
     #[test]
@@ -428,10 +392,12 @@ mod tests {
         let mut out = vec![7u16];
         tsu.busy_chips_into(&mut out);
         assert!(out.is_empty(), "collection clears the buffer");
-        // requeue_front re-marks an emptied chip as busy.
-        let head = txn(9, TxnKind::UserWrite, 5);
-        tsu.requeue_front(head, at(1));
+        // Enqueueing re-marks an emptied chip as busy, and a drain clears it.
+        tsu.enqueue(txn(9, TxnKind::UserWrite, 5), at(1));
         check(&tsu);
+        tsu.drain_chip_into(5, &mut Vec::new());
+        check(&tsu);
+        assert!(tsu.is_empty());
     }
 
     #[test]

@@ -161,16 +161,6 @@ impl HostInterface {
         &self.config
     }
 
-    /// The tenant set the queues are partitioned across.
-    pub fn tenants(&self) -> &TenantSet {
-        &self.tenants
-    }
-
-    /// Number of tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
     /// Statistics so far.
     pub fn stats(&self) -> HilStats {
         self.stats

@@ -381,12 +381,8 @@ pub trait Fabric {
     /// for what the engine does with the report). Grants already in
     /// flight over the failed resource drain normally — faults are
     /// fail-stop at burst boundaries; only *new* acquisitions see the
-    /// mask. The default is a no-op for fabrics without shared hardware
-    /// to fail.
-    fn inject_fault(&mut self, fault: FabricFault) -> FaultImpact {
-        let _ = fault;
-        FaultImpact::default()
-    }
+    /// mask.
+    fn inject_fault(&mut self, fault: FabricFault) -> FaultImpact;
 
     /// Cumulative statistics.
     fn stats(&self) -> FabricStats;
