@@ -40,8 +40,9 @@ struct Scenario {
 /// are NoSSD — whose per-attempt cost is a cheap XY probe, leaving the
 /// round scan as the overhead — and Venice under its `Auto`-selected
 /// backoff, where most rounds dispatch little and the O(chips) scan is
-/// pure waste for the reference engine.
-const SCENARIOS: [Scenario; 4] = [
+/// pure waste for the reference engine. The Baseline bus under `RetryAll`
+/// is where path sleepers pay: most of its visits retry a held row bus.
+const SCENARIOS: [Scenario; 5] = [
     Scenario {
         name: "congested_8x8_venice",
         rows: 8,
@@ -73,6 +74,14 @@ const SCENARIOS: [Scenario; 4] = [
         fabric: FabricKind::NoSsd,
         policy: DispatchPolicyKind::RetryAll,
         requests: 250,
+    },
+    Scenario {
+        name: "congested_8x8_baseline",
+        rows: 8,
+        cols: 8,
+        fabric: FabricKind::Baseline,
+        policy: DispatchPolicyKind::RetryAll,
+        requests: 400,
     },
 ];
 

@@ -225,16 +225,16 @@ fn fault_ablation(outcome: &SweepOutcome) -> Json {
     // (plan label, fabric label) -> (availability sum, points)
     let mut agg: Vec<AvailabilityCell> = Vec::new();
     for (p, doc) in outcome.documents() {
-        let avail = field(&doc, "faults.availability");
+        let avail = field(doc, "faults.availability");
         points.push(
             Json::object()
                 .with("label", p.label.as_str())
                 .with("workload", p.workload.as_str())
                 .with("fabric", p.fabric.label())
                 .with("fault_plan", p.config.fault_plan.label())
-                .with("completed_requests", copy(&doc, "completed_requests"))
-                .with("failed_requests", copy(&doc, "faults.failed_requests"))
-                .with("availability", copy(&doc, "faults.availability")),
+                .with("completed_requests", copy(doc, "completed_requests"))
+                .with("failed_requests", copy(doc, "faults.failed_requests"))
+                .with("availability", copy(doc, "faults.availability")),
         );
         let key = (p.config.fault_plan.label(), p.fabric.label());
         match agg.iter_mut().find(|(k, _)| *k == key) {
@@ -310,13 +310,13 @@ fn tenant_isolation(outcome: &SweepOutcome) -> Json {
     for (p, doc) in outcome.documents() {
         // Single-tenant points carry one pooled "all" tenant; the victim
         // stream is tenant "victim" on the multi-tenant sets.
-        let victim = tenant_field(&doc, "victim", "p99_ns")
-            .or_else(|| tenant_field(&doc, "all", "p99_ns"))
+        let victim = tenant_field(doc, "victim", "p99_ns")
+            .or_else(|| tenant_field(doc, "all", "p99_ns"))
             .cloned()
             .unwrap_or_else(|| 0u64.into());
         let key = (p.workload.as_str(), p.config.tenants.label(), p.fabric.label());
         victim_p99.push((key, victim.as_f64().unwrap_or(0.0)));
-        let aggressor = tenant_field(&doc, "aggressor", "p99_ns");
+        let aggressor = tenant_field(doc, "aggressor", "p99_ns");
         points.push(
             Json::object()
                 .with("label", p.label.as_str())
@@ -325,7 +325,7 @@ fn tenant_isolation(outcome: &SweepOutcome) -> Json {
                 .with("fabric", p.fabric.label())
                 .with("victim_p99_ns", victim)
                 .with("aggressor_p99_ns", aggressor.cloned().unwrap_or(Json::Null))
-                .with("fairness_index", copy(&doc, "fairness_index")),
+                .with("fairness_index", copy(doc, "fairness_index")),
         );
     }
     let lookup = |workload: &str, tenants: &str, fabric: &str| {
@@ -395,12 +395,12 @@ fn resilience_ablation(outcome: &SweepOutcome) -> Json {
     let mut points = Vec::new();
     let mut agg: Vec<GoodputCell> = Vec::new();
     for (p, doc) in outcome.documents() {
-        let goodput = field(&doc, "resilience.goodput");
+        let goodput = field(doc, "resilience.goodput");
         // On deadline-split points, the per-class miss counts show the
         // latency class absorbing the policy's pressure while the batch
         // class (relaxed deadline) and the unarmed class stay clean.
         let class_misses = |class| {
-            tenant_field(&doc, class, "deadline_misses")
+            tenant_field(doc, class, "deadline_misses")
                 .cloned()
                 .unwrap_or_else(|| 0u64.into())
         };
@@ -412,14 +412,14 @@ fn resilience_ablation(outcome: &SweepOutcome) -> Json {
                 .with("fault_plan", p.config.fault_plan.label())
                 .with("resilience", p.config.resilience.label())
                 .with("tenants", p.config.tenants.label())
-                .with("completed_requests", copy(&doc, "completed_requests"))
-                .with("deadline_met", copy(&doc, "resilience.deadline_met"))
-                .with("deadline_misses", copy(&doc, "resilience.deadline_misses"))
+                .with("completed_requests", copy(doc, "completed_requests"))
+                .with("deadline_met", copy(doc, "resilience.deadline_met"))
+                .with("deadline_misses", copy(doc, "resilience.deadline_misses"))
                 .with("latency_class_misses", class_misses("victim"))
                 .with("batch_class_misses", class_misses("batch"))
-                .with("host_retries", copy(&doc, "resilience.host_retries"))
-                .with("shed_requests", copy(&doc, "resilience.shed_requests"))
-                .with("goodput", copy(&doc, "resilience.goodput")),
+                .with("host_retries", copy(doc, "resilience.host_retries"))
+                .with("shed_requests", copy(doc, "resilience.shed_requests"))
+                .with("goodput", copy(doc, "resilience.goodput")),
         );
         let key = (
             p.config.fault_plan.label(),
@@ -534,13 +534,13 @@ fn rebuild_ablation(outcome: &SweepOutcome) -> Json {
     let mut points = Vec::new();
     let mut cells: Vec<RebuildCell> = Vec::new();
     for (p, doc) in outcome.documents() {
-        let data_loss = field(&doc, "redundancy.data_loss_requests") as u64;
-        let rebuilt = field(&doc, "redundancy.rebuilt_pages") as u64;
-        let skipped = field(&doc, "redundancy.rebuild_skipped_pages") as u64;
-        let done_ns = field(&doc, "redundancy.rebuild_done_ns");
-        let completed = field(&doc, "completed_requests");
-        let failed = field(&doc, "faults.failed_requests");
-        let exec_ns = field(&doc, "execution_time_ns");
+        let data_loss = field(doc, "redundancy.data_loss_requests") as u64;
+        let rebuilt = field(doc, "redundancy.rebuilt_pages") as u64;
+        let skipped = field(doc, "redundancy.rebuild_skipped_pages") as u64;
+        let done_ns = field(doc, "redundancy.rebuild_done_ns");
+        let completed = field(doc, "completed_requests");
+        let failed = field(doc, "faults.failed_requests");
+        let exec_ns = field(doc, "execution_time_ns");
         // Successful completions only: a fabric that fast-fails the
         // severed row's requests must not "win" goodput on error
         // completions it never actually served.
@@ -561,16 +561,16 @@ fn rebuild_ablation(outcome: &SweepOutcome) -> Json {
                 .with("fault", p.config.fault_plan.label())
                 .with("fabric", p.fabric.label())
                 .with("redundancy", p.config.redundancy.label())
-                .with("completed_requests", copy(&doc, "completed_requests"))
+                .with("completed_requests", copy(doc, "completed_requests"))
                 .with(
                     "data_loss_requests",
-                    copy(&doc, "redundancy.data_loss_requests"),
+                    copy(doc, "redundancy.data_loss_requests"),
                 )
-                .with("degraded_reads", copy(&doc, "redundancy.degraded_reads"))
-                .with("rebuilt_pages", copy(&doc, "redundancy.rebuilt_pages"))
+                .with("degraded_reads", copy(doc, "redundancy.degraded_reads"))
+                .with("rebuilt_pages", copy(doc, "redundancy.rebuilt_pages"))
                 .with(
                     "rebuild_skipped_pages",
-                    copy(&doc, "redundancy.rebuild_skipped_pages"),
+                    copy(doc, "redundancy.rebuild_skipped_pages"),
                 )
                 .with("rebuild_mttr_ns", mttr_ns)
                 .with("foreground_goodput", goodput),

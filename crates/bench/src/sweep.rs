@@ -490,24 +490,25 @@ impl SweepGrid {
             // Only a whole document is trusted, and a failed (panicked)
             // point's placeholder is retried rather than reused.
             let doc = Json::parse(&json).ok()?;
-            (doc.get("status").and_then(Json::as_str) != Some("failed")).then_some(json)
+            (doc.get("status").and_then(Json::as_str) != Some("failed")).then_some((json, doc))
         };
         self.complete(pool, |p| resumable.then(|| reuse(p)).flatten(), Some(&dir))
     }
 
-    /// Simulates, on `pool`, every point `reuse` has no record for —
-    /// generating only the traces those points replay — and, with
-    /// `persist`, writes each new record into that sweep directory the
-    /// moment its point finishes (best-effort).
+    /// Simulates, on `pool`, every point `reuse` has no record for (it
+    /// returns a record's text and its parse) — generating only the traces
+    /// those points replay — and, with `persist`, writes each new record
+    /// into that sweep directory the moment its point finishes
+    /// (best-effort). Every record is parsed exactly once.
     fn complete(
         &self,
         pool: &WorkerPool,
-        reuse: impl Fn(&SweepPoint) -> Option<String>,
+        reuse: impl Fn(&SweepPoint) -> Option<(String, Json)>,
         persist: Option<&Path>,
     ) -> SweepOutcome {
         let start = Instant::now();
         let points = self.build_points();
-        let mut records: Vec<Option<String>> = points.iter().map(reuse).collect();
+        let mut records: Vec<Option<(String, Json)>> = points.iter().map(reuse).collect();
         let workloads = self.effective_workloads();
         let requests = self.requests;
         let missing: Vec<&SweepPoint> = points.iter().filter(|p| records[p.id].is_none()).collect();
@@ -520,7 +521,7 @@ impl SweepGrid {
                 })
                 .collect(),
         );
-        let results: Vec<(RunMetrics, String)> = pool.run(
+        let results: Vec<(RunMetrics, String, Json)> = pool.run(
             missing
                 .iter()
                 .map(|point| {
@@ -533,7 +534,8 @@ impl SweepGrid {
                         if let Some(dir) = persist {
                             let _ = write_atomic(&dir.join(point.file_name()), json.as_bytes());
                         }
-                        (metrics, json)
+                        let doc = Json::parse(&json).expect("to_json writes valid JSON");
+                        (metrics, json, doc)
                     }
                 })
                 .collect(),
@@ -541,8 +543,8 @@ impl SweepGrid {
         let ran = missing
             .into_iter()
             .zip(results)
-            .map(|(point, (metrics, json))| {
-                records[point.id] = Some(json);
+            .map(|(point, (metrics, json, doc))| {
+                records[point.id] = Some((json, doc));
                 PointRecord {
                     point: point.clone(),
                     metrics,
@@ -557,9 +559,9 @@ impl SweepGrid {
             fabric_count: self.effective_fabrics().len(),
             pool_threads: pool.threads(),
             wall_seconds: start.elapsed().as_secs_f64(),
-            point_jsons: records
+            point_records: records
                 .into_iter()
-                .map(|json| json.expect("every point reused or simulated"))
+                .map(|record| record.expect("every point reused or simulated"))
                 .collect(),
             points,
             ran,
@@ -668,9 +670,10 @@ pub struct SweepOutcome {
     wall_seconds: f64,
     /// Every grid point, in id order.
     points: Vec<SweepPoint>,
-    /// One stable JSON record per point, in id order: the fingerprints,
-    /// manifest and artifact writer all read these.
-    point_jsons: Vec<String>,
+    /// One stable JSON record per point, in id order, as text (what the
+    /// fingerprints hash and the artifact writer writes) and parsed once
+    /// (what the manifest and the distillers read).
+    point_records: Vec<(String, Json)>,
     /// The points simulated this run, with their metrics, in id order.
     ran: Vec<PointRecord>,
 }
@@ -688,14 +691,12 @@ impl SweepOutcome {
         &self.points
     }
 
-    /// Every point with its parsed JSON record, in id order. Each record
-    /// parses — it was just written by `RunMetrics::to_json` or parsed
-    /// before reuse — so the `Null` fallback never shows.
-    pub fn documents(&self) -> impl Iterator<Item = (&SweepPoint, Json)> {
+    /// Every point with its parsed JSON record, in id order (each record
+    /// was parsed once, when the outcome was built).
+    pub fn documents(&self) -> impl Iterator<Item = (&SweepPoint, &Json)> {
         self.points
             .iter()
-            .zip(&self.point_jsons)
-            .map(|(p, json)| (p, Json::parse(json).unwrap_or(Json::Null)))
+            .zip(self.point_records.iter().map(|(_, doc)| doc))
     }
 
     /// How many point records were reused from a prior artifact.
@@ -724,9 +725,9 @@ impl SweepOutcome {
     /// FNV-1a hash chained over every point record in id order, from
     /// `seed`.
     fn chain_points(&self, seed: u64) -> u64 {
-        self.point_jsons
+        self.point_records
             .iter()
-            .fold(seed, |h, json| fnv1a(json.as_bytes(), h))
+            .fold(seed, |h, (json, _)| fnv1a(json.as_bytes(), h))
     }
 
     /// FNV-1a hash chained over every point record in id order: identifies
@@ -856,7 +857,7 @@ impl SweepOutcome {
     pub fn write(&self, base_dir: &Path) -> std::io::Result<PathBuf> {
         let dir = self.dir(base_dir);
         claim_dir(&dir, &self.grid, false)?;
-        for (p, json) in self.points.iter().zip(&self.point_jsons) {
+        for (p, (json, _)) in self.points.iter().zip(&self.point_records) {
             write_atomic(&dir.join(p.file_name()), json.as_bytes())?;
         }
         write_atomic(&dir.join("manifest.json"), self.manifest_json().as_bytes())?;

@@ -28,7 +28,9 @@
 //!
 //! Skipping an attempt is *not* a conflict: `conflicted_requests`,
 //! `FabricStats::conflicts`, and the per-request first-conflict flag are
-//! only ever charged by attempts that actually reach the fabric. A policy
+//! only ever charged by attempts that actually reach the fabric, or that
+//! the dispatcher knows would reach it and fail the same way (skipped path
+//! sleepers, see `ssd/dispatch.rs`). A policy
 //! therefore changes *which* attempts happen (deterministically), never
 //! how an attempt is accounted. The determinism fingerprint of a
 //! `(config, policy, system, trace)` quadruple remains exact.
@@ -280,6 +282,20 @@ impl PolicyState {
                 self.backoff_exp[c] += 1;
             }
         }
+    }
+
+    /// Charges `n` attempts the dispatcher knew would fail with a path
+    /// conflict and skipped (path sleepers; only under `RetryAll`, where a
+    /// failed attempt changes nothing but these two counters).
+    #[inline]
+    pub(crate) fn charge_replayed(&mut self, n: u64) {
+        debug_assert_eq!(
+            self.active,
+            DispatchPolicyKind::RetryAll,
+            "only RetryAll replays"
+        );
+        self.stats.attempts += n;
+        self.stats.failed_walks += n;
     }
 
     /// True when this round acquired at least one path (the fault

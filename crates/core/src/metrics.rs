@@ -248,9 +248,14 @@ impl RunMetrics {
         }
     }
 
-    /// 99th-percentile end-to-end latency.
+    /// 99th-percentile end-to-end latency (zero when nothing completed,
+    /// like [`TenantMetrics::p99`]). Sorts the samples in place.
     pub fn p99(&mut self) -> SimDuration {
-        self.latencies.percentile(0.99)
+        if self.latencies.is_empty() {
+            SimDuration::ZERO
+        } else {
+            self.latencies.percentile(0.99)
+        }
     }
 
     /// Mean end-to-end latency.
@@ -672,8 +677,11 @@ mod tests {
         let v = &m.tenants[0];
         assert_eq!(v.p50(), SimDuration::from_micros(30));
         assert_eq!(v.p99(), SimDuration::from_micros(60));
-        // Empty tenants serialize zero percentiles instead of panicking.
+        // Empty tenants serialize zero percentiles instead of panicking,
+        // and so does a run that completed nothing.
         assert_eq!(tenant("idle", 1, 0).p99(), SimDuration::ZERO);
+        let mut idle = RunMetrics::failed(FabricKind::Venice, "wl", "test");
+        assert_eq!(idle.p99(), SimDuration::ZERO);
         let json = m.to_json();
         assert!(json.contains("\"tenants\": [{\"name\": \"victim\", \"weight\": 4,"));
         assert!(json.contains("{\"name\": \"aggressor\", \"weight\": 1,"));

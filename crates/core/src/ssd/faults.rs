@@ -100,9 +100,10 @@ impl SsdSim<'_> {
             }
         }
         // Repairs may free the resource every pooled controller was parked
-        // on, and fault drains leave successor work needing a round; either
-        // way the dispatcher must look again.
+        // on or every sleeper waits for, and fault drains leave successor
+        // work needing a round; either way the dispatcher must look again.
         self.dispatch.parked_on_controllers = false;
+        self.dispatch.sleepers.wake_all();
         self.schedule_dispatch(now);
     }
 

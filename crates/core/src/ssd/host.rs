@@ -176,7 +176,9 @@ impl SsdSim<'_> {
         st.timed_out = true;
         if st.live {
             // Kick a round so a fully-queued victim does not wait for an
-            // unrelated wake to get its abort drain.
+            // unrelated wake to get its abort drain; its transactions may
+            // sit on sleeping chips.
+            self.dispatch.sleepers.wake_all();
             self.schedule_dispatch(now);
         }
         // Not yet fetched: the in-flight `Process` event aborts it at fetch

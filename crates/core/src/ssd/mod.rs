@@ -39,7 +39,7 @@ use venice_ftl::{
     TransactionScheduler, TxnId, TxnKind,
 };
 use venice_hil::{HostInterface, HostRequest};
-use venice_interconnect::{build_fabric, Fabric, FabricKind, PathGrant};
+use venice_interconnect::{build_fabric, Fabric, FabricKind, FcId, PathGrant};
 use venice_nand::{FlashChip, NandCommandKind, PhysicalPageAddr};
 use venice_sim::stats::LatencySamples;
 use venice_sim::{DenseBitSet, EventQueue, SimDuration, SimTime};
@@ -280,8 +280,10 @@ impl<'a> SsdSim<'a> {
             queue.schedule(first.arrival, Event::Arrival(0));
         }
         let (deadline, retry, admission) = host::arm(&config);
+        let fabric = build_fabric(kind, config.fabric);
         SsdSim {
-            fabric: build_fabric(kind, config.fabric),
+            dispatch: Dispatcher::new(&config, kind, fabric.release_scope(FcId(0)).is_some()),
+            fabric,
             chips,
             cmt: MappingCache::covering(logical_pages, entries_per_tp),
             tsu: TransactionScheduler::new(chip_count),
@@ -304,7 +306,6 @@ impl<'a> SsdSim<'a> {
             tenants: config.tenants.specs().iter().map(TenantMetrics::new).collect(),
             deferred_fetches: 0,
             last_completion: SimTime::ZERO,
-            dispatch: Dispatcher::new(config.dispatch, kind, chip_count),
             faults: Faults::new(&config, &mut queue),
             queue,
             deadline,
@@ -775,6 +776,9 @@ impl<'a> SsdSim<'a> {
             self.block_users[key] += 1;
         }
         self.tsu.enqueue(txn, now);
+        self.dispatch
+            .sleepers
+            .wake_command(usize::from(target.chip.0));
         self.schedule_dispatch(now);
     }
 
@@ -789,6 +793,13 @@ impl<'a> SsdSim<'a> {
     #[inline]
     fn die_key(&self, p: PhysicalPageAddr) -> usize {
         usize::from(p.chip.0) * self.config.array.chip.dies as usize + p.addr.die as usize
+    }
+
+    /// Frees the die `p` is on and wakes its chip's die sleeper.
+    fn free_die(&mut self, p: PhysicalPageAddr) {
+        let die = self.die_key(p);
+        self.die_busy[die] = false;
+        self.dispatch.sleepers.wake_die(usize::from(p.chip.0));
     }
 
     /// Marks one user of `target`'s block as drained, releasing any erase
@@ -852,8 +863,7 @@ impl<'a> SsdSim<'a> {
             // The chip died, or the owner's deadline fired, mid-array-op:
             // fail-stop at the command boundary. The op's result is lost and
             // the die frees for the next transaction.
-            let die = self.die_key(txn.target);
-            self.die_busy[die] = false;
+            self.free_die(txn.target);
             self.fail_txn(now, txn_id);
             self.schedule_dispatch(now);
             return;
@@ -877,8 +887,7 @@ impl<'a> SsdSim<'a> {
             self.data_pending[chip].push_back(txn_id);
             self.dispatch.data_ready.insert(chip);
         } else {
-            let die = self.die_key(txn.target);
-            self.die_busy[die] = false;
+            self.free_die(txn.target);
             let (txn, migration) = self.free_txn(txn_id);
             self.complete_txn(now, txn, migration);
         }
@@ -891,8 +900,7 @@ impl<'a> SsdSim<'a> {
         let grant = inf.grant.take().expect("data burst held a grant");
         self.release(grant);
         let (txn, migration) = self.free_txn(txn_id);
-        let die = self.die_key(txn.target);
-        self.die_busy[die] = false;
+        self.free_die(txn.target);
         self.complete_txn(now, txn, migration);
         self.schedule_dispatch(now);
     }

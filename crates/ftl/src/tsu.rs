@@ -92,8 +92,8 @@ pub struct TransactionScheduler {
     chips: Vec<ChipQueues>,
     pending: usize,
     /// Chips with at least one queued transaction, maintained incrementally
-    /// at enqueue/pop so the dispatcher's busy-chip collection costs
-    /// O(words + busy) instead of a linear scan over every chip.
+    /// at enqueue/pop so the dispatcher walks O(words + busy) instead of
+    /// scanning every chip.
     busy_set: DenseBitSet,
 }
 
@@ -219,8 +219,8 @@ impl TransactionScheduler {
 
     /// Iterates over chips that have at least one queued transaction, by
     /// linearly scanning every chip's queues (O(chips)). Retained as the
-    /// reference for [`TransactionScheduler::busy_chips_into`] — the
-    /// full-scan dispatcher and the randomized cross-checks use it.
+    /// reference for [`TransactionScheduler::busy_set`] — the full-scan
+    /// dispatcher and the randomized cross-checks use it.
     pub fn busy_chips(&self) -> impl Iterator<Item = u16> + '_ {
         self.chips
             .iter()
@@ -229,15 +229,21 @@ impl TransactionScheduler {
             .map(|(i, _)| i as u16)
     }
 
+    /// The chips with at least one queued transaction, maintained
+    /// incrementally at enqueue, pop and drain: the dispatcher walks it
+    /// word by word (`venice_sim::SetWalk`) instead of scanning every chip.
+    pub fn busy_set(&self) -> &DenseBitSet {
+        &self.busy_set
+    }
+
     /// Collects the busy chips into `out` (cleared first), in ascending
-    /// chip-id order, without allocating in steady state — the dispatcher's
-    /// per-round scratch buffer keeps its capacity across calls.
-    ///
-    /// Backed by the incrementally maintained busy set, so the cost is
-    /// O(words + busy chips) rather than a scan of every chip; the output
-    /// is bit-identical to collecting [`TransactionScheduler::busy_chips`].
+    /// chip-id order, reusing `out`'s capacity. Reads the incrementally
+    /// maintained busy set, so the cost is O(words + busy chips); the
+    /// output is bit-identical to collecting
+    /// [`TransactionScheduler::busy_chips`].
     pub fn busy_chips_into(&self, out: &mut Vec<u16>) {
-        self.busy_set.collect_into_from(0, out);
+        out.clear();
+        out.extend(self.busy_set.iter().map(|c| c as u16));
     }
 
     /// [`TransactionScheduler::busy_chips_into`] via the linear reference
@@ -379,6 +385,8 @@ mod tests {
             tsu.busy_chips_into(&mut fast);
             tsu.busy_chips_scan_into(&mut slow);
             assert_eq!(fast, slow);
+            let set: Vec<u16> = tsu.busy_set().iter().map(|c| c as u16).collect();
+            assert_eq!(set, slow);
         };
         for (id, chip) in [(1u64, 9u16), (2, 3), (3, 9), (4, 15), (5, 0)] {
             tsu.enqueue(txn(id, TxnKind::UserRead, chip), at(id));

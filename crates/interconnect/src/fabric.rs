@@ -25,7 +25,7 @@
 use std::fmt;
 
 use venice_sim::rng::Lfsr2;
-use venice_sim::SimDuration;
+use venice_sim::{DenseBitSet, SimDuration};
 
 use crate::mesh::{MeshState, ReservedPath};
 use crate::scout::{FailedWalk, ScoutCache, ScoutCacheKind};
@@ -376,6 +376,27 @@ pub trait Fabric {
     /// to it.
     fn release(&mut self, grant: PathGrant);
 
+    /// The chips whose [`AcquireError::PathConflict`] a release of
+    /// controller `fc`'s grant can turn into a success, on a design where a
+    /// failed [`Fabric::try_acquire`] changes nothing but
+    /// [`FabricStats::conflicts`] and fails again until such a release or
+    /// a fault. The dispatcher lets those chips sleep instead of retrying
+    /// them, and charges their retries with [`Fabric::charge_conflicts`].
+    /// `None` on designs whose failed attempts move other state (NoSSD's
+    /// XY probes, Venice's shared scout LFSR) or are not path conflicts
+    /// (the ideal SSD's busy channels).
+    fn release_scope(&self, fc: FcId) -> Option<&DenseBitSet> {
+        let _ = fc;
+        None
+    }
+
+    /// Counts `n` path conflicts that the dispatcher knew the outcome of
+    /// without calling [`Fabric::try_acquire`]. Only a design with a
+    /// [`Fabric::release_scope`] is ever charged.
+    fn charge_conflicts(&mut self, n: u64) {
+        assert_eq!(n, 0, "conflicts charged to a fabric without release scopes");
+    }
+
     /// Applies a fault or repair event, reporting its blast radius (see
     /// [`FabricFault`] for the per-design semantics and [`FaultImpact`]
     /// for what the engine does with the report). Grants already in
@@ -552,6 +573,9 @@ struct BusFabric {
     /// only the chips whose column bus is dead too — its two-path
     /// redundancy, bought back by the mesh's full path diversity.
     bus_dead: Vec<u8>,
+    /// Per controller, the chips one of whose paths it drives: its row, and
+    /// on pnSSD its column too ([`Fabric::release_scope`]).
+    scopes: Vec<DenseBitSet>,
     stats: FabricStats,
 }
 
@@ -564,12 +588,25 @@ impl BusFabric {
             );
         }
         let buses = usize::from(params.rows) + usize::from(column_buses) * usize::from(params.cols);
+        let mesh = params.mesh();
+        let scopes = (0..params.rows)
+            .map(|k| {
+                let mut scope = DenseBitSet::with_capacity(mesh.node_count());
+                for n in (0..mesh.node_count()).map(|n| NodeId(n as u16)) {
+                    if mesh.row(n) == k || (column_buses && mesh.col(n) == k) {
+                        scope.insert(usize::from(n.0));
+                    }
+                }
+                scope
+            })
+            .collect();
         BusFabric {
             bandwidth_mult,
             column_buses,
             bus_busy: vec![false; buses],
             fc_busy: vec![false; usize::from(params.rows)],
             bus_dead: vec![0; buses],
+            scopes,
             params,
             stats: FabricStats::default(),
         }
@@ -660,6 +697,17 @@ impl Fabric for BusFabric {
         debug_assert!(self.bus_busy[usize::from(bus)]);
         self.bus_busy[usize::from(bus)] = false;
         self.fc_busy[usize::from(grant.fc.0)] = false;
+    }
+
+    /// Controller k drives row bus k, and on pnSSD column bus k, and a bus
+    /// is only ever held with its driver; so a chip blocked on every path
+    /// frees up only when the driver of one of its buses is released.
+    fn release_scope(&self, fc: FcId) -> Option<&DenseBitSet> {
+        Some(&self.scopes[usize::from(fc.0)])
+    }
+
+    fn charge_conflicts(&mut self, n: u64) {
+        self.stats.conflicts += n;
     }
 
     fn home_controller_free(&self, chip: NodeId) -> bool {
@@ -1285,6 +1333,37 @@ mod tests {
         assert_eq!(FabricKind::by_label("venice"), Some(FabricKind::Venice));
         assert_eq!(FabricKind::by_label("PSSD"), Some(FabricKind::Pssd));
         assert_eq!(FabricKind::by_label("warp-drive"), None);
+    }
+
+    #[test]
+    fn release_scopes_name_the_chips_a_controller_drives() {
+        let params = FabricParams::table1();
+        let mesh = params.mesh();
+        for kind in FabricKind::ALL {
+            let fabric = build_fabric(kind, params);
+            let scope = fabric.release_scope(FcId(2));
+            let expect: Option<Vec<usize>> = match kind {
+                FabricKind::Baseline | FabricKind::Pssd => {
+                    Some((0..8).map(|c| usize::from(mesh.node_at(2, c).0)).collect())
+                }
+                FabricKind::PnSsd => Some(
+                    (0..mesh.node_count())
+                        .filter(|&n| {
+                            let n = NodeId(n as u16);
+                            mesh.row(n) == 2 || mesh.col(n) == 2
+                        })
+                        .collect(),
+                ),
+                // Failed mesh walks move other state, and the ideal SSD's
+                // busy channels are not path conflicts.
+                FabricKind::NoSsd | FabricKind::Venice | FabricKind::Ideal => None,
+            };
+            assert_eq!(scope.map(|s| s.iter().collect::<Vec<_>>()), expect, "{kind}");
+        }
+        // A conflict the dispatcher replays lands in the fabric's stats.
+        let mut bus = build_fabric(FabricKind::Baseline, params);
+        bus.charge_conflicts(3);
+        assert_eq!(bus.stats().conflicts, 3);
     }
 
     #[test]

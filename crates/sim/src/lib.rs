@@ -10,8 +10,9 @@
 //!   future) generic over the event payload, with [`EventQueue::pop_batch`]
 //!   for draining same-instant bursts,
 //! * [`DenseBitSet`] — a fixed-universe ordered bit set (O(1)
-//!   insert/remove, ascending and circular iteration): the storage behind
-//!   the SSD engine's incremental ready sets,
+//!   insert/remove, ascending iteration, rank queries): the storage behind
+//!   the SSD engine's incremental ready sets, walked circularly by
+//!   [`SetWalk`],
 //! * [`rng`] — small deterministic generators: an `xorshift64*` PRNG with the
 //!   distributions the workload generators need, and the 2-bit linear-feedback
 //!   shift register the Venice router uses for random output-port selection,
@@ -45,6 +46,6 @@ pub mod rng;
 pub mod stats;
 mod time;
 
-pub use dense::DenseBitSet;
+pub use dense::{DenseBitSet, SetWalk};
 pub use event::{EventQueue, ReferenceHeapQueue, BUCKET_NS, WHEEL_BUCKETS};
 pub use time::{SimDuration, SimTime};

@@ -200,11 +200,40 @@ fn traces_are_well_formed() {
 /// bytes — for every fabric and policy, under randomized workloads. This
 /// is the correctness contract that lets the ready-set engine ship as the
 /// default: `DispatchScanKind` is a performance knob, never a behavioral
-/// axis.
+/// axis. It also pins the dispatcher's sleepers (chips skipped until their
+/// blocker changes, with skipped retries charged in bulk), whose every skip
+/// asserts its blocker in debug builds.
 #[test]
 fn incremental_dispatch_matches_the_full_scan_reference() {
-    use venice::ssd::{run_single, DispatchPolicyKind, DispatchScanKind, SsdConfig};
     use venice::interconnect::FabricKind;
+    use venice::ssd::{
+        run_single, DispatchPolicyKind, DispatchScanKind, FaultPlan, ResiliencePolicy, RunMetrics,
+        SsdConfig, TenantSet,
+    };
+    use venice::workloads::Trace;
+
+    let check = |base: &SsdConfig, fabric: FabricKind, trace: &Trace, ctx: &str| -> RunMetrics {
+        let incr = run_single(
+            &base
+                .clone()
+                .with_dispatch_scan(DispatchScanKind::Incremental),
+            fabric,
+            trace,
+        );
+        let full = run_single(
+            &base.clone().with_dispatch_scan(DispatchScanKind::FullScan),
+            fabric,
+            trace,
+        );
+        let policy = base.dispatch;
+        assert_eq!(incr, full, "{ctx}: {fabric}/{policy}: engines diverged");
+        assert_eq!(
+            incr.to_json(),
+            full.to_json(),
+            "{ctx}: {fabric}/{policy}: JSON records diverged"
+        );
+        incr
+    };
 
     let mut rng = Xorshift64Star::new(0xD15);
     for case in 0..4u64 {
@@ -221,25 +250,7 @@ fn incremental_dispatch_matches_the_full_scan_reference() {
             .generate(n);
         let base = SsdConfig::performance_optimized().with_dispatch_policy(policy);
         for fabric in FabricKind::ALL {
-            let incr = run_single(
-                &base.clone().with_dispatch_scan(DispatchScanKind::Incremental),
-                fabric,
-                &trace,
-            );
-            let full = run_single(
-                &base.clone().with_dispatch_scan(DispatchScanKind::FullScan),
-                fabric,
-                &trace,
-            );
-            assert_eq!(
-                incr, full,
-                "case {case}: {fabric}/{policy}: engines diverged"
-            );
-            assert_eq!(
-                incr.to_json(),
-                full.to_json(),
-                "case {case}: {fabric}/{policy}: JSON records diverged"
-            );
+            check(&base, fabric, &trace, &format!("case {case}"));
         }
     }
 
@@ -251,18 +262,47 @@ fn incremental_dispatch_matches_the_full_scan_reference() {
             let base = SsdConfig::performance_optimized()
                 .with_mesh(16, 16)
                 .with_dispatch_policy(policy);
-            let incr = run_single(
-                &base.clone().with_dispatch_scan(DispatchScanKind::Incremental),
-                fabric,
-                &trace,
-            );
-            let full = run_single(
-                &base.clone().with_dispatch_scan(DispatchScanKind::FullScan),
-                fabric,
-                &trace,
-            );
-            assert_eq!(incr, full, "16x16 {fabric}/{policy}: engines diverged");
+            check(&base, fabric, &trace, "16x16");
         }
+    }
+
+    // Deep queues: long bursts on a 4×4 mesh keep several transactions
+    // queued behind each multi-die chip's busy head die (die sleepers), on
+    // every fabric under every policy. Only `RetryAll` on the bus fabrics
+    // arms path sleepers; `ConflictBackoff` and `Auto` arm die sleepers
+    // alone there.
+    let deep = WorkloadSpec::new("xcheck-deep", 70.0, 32.0, 2.0)
+        .footprint_mb(32)
+        .burst_mean(64.0)
+        .generate(160);
+    for policy in DispatchPolicyKind::ALL {
+        let base = SsdConfig::performance_optimized()
+            .with_mesh(4, 4)
+            .with_dispatch_policy(policy);
+        for fabric in FabricKind::ALL {
+            check(&base, fabric, &deep, "4x4 deep queues");
+        }
+    }
+
+    // Armed: fault storms, deadline timeouts and retries wake every
+    // sleeper, and failed transactions' follow-up work wakes chips in the
+    // middle of a pass. Congested traffic keeps the bus fabrics' path
+    // sleepers asleep across bus outages and repairs.
+    let armed = SsdConfig::performance_optimized()
+        .with_fault_plan(FaultPlan::Storm)
+        .with_resilience(ResiliencePolicy::Full)
+        .with_tenants(TenantSet::deadline_split());
+    let storm = venice::workloads::WorkloadAxis::congested().trace(300);
+    for fabric in FabricKind::ALL {
+        let m = check(&armed, fabric, &storm, "armed storm");
+        assert!(
+            m.faults_injected > 0,
+            "{fabric}: the storm must land inside the run"
+        );
+        assert!(
+            m.deadline_misses + m.host_retries > 0,
+            "{fabric}: deadlines must fire"
+        );
     }
 }
 
