@@ -226,8 +226,8 @@ mod tests {
             let speedup = |s: &Json| s.get("speedup").and_then(Json::as_f64);
             scenarios.iter().map(|s| name(s).zip(speedup(s)).expect("name and speedup")).collect()
         };
-        let names = ["8x8_venice", "16x16_nossd", "16x16_venice_auto", "32x32_nossd"];
-        let expected = names.iter().zip([1.05, 2.3, 1.1, 5.5]);
+        let names = ["8x8_venice", "16x16_nossd", "16x16_venice_auto", "32x32_nossd", "8x8_baseline"];
+        let expected = names.iter().zip([1.05, 2.3, 1.1, 5.5, 2.78]);
         let expected: Vec<_> = expected.map(|(n, s)| (format!("congested_{n}"), s)).collect();
         assert_eq!(pairs(dispatch), expected);
         let scout_pairs = pairs(scout);

@@ -1,6 +1,6 @@
 //! SSD configurations: the paper's Table 1 presets and scaling knobs.
 
-use venice_ftl::ArrayGeometry;
+use venice_ftl::{ArrayGeometry, PageMap};
 use venice_hil::{HilConfig, TenantSet};
 use venice_interconnect::{FabricParams, ScoutCacheKind};
 use venice_nand::{ChipGeometry, NandTiming, OpEnergy};
@@ -337,12 +337,19 @@ impl SsdConfig {
         width.next_power_of_two().max(256)
     }
 
-    /// Consistency checks (chip count must equal the mesh node count).
+    /// Consistency checks: the chip count must equal the mesh node count,
+    /// and the array must hold fewer than 2^32 pages (the FTL's map stores
+    /// physical pages as `u32`).
     pub fn validate(&self) {
         assert_eq!(
             usize::from(self.array.chips),
             self.fabric.mesh().node_count(),
             "chip array and interconnect mesh must agree"
+        );
+        assert!(
+            self.array.total_pages() <= PageMap::MAX_GPPA + 1,
+            "{} physical pages exceed the FTL map's 2^32 - 1",
+            self.array.total_pages()
         );
         assert!(
             self.utilization > 0.0 && self.utilization < 1.0,
@@ -398,6 +405,21 @@ mod tests {
             assert!(sized.array.chip.blocks_per_plane >= 8);
             sized.validate();
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the FTL map")]
+    fn validate_rejects_arrays_of_2_pow_32_pages() {
+        let mut cfg = SsdConfig::performance_optimized();
+        let block_row =
+            u64::from(cfg.array.total_planes()) * u64::from(cfg.array.chip.pages_per_block);
+        // The largest array under the bound passes; one more block per
+        // plane reaches 2^32 pages.
+        cfg.array.chip.blocks_per_plane = (u64::from(u32::MAX) / block_row) as u32;
+        cfg.validate();
+        cfg.array.chip.blocks_per_plane += 1;
+        assert!(cfg.array.total_pages() >= 1 << 32);
+        cfg.validate();
     }
 
     #[test]

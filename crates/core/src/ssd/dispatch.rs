@@ -58,8 +58,10 @@
 //! `try_acquire` changes nothing else. NoSSD and Venice arm no path
 //! sleepers: their failed attempts move other state (XY probes, the shared
 //! scout LFSR). Debug builds assert at every skip that the sleeper's
-//! blocker still holds; `FullScan` keeps visiting every chip, so the
-//! cross-check, the golden hashes and the perfbench fingerprints pin it.
+//! blocker still holds (for a path sleeper, that the fabric's dry run,
+//! [`Fabric::acquire_outcome`], still answers `PathConflict`); `FullScan`
+//! keeps visiting every chip, so the cross-check, the golden hashes and
+//! the perfbench fingerprints pin it.
 
 use venice_interconnect::{AcquireError, NodeId};
 use venice_sim::SetWalk;
@@ -473,10 +475,8 @@ impl SsdSim<'_> {
                 // sat queued: fail it at visit time (mirrors the dead-chip
                 // drain above) — even behind a busy die, so abort drains
                 // are never blocked. Writes are exempt: their page is
-                // already allocated, and dropping the program here would
-                // leave a hole in the block's in-order write pointer — they
-                // ride to the array and the request is still classified a
-                // miss at completion.
+                // already allocated, so they ride to the array, and the
+                // request is still classified a miss at completion.
                 let txn = self.tsu.pop(c).expect("peeked");
                 debug_assert_eq!(txn.id, txn_id);
                 self.fail_txn(now, txn_id);
@@ -585,13 +585,23 @@ impl SsdSim<'_> {
         self.check_path_sleeper(c, front);
     }
 
-    /// A path sleeper's home controller is held, and the transaction it
-    /// would retry is already conflict-flagged.
+    /// A path sleeper's retry would still fail on a path conflict (where
+    /// the fabric can say without acquiring; elsewhere its home controller
+    /// is held), and the transaction it would retry is already
+    /// conflict-flagged.
     fn check_path_sleeper(&self, c: usize, txn: TxnId) {
-        assert!(
-            !self.fabric.home_controller_free(NodeId(c as u16)),
-            "path sleeper {c}'s home controller is free"
-        );
+        let chip = NodeId(c as u16);
+        match self.fabric.acquire_outcome(chip) {
+            Some(outcome) => assert_eq!(
+                outcome,
+                Err(AcquireError::PathConflict),
+                "path sleeper {c}'s retry would not conflict"
+            ),
+            None => assert!(
+                !self.fabric.home_controller_free(chip),
+                "path sleeper {c}'s home controller is free"
+            ),
+        }
         assert!(
             self.slot(txn).conflict_flagged,
             "path sleeper {c}'s retry is not flagged"

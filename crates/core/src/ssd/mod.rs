@@ -826,6 +826,14 @@ impl<'a> SsdSim<'a> {
     /// any) is marked failed but still completes, and migration bookkeeping
     /// advances normally — a degraded run must never strand the calendar.
     fn fail_txn(&mut self, now: SimTime, txn_id: TxnId) {
+        let slot = self.slot(txn_id);
+        if slot.phase == Phase::Queued && slot.txn.kind.is_write() {
+            // A program that never reached the array still used up the
+            // page its FTL allocated: the programs behind it on the same
+            // block must pass it once the chip answers again.
+            let target = slot.txn.target;
+            self.chips[usize::from(target.chip.0)].abandon_program(target.addr);
+        }
         let (txn, migration) = self.free_txn(txn_id);
         if let Some(req) = txn.request {
             let st = &mut self.requests[req.0 as usize];

@@ -104,6 +104,7 @@ impl FtlStats {
 }
 
 #[derive(Clone, Debug)]
+#[cfg_attr(test, derive(PartialEq))]
 struct Block {
     /// Valid-page bitmap (lazily allocated on first program).
     valid: Option<Box<[u64]>>,
@@ -140,6 +141,29 @@ impl Block {
         self.valid_count += 1;
     }
 
+    /// Programs pages `0..pages` of an erased block at once, page `p`
+    /// holding logical page `first_lpa + p × lpa_stride`: the bulk
+    /// counterpart of `set_valid` plus `written`.
+    fn fill(&mut self, pages_per_block: u32, pages: u32, first_lpa: u64, lpa_stride: u64) {
+        debug_assert!(self.written == 0 && pages > 0 && pages <= pages_per_block);
+        let words = (pages_per_block as usize).div_ceil(64);
+        let mut valid = vec![0u64; words].into_boxed_slice();
+        let full_words = pages as usize / 64;
+        valid[..full_words].fill(u64::MAX);
+        if !pages.is_multiple_of(64) {
+            valid[full_words] = (1 << (pages % 64)) - 1;
+        }
+        let mut lpas = vec![u32::MAX; pages_per_block as usize].into_boxed_slice();
+        let (first, stride) = (first_lpa as u32, lpa_stride as u32);
+        for (p, lpa) in lpas[..pages as usize].iter_mut().enumerate() {
+            *lpa = first + p as u32 * stride;
+        }
+        self.valid = Some(valid);
+        self.lpas = Some(lpas);
+        self.valid_count = pages;
+        self.written = pages;
+    }
+
     fn clear_valid(&mut self, page: u32) {
         if let Some(valid) = &mut self.valid {
             let word = &mut valid[(page / 64) as usize];
@@ -164,6 +188,7 @@ impl Block {
 }
 
 #[derive(Clone, Debug)]
+#[cfg_attr(test, derive(PartialEq))]
 struct Plane {
     free_blocks: Vec<u32>,
     /// Current write block, or `None` when the plane is exhausted.
@@ -531,7 +556,62 @@ impl Ftl {
     /// striped physical page (no simulated time passes). Returns the
     /// per-block written-page counts the caller must mirror into the chip
     /// models' write pointers.
+    ///
+    /// The result is what host writes of logical pages `0, 1, …` would
+    /// leave on the fresh array, computed in one pass: round-robin
+    /// striping puts logical page `i` on plane `i mod P` at in-plane
+    /// offset `k = i div P` (block `k div ppb`, page `k mod ppb`), so the
+    /// map, each written block's valid bits and reverse map, and each
+    /// plane's write point and free list follow from its page count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the FTL was written before, or if a host write would find
+    /// a plane's free list empty (its last free block is GC's reserve),
+    /// which `Ftl::new`'s over-provisioning check rules out for any
+    /// non-zero GC threshold.
     pub fn precondition(&mut self) -> Vec<(PhysicalPageAddr, u32)> {
+        // No mapped page means no write ever ran: the planes are fresh.
+        assert_eq!(self.map.mapped_pages(), 0, "precondition on a used FTL");
+        let chip = self.config.array.chip;
+        let (bpp, ppb) = (chip.blocks_per_plane, u64::from(chip.pages_per_block));
+        let planes = self.planes.len() as u64;
+        let logical = self.config.logical_pages;
+        assert!(
+            logical.div_ceil(planes) <= u64::from(bpp - 1) * ppb,
+            "a host write would take a plane's GC reserve block"
+        );
+        self.map
+            .map_striped(self.planes.len(), chip.pages_per_plane());
+        let mut fills = Vec::new();
+        for (q, plane) in self.planes.iter_mut().enumerate() {
+            let pages = logical / planes + u64::from((q as u64) < logical % planes);
+            let (full, rest) = ((pages / ppb) as u32, (pages % ppb) as u32);
+            // Block 0 was active and blocks 1..=full came off the free
+            // list's tail, in order.
+            plane.active = Some(full);
+            plane.next_page = rest;
+            plane.free_blocks.truncate((bpp - 1 - full) as usize);
+            for block in 0..full + u32::from(rest > 0) {
+                let written = if block < full {
+                    chip.pages_per_block
+                } else {
+                    rest
+                };
+                let first_lpa = u64::from(block) * ppb * planes + q as u64;
+                let bi = q * bpp as usize + block as usize;
+                self.blocks[bi].fill(chip.pages_per_block, written, first_lpa, planes);
+                fills.push((self.config.array.page_at(q, block, 0), written));
+            }
+        }
+        self.plane_cursor = (logical % planes) as usize;
+        fills
+    }
+
+    /// The per-page loop [`Ftl::precondition`] replaces: every logical
+    /// page through the host-write allocator in turn.
+    #[cfg(test)]
+    fn precondition_reference(&mut self) -> Vec<(PhysicalPageAddr, u32)> {
         assert_eq!(self.map.mapped_pages(), 0, "precondition on a used FTL");
         for lpa in 0..self.config.logical_pages {
             let g = self
@@ -581,6 +661,7 @@ impl Ftl {
 mod tests {
     use super::*;
     use venice_nand::ChipGeometry;
+    use venice_sim::rng::Xorshift64Star;
 
     fn small_ftl() -> Ftl {
         let array = ArrayGeometry::new(4, ChipGeometry::z_nand_small());
@@ -734,6 +815,119 @@ mod tests {
         ftl.finish_erase(&job, true);
         assert_eq!(ftl.stats().wear_erases, 1);
         ftl.check_invariants();
+    }
+
+    /// Asserts that two FTLs hold the same state: every translation, every
+    /// block's valid bits, reverse map, fill and valid count, every plane's
+    /// active block, write point and free list, the cursor and the stats.
+    fn assert_same_state(a: &Ftl, b: &Ftl, label: &str) {
+        for lpa in 0..a.logical_pages() {
+            assert_eq!(a.translate(lpa), b.translate(lpa), "{label}: lpa {lpa}");
+        }
+        for (i, (x, y)) in a.blocks.iter().zip(&b.blocks).enumerate() {
+            assert_eq!(x, y, "{label}: block {i}");
+        }
+        assert_eq!(a.planes, b.planes, "{label}: planes");
+        assert_eq!(a.plane_cursor, b.plane_cursor, "{label}: cursor");
+        assert_eq!(a.stats, b.stats, "{label}: stats");
+        a.check_invariants();
+    }
+
+    /// Relocates and erases `job` on both FTLs, asserting equal outcomes;
+    /// a relocation that runs out of space leaves the victim unerased.
+    fn migrate_both(a: &mut Ftl, b: &mut Ftl, job: Option<MigrationJob>, wear: bool, label: &str) {
+        let Some(job) = job else { return };
+        for &(lpa, old) in &job.pages {
+            let moved = a.relocate(lpa, old, wear);
+            assert_eq!(moved, b.relocate(lpa, old, wear), "{label}: relocate {lpa}");
+            if moved.is_err() {
+                return;
+            }
+        }
+        a.finish_erase(&job, wear);
+        b.finish_erase(&job, wear);
+    }
+
+    /// The closed-form precondition equals the per-page loop over random
+    /// geometries (chip, die, plane, block and page counts that are not
+    /// powers of two; logical spaces with a partial stripe row, a partial
+    /// last block, or the tightest over-provisioning `Ftl::new` accepts),
+    /// and both FTLs then answer the same random host writes, GC and
+    /// wear-leveling jobs identically.
+    #[test]
+    fn closed_form_precondition_matches_the_per_page_loop() {
+        let mut rng = Xorshift64Star::new(0x5EED_0F71);
+        for case in 0..150 {
+            let gc_threshold_blocks = 1 + rng.next_bounded(4) as u32;
+            let chip = ChipGeometry {
+                dies: 1 + rng.next_bounded(3) as u32,
+                planes_per_die: 1 + rng.next_bounded(4) as u32,
+                blocks_per_plane: 2 * gc_threshold_blocks + 1 + rng.next_bounded(10) as u32,
+                pages_per_block: 1 + rng.next_bounded(140) as u32,
+                page_size: 4096,
+            };
+            let array = ArrayGeometry::new(1 + rng.next_bounded(9) as u16, chip);
+            let planes = u64::from(array.total_planes());
+            let spare = 2 * u64::from(gc_threshold_blocks) * u64::from(chip.pages_per_block);
+            let tightest = array.total_pages() - spare * planes;
+            let logical_pages = match rng.next_bounded(4) {
+                0 => tightest,
+                1 => 1 + rng.next_bounded(planes.min(tightest)),
+                _ => 1 + rng.next_bounded(tightest),
+            };
+            let config = FtlConfig {
+                array,
+                logical_pages,
+                gc_threshold_blocks,
+                wear_delta_threshold: 1 + rng.next_bounded(8) as u32,
+            };
+            let label = format!("case {case}: {config:?}");
+            let mut bulk = Ftl::new(config);
+            let mut reference = Ftl::new(config);
+            let fills = bulk.precondition();
+            assert_eq!(
+                fills,
+                reference.precondition_reference(),
+                "{label}: block fills"
+            );
+            assert_same_state(&bulk, &reference, &label);
+
+            // Enough writes to use up the spare blocks a few times over.
+            let steps = (200 + 3 * spare * planes).min(12_000);
+            let hot = 1 + rng.next_bounded(logical_pages);
+            for step in 0..steps {
+                match rng.next_bounded(10) {
+                    0 | 1 => {
+                        let planes = bulk.planes_needing_gc();
+                        assert_eq!(
+                            planes,
+                            reference.planes_needing_gc(),
+                            "{label}: step {step}"
+                        );
+                        for plane in planes {
+                            let job = bulk.start_gc(plane);
+                            assert_eq!(job, reference.start_gc(plane), "{label}: step {step}");
+                            migrate_both(&mut bulk, &mut reference, job, false, &label);
+                        }
+                    }
+                    2 => {
+                        let job = bulk.check_wear_leveling();
+                        assert_eq!(job, reference.check_wear_leveling(), "{label}: step {step}");
+                        migrate_both(&mut bulk, &mut reference, job, true, &label);
+                    }
+                    _ => {
+                        let lpa = rng.next_bounded(hot);
+                        let written = bulk.allocate_write(lpa);
+                        assert_eq!(
+                            written,
+                            reference.allocate_write(lpa),
+                            "{label}: step {step}"
+                        );
+                    }
+                }
+            }
+            assert_same_state(&bulk, &reference, &label);
+        }
     }
 
     #[test]

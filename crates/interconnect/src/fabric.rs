@@ -367,6 +367,15 @@ pub trait Fabric {
     /// shortens transfers and leaves the mesh free for other circuits.
     fn home_controller_free(&self, chip: NodeId) -> bool;
 
+    /// What [`Fabric::try_acquire`] on `chip` would return right now (`Ok`
+    /// for a grant), without changing any state or statistic; `None` on
+    /// designs that cannot tell without walking or probing, the default.
+    /// For debug checks, never the dispatch path.
+    fn acquire_outcome(&self, chip: NodeId) -> Option<Result<(), AcquireError>> {
+        let _ = chip;
+        None
+    }
+
     /// Duration of a `bytes`-byte burst over the granted path, including any
     /// reservation latency. Also accrues transfer energy into the stats.
     fn transfer(&mut self, grant: &PathGrant, bytes: u64) -> SimDuration;
@@ -626,6 +635,30 @@ impl BusFabric {
         }
     }
 
+    /// The path [`Fabric::try_acquire`] would grant to `chip`, as (driving
+    /// controller, bus): the row bus first (it is the baseline path), then
+    /// pnSSD's column bus. Any failure short of every bus being dead is a
+    /// path conflict, because the controller *is* the bus driver.
+    fn free_path(&self, chip: NodeId) -> Result<(u16, usize), AcquireError> {
+        let mesh = self.params.mesh();
+        let (row, col) = (mesh.row(chip), mesh.col(chip));
+        let paths = [
+            (row, usize::from(row)),
+            (col, usize::from(self.params.rows) + usize::from(col)),
+        ];
+        let paths = &paths[..1 + usize::from(self.column_buses)];
+        if paths.iter().all(|&(_, bus)| self.bus_dead[bus] > 0) {
+            return Err(AcquireError::ResourceDead);
+        }
+        paths
+            .iter()
+            .copied()
+            .find(|&(fc, bus)| {
+                self.bus_dead[bus] == 0 && !self.fc_busy[usize::from(fc)] && !self.bus_busy[bus]
+            })
+            .ok_or(AcquireError::PathConflict)
+    }
+
     /// Chips stranded (or un-stranded) by bus `bus` changing state while
     /// every other bus keeps its current state: the chips on it whose other
     /// bus, if they have one, is also dead.
@@ -654,35 +687,28 @@ impl Fabric for BusFabric {
     }
 
     fn try_acquire(&mut self, chip: NodeId) -> Result<PathGrant, AcquireError> {
-        let mesh = self.params.mesh();
-        let (row, col) = (mesh.row(chip), mesh.col(chip));
-        // The row bus first (it is the baseline path), then pnSSD's column
-        // bus, each as (driving controller, bus).
-        let paths = [
-            (row, usize::from(row)),
-            (col, usize::from(self.params.rows) + usize::from(col)),
-        ];
-        let paths = &paths[..1 + usize::from(self.column_buses)];
-        if paths.iter().all(|&(_, bus)| self.bus_dead[bus] > 0) {
-            return Err(AcquireError::ResourceDead);
-        }
-        for &(fc, bus) in paths {
-            if self.bus_dead[bus] == 0 && !self.fc_busy[usize::from(fc)] && !self.bus_busy[bus] {
+        match self.free_path(chip) {
+            Ok((fc, bus)) => {
                 self.fc_busy[usize::from(fc)] = true;
                 self.bus_busy[bus] = true;
                 self.stats.acquisitions += 1;
-                return Ok(PathGrant {
+                Ok(PathGrant {
                     fc: FcId(fc as u8),
                     chip,
                     route: Route::Bus { bus: bus as u16 },
-                });
+                })
+            }
+            Err(e) => {
+                if e == AcquireError::PathConflict {
+                    self.stats.conflicts += 1;
+                }
+                Err(e)
             }
         }
-        // The controller *is* the bus driver, so any failure to start a
-        // transfer is a path conflict (every live path to the chip is
-        // occupied).
-        self.stats.conflicts += 1;
-        Err(AcquireError::PathConflict)
+    }
+
+    fn acquire_outcome(&self, chip: NodeId) -> Option<Result<(), AcquireError>> {
+        Some(self.free_path(chip).map(|_| ()))
     }
 
     fn transfer(&mut self, grant: &PathGrant, bytes: u64) -> SimDuration {
@@ -1216,6 +1242,40 @@ mod tests {
         assert_eq!(err, AcquireError::PathConflict);
         f.release(g_row);
         f.release(g_col);
+    }
+
+    /// The bus fabrics answer what an acquisition would return without
+    /// taking anything; the other designs do not say.
+    #[test]
+    fn acquire_outcome_predicts_try_acquire_on_the_bus_fabrics() {
+        let mut f = build_fabric(FabricKind::PnSsd, FabricParams::table1());
+        let mut held = Vec::new();
+        // Row 0's bus, then column 3's, then neither: chip 3 conflicts.
+        for expect in [Ok(()), Ok(()), Err(AcquireError::PathConflict)] {
+            let before = f.stats();
+            assert_eq!(f.acquire_outcome(NodeId(3)), Some(expect));
+            assert_eq!(f.stats(), before, "the query changes nothing");
+            assert_eq!(f.try_acquire(NodeId(3)).map(|g| held.push(g)), expect);
+        }
+        // A break on row 0's bus and one on column 3's (chips 3 and 11
+        // share the column): no retry can succeed.
+        for (a, b) in [(0, 1), (3, 11)] {
+            f.inject_fault(FabricFault::LinkDown {
+                a: NodeId(a),
+                b: NodeId(b),
+            });
+        }
+        assert_eq!(
+            f.acquire_outcome(NodeId(3)),
+            Some(Err(AcquireError::ResourceDead))
+        );
+        for g in held {
+            f.release(g);
+        }
+        for kind in [FabricKind::NoSsd, FabricKind::Venice, FabricKind::Ideal] {
+            let f = build_fabric(kind, FabricParams::table1());
+            assert_eq!(f.acquire_outcome(NodeId(3)), None, "{kind}");
+        }
     }
 
     #[test]

@@ -126,6 +126,10 @@ pub struct FlashChip {
     dies: Vec<DieState>,
     /// Indexed by `(die * planes_per_die + plane) * blocks_per_plane + block`.
     blocks: Vec<BlockState>,
+    /// Abandoned pages at or past their block's write pointer, as `(block
+    /// index, page)` (see [`FlashChip::abandon_program`]); empty unless a
+    /// fault failed queued programs.
+    abandoned: Vec<(usize, u32)>,
     stats: ChipStats,
 }
 
@@ -155,6 +159,7 @@ impl FlashChip {
                 })
                 .collect(),
             blocks: vec![BlockState::default(); n_blocks],
+            abandoned: Vec::new(),
             stats: ChipStats::default(),
         }
     }
@@ -219,8 +224,10 @@ impl FlashChip {
     /// * [`ChipError::AddressOutOfRange`] for bad addresses,
     /// * [`ChipError::InvalidMultiPlane`] for malformed multi-plane target sets,
     /// * [`ChipError::ProgramOrderViolation`] for out-of-order or in-place
-    ///   programs (erase-before-write),
-    /// * [`ChipError::ReadOfErasedPage`] for reads of unwritten pages,
+    ///   programs (erase-before-write); a program may pass only abandoned
+    ///   pages,
+    /// * [`ChipError::ReadOfErasedPage`] for reads of pages neither
+    ///   programmed nor abandoned,
     /// * [`ChipError::EmptyCommand`] if `targets` is empty.
     pub fn start(
         &mut self,
@@ -262,19 +269,20 @@ impl FlashChip {
         match kind {
             NandCommandKind::Program => {
                 for &t in targets {
-                    let b = &self.blocks[self.block_index(t)];
-                    if t.page != b.write_pointer {
+                    let idx = self.block_index(t);
+                    let wp = self.blocks[idx].write_pointer;
+                    if t.page < wp || (wp..t.page).any(|p| !self.is_abandoned(idx, p)) {
                         return Err(ChipError::ProgramOrderViolation {
                             addr: t,
-                            expected_page: b.write_pointer,
+                            expected_page: wp,
                         });
                     }
                 }
             }
             NandCommandKind::Read => {
                 for &t in targets {
-                    let b = &self.blocks[self.block_index(t)];
-                    if t.page >= b.write_pointer {
+                    let idx = self.block_index(t);
+                    if t.page >= self.blocks[idx].write_pointer && !self.is_abandoned(idx, t.page) {
                         return Err(ChipError::ReadOfErasedPage(t));
                     }
                 }
@@ -291,10 +299,16 @@ impl FlashChip {
             match kind {
                 NandCommandKind::Read => self.stats.reads += 1,
                 NandCommandKind::Program => {
-                    self.blocks[idx].write_pointer += 1;
+                    if !self.abandoned.is_empty() {
+                        self.abandoned.retain(|&(b, p)| b != idx || p > t.page);
+                    }
+                    self.blocks[idx].write_pointer = t.page + 1;
                     self.stats.programs += 1;
                 }
                 NandCommandKind::Erase => {
+                    if !self.abandoned.is_empty() {
+                        self.abandoned.retain(|&(b, _)| b != idx);
+                    }
                     self.blocks[idx].write_pointer = 0;
                     self.blocks[idx].erase_count += 1;
                     self.stats.erases += 1;
@@ -314,6 +328,31 @@ impl FlashChip {
         assert!(pages <= self.geometry.pages_per_block);
         let idx = self.block_index(addr);
         self.blocks[idx].write_pointer = self.blocks[idx].write_pointer.max(pages);
+    }
+
+    /// Gives up `addr`'s page without programming it: a program that its
+    /// controller failed before it reached the array (the chip died, or
+    /// its path went dead, while it was queued) still holds a page the FTL
+    /// allocated, and the block's later pages follow it. The page stays
+    /// erased and reads as such, and the block's next program may pass
+    /// it; until one does, the write pointer stays where it is. Takes no
+    /// time or energy and counts in no statistic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is out of range or its page was already programmed.
+    pub fn abandon_program(&mut self, addr: PageAddr) {
+        assert!(self.geometry.contains(addr), "abandon out of range");
+        let idx = self.block_index(addr);
+        assert!(
+            addr.page >= self.blocks[idx].write_pointer,
+            "abandoning programmed page {addr}"
+        );
+        self.abandoned.push((idx, addr.page));
+    }
+
+    fn is_abandoned(&self, block_idx: usize, page: u32) -> bool {
+        self.abandoned.contains(&(block_idx, page))
     }
 }
 
@@ -476,6 +515,48 @@ mod tests {
         assert_eq!(c.stats().reads, 1);
         assert_eq!(c.stats().programs, 0);
         assert_eq!(c.stats().energy_nj, OpEnergy::z_nand().read_nj);
+    }
+
+    #[test]
+    fn programs_pass_abandoned_pages_only() {
+        let mut c = chip();
+        let mut t = c
+            .start(NandCommandKind::Program, &[page(0, 0, 0)], SimTime::ZERO)
+            .unwrap();
+        // Page 1 programs in flight while pages 2 and 3 are abandoned, the
+        // later one first.
+        c.abandon_program(page(0, 0, 3));
+        c.abandon_program(page(0, 0, 2));
+        assert_eq!(c.write_pointer(page(0, 0, 0)), 1);
+        let err = c
+            .start(NandCommandKind::Program, &[page(0, 0, 4)], t)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ChipError::ProgramOrderViolation {
+                addr: page(0, 0, 4),
+                expected_page: 1
+            }
+        );
+        // Abandoned pages read as erased without failing.
+        t = c.start(NandCommandKind::Read, &[page(0, 0, 3)], t).unwrap();
+        t = c
+            .start(NandCommandKind::Program, &[page(0, 0, 1)], t)
+            .unwrap();
+        t = c
+            .start(NandCommandKind::Program, &[page(0, 0, 4)], t)
+            .unwrap();
+        assert_eq!(c.write_pointer(page(0, 0, 0)), 5);
+        assert_eq!(c.stats().programs, 3);
+        // An erase forgets the block's abandoned pages.
+        c.abandon_program(page(0, 0, 5));
+        t = c
+            .start(NandCommandKind::Erase, &[page(0, 0, 0)], t)
+            .unwrap();
+        let err = c
+            .start(NandCommandKind::Read, &[page(0, 0, 5)], t)
+            .unwrap_err();
+        assert_eq!(err, ChipError::ReadOfErasedPage(page(0, 0, 5)));
     }
 
     #[test]

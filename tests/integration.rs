@@ -146,6 +146,28 @@ fn write_heavy_workload_garbage_collects_on_every_fabric() {
     }
 }
 
+/// Repaired fault plans under write-heavy bursts: programs that fail while
+/// queued (their chip died, or their path was dead) leave pages the FTL
+/// already allocated, and the programs behind them on the same block must
+/// still find the chip's write pointer in order once the repair revives
+/// the chip.
+#[test]
+fn repaired_faults_keep_program_order_under_writes() {
+    use venice::ssd::FaultPlan;
+
+    let trace = WorkloadSpec::new("w", 30.0, 32.0, 2.0)
+        .footprint_mb(64)
+        .burst_mean(16.0)
+        .generate(300);
+    for plan in [FaultPlan::LinkRepair, FaultPlan::Storm] {
+        let cfg = SsdConfig::performance_optimized().with_fault_plan(plan);
+        for fabric in FabricKind::ALL {
+            let m = run_single(&cfg, fabric, &trace);
+            assert_eq!(m.completed_requests, 300, "{plan} on {fabric}");
+        }
+    }
+}
+
 #[test]
 fn figure15_shapes_all_simulate() {
     let trace = quick("usr_0", 300);
