@@ -585,23 +585,18 @@ impl SsdSim<'_> {
         self.check_path_sleeper(c, front);
     }
 
-    /// A path sleeper's retry would still fail on a path conflict (where
-    /// the fabric can say without acquiring; elsewhere its home controller
-    /// is held), and the transaction it would retry is already
-    /// conflict-flagged.
+    /// A path sleeper's retry would still fail on a path conflict, and the
+    /// transaction it would retry is already conflict-flagged.
     fn check_path_sleeper(&self, c: usize, txn: TxnId) {
-        let chip = NodeId(c as u16);
-        match self.fabric.acquire_outcome(chip) {
-            Some(outcome) => assert_eq!(
-                outcome,
-                Err(AcquireError::PathConflict),
-                "path sleeper {c}'s retry would not conflict"
-            ),
-            None => assert!(
-                !self.fabric.home_controller_free(chip),
-                "path sleeper {c}'s home controller is free"
-            ),
-        }
+        let outcome = self
+            .fabric
+            .acquire_outcome(NodeId(c as u16))
+            .expect("a fabric with release scopes answers acquire_outcome");
+        assert_eq!(
+            outcome,
+            Err(AcquireError::PathConflict),
+            "path sleeper {c}'s retry would not conflict"
+        );
         assert!(
             self.slot(txn).conflict_flagged,
             "path sleeper {c}'s retry is not flagged"

@@ -581,8 +581,8 @@ impl Ftl {
             logical.div_ceil(planes) <= u64::from(bpp - 1) * ppb,
             "a host write would take a plane's GC reserve block"
         );
-        self.map
-            .map_striped(self.planes.len(), chip.pages_per_plane());
+        let stride = chip.pages_per_plane();
+        self.map.map_striped(self.planes.len(), stride);
         let mut fills = Vec::new();
         for (q, plane) in self.planes.iter_mut().enumerate() {
             let pages = logical / planes + u64::from((q as u64) < logical % planes);
@@ -601,7 +601,14 @@ impl Ftl {
                 let first_lpa = u64::from(block) * ppb * planes + q as u64;
                 let bi = q * bpp as usize + block as usize;
                 self.blocks[bi].fill(chip.pages_per_block, written, first_lpa, planes);
-                fills.push((self.config.array.page_at(q, block, 0), written));
+                let first = self.config.array.page_at(q, block, 0);
+                // The map's runs follow the geometry's page packing.
+                assert_eq!(
+                    self.config.array.pack(first).0,
+                    q as u64 * stride + u64::from(block) * ppb,
+                    "the page map disagrees with ArrayGeometry::pack"
+                );
+                fills.push((first, written));
             }
         }
         self.plane_cursor = (logical % planes) as usize;

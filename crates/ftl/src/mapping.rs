@@ -81,21 +81,21 @@ impl PageMap {
         old
     }
 
-    /// Maps every logical page of an empty table to round-robin striping
-    /// over `planes` fresh planes of `pages_per_plane` pages each: page
-    /// `lpa` lands on plane `lpa % planes` at in-plane offset
-    /// `lpa / planes`, the page a fresh allocator striping in plane order
-    /// hands out. Writes each entry once.
+    /// Maps every logical page of an empty table round-robin over
+    /// `planes` runs of `plane_stride` physical pages: page `lpa` maps to
+    /// `(lpa % planes) * plane_stride + lpa / planes`. The caller says
+    /// where a run starts; the map knows no address layout. Writes each
+    /// entry once.
     ///
     /// # Panics
     ///
-    /// Panics if the table is not empty or a plane would overflow.
-    pub(crate) fn map_striped(&mut self, planes: usize, pages_per_plane: u64) {
+    /// Panics if the table is not empty or a run would overflow.
+    pub(crate) fn map_striped(&mut self, planes: usize, plane_stride: u64) {
         assert_eq!(self.mapped, 0, "striping a used table");
         let rows = self.logical_pages().div_ceil(planes as u64);
-        assert!(rows <= pages_per_plane, "{rows} pages overflow a plane");
-        assert!(planes as u64 * pages_per_plane <= Self::MAX_GPPA + 1);
-        let stride = pages_per_plane as u32;
+        assert!(rows <= plane_stride, "{rows} pages overflow a plane");
+        assert!(planes as u64 * plane_stride <= Self::MAX_GPPA + 1);
+        let stride = plane_stride as u32;
         for (row, entries) in self.entries.chunks_mut(planes).enumerate() {
             let first = row as u32 + 1;
             for (plane, e) in entries.iter_mut().enumerate() {
@@ -190,11 +190,11 @@ mod tests {
         assert_eq!(m.mapped_pages(), 7);
         // Three planes that fill the u32 bound exactly: the last plane's
         // first page sits above 2^31.
-        let pages_per_plane = u64::from(u32::MAX) / 3;
-        assert_eq!(3 * pages_per_plane, PageMap::MAX_GPPA + 1);
+        let stride = u64::from(u32::MAX) / 3;
+        assert_eq!(3 * stride, PageMap::MAX_GPPA + 1);
         let mut m = PageMap::new(4);
-        m.map_striped(3, pages_per_plane);
-        assert_eq!(m.translate(2), Some(Gppa(2 * pages_per_plane)));
+        m.map_striped(3, stride);
+        assert_eq!(m.translate(2), Some(Gppa(2 * stride)));
         assert_eq!(m.translate(3), Some(Gppa(1)));
     }
 
