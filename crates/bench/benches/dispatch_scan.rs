@@ -10,19 +10,19 @@
 //! **Perf-smoke contract:** when a checked-in baseline
 //! (`results/bench_dispatch_baseline.json`) exists, the run fails (exit 1)
 //! if any scenario's incremental-over-full-scan speedup regressed more than
-//! 30% below the baseline's. Set `VENICE_PERF_WARN_ONLY=1` to downgrade the
-//! failure to a warning on noisy runners. Speedups are wall-clock *ratios*
+//! 30% below the baseline's, or only the bench or only the baseline names a
+//! scenario. Set `VENICE_PERF_WARN_ONLY=1` to downgrade the failure to a
+//! warning on noisy runners. Speedups are wall-clock *ratios*
 //! on the same machine and binary, so the gate is robust to absolute
 //! machine speed.
 
-use std::hint::black_box;
 use std::time::Duration;
 
 use venice_bench::microbench::Runner;
 use venice_interconnect::FabricKind;
 use venice_ssd::report::Json;
-use venice_ssd::{DispatchPolicyKind, DispatchScanKind, RunMetrics, SsdConfig, SsdSim};
-use venice_workloads::WorkloadAxis;
+use venice_ssd::{DispatchPolicyKind, DispatchScanKind, SsdConfig, SsdSim};
+use venice_workloads::{Trace, WorkloadAxis};
 
 /// One benched (mesh shape × fabric × policy × request budget) coordinate.
 struct Scenario {
@@ -89,9 +89,11 @@ const SCENARIOS: [Scenario; 5] = [
 /// fails (>30% events/sec regression).
 const REGRESSION_FLOOR: f64 = 0.7;
 
-fn run(cfg: &SsdConfig, fabric: FabricKind, trace: &venice_workloads::Trace) -> RunMetrics {
+/// A simulator for `trace`, sized for its footprint; the benches build it
+/// outside the timer, so the gated ratios time only `SsdSim::run`.
+fn sim<'t>(cfg: &SsdConfig, fabric: FabricKind, trace: &'t Trace) -> SsdSim<'t> {
     let sized = cfg.clone().sized_for_footprint(trace.footprint_bytes());
-    SsdSim::new(sized, fabric, trace).run()
+    SsdSim::new(sized, fabric, trace)
 }
 
 fn main() {
@@ -106,16 +108,15 @@ fn main() {
         let incr_cfg = base.clone().with_dispatch_scan(DispatchScanKind::Incremental);
         let full_cfg = base.clone().with_dispatch_scan(DispatchScanKind::FullScan);
         // Correctness first: the two engines must agree bit-for-bit.
-        let m_incr = run(&incr_cfg, s.fabric, &trace);
-        let m_full = run(&full_cfg, s.fabric, &trace);
+        let m_incr = sim(&incr_cfg, s.fabric, &trace).run();
+        let m_full = sim(&full_cfg, s.fabric, &trace).run();
         assert_eq!(m_incr, m_full, "{}: engines diverged", s.name);
         let events = m_incr.events;
 
         let mut timed: Vec<f64> = Vec::new();
         for (tag, cfg) in [("incremental", &incr_cfg), ("full_scan", &full_cfg)] {
-            r.bench(&format!("{}_{}", s.name, tag), || {
-                black_box(run(cfg, s.fabric, black_box(&trace)));
-            });
+            let name = format!("{}_{}", s.name, tag);
+            r.bench_with_setup(&name, || sim(cfg, s.fabric, &trace), SsdSim::run);
             timed.push(r.last_ns_per_iter().expect("bench just ran"));
         }
         let (ns_incr, ns_full) = (timed[0], timed[1]);

@@ -12,19 +12,19 @@
 //! **Perf-smoke contract:** when a checked-in baseline
 //! (`results/bench_scout_baseline.json`) exists, the run fails (exit 1) if
 //! any scenario's cache-on-over-cache-off speedup regressed more than 30%
-//! below the baseline's. Set `VENICE_PERF_WARN_ONLY=1` to downgrade the
-//! failure to a warning on noisy runners. Speedups are wall-clock *ratios*
+//! below the baseline's, or only the bench or only the baseline names a
+//! scenario. Set `VENICE_PERF_WARN_ONLY=1` to downgrade the failure to a
+//! warning on noisy runners. Speedups are wall-clock *ratios*
 //! on the same machine and binary, so the gate is robust to absolute
 //! machine speed.
 
-use std::hint::black_box;
 use std::time::Duration;
 
 use venice_bench::microbench::Runner;
 use venice_interconnect::FabricKind;
 use venice_ssd::report::Json;
 use venice_ssd::{DispatchPolicyKind, RunMetrics, ScoutCacheKind, SsdConfig, SsdSim};
-use venice_workloads::WorkloadAxis;
+use venice_workloads::{Trace, WorkloadAxis};
 
 /// One benched (mesh shape × queue depth × policy × request budget)
 /// coordinate; the fabric is always Venice — the only design with scout
@@ -94,9 +94,11 @@ const SCENARIOS: [Scenario; 5] = [
 /// fails (>30% events/sec regression).
 const REGRESSION_FLOOR: f64 = 0.7;
 
-fn run(cfg: &SsdConfig, trace: &venice_workloads::Trace) -> RunMetrics {
+/// A Venice simulator for `trace`, sized for its footprint; the benches
+/// build it outside the timer, so the gated ratios time only `SsdSim::run`.
+fn sim<'t>(cfg: &SsdConfig, trace: &'t Trace) -> SsdSim<'t> {
     let sized = cfg.clone().sized_for_footprint(trace.footprint_bytes());
-    SsdSim::new(sized, FabricKind::Venice, trace).run()
+    SsdSim::new(sized, FabricKind::Venice, trace)
 }
 
 /// Asserts the cache-on run is bit-identical to the cache-off run in every
@@ -128,8 +130,8 @@ fn main() {
         let on_cfg = base.clone().with_scout_cache(ScoutCacheKind::On);
         // Correctness first: the cached engine must be bit-identical in
         // every simulated-behavior field.
-        let m_off = run(&off_cfg, &trace);
-        let m_on = run(&on_cfg, &trace);
+        let m_off = sim(&off_cfg, &trace).run();
+        let m_on = sim(&on_cfg, &trace).run();
         assert_behaviorally_identical(&m_off, &m_on, s.name);
         let events = m_off.events;
         let fastfails = m_on.fabric.scout_fastfails;
@@ -138,9 +140,8 @@ fn main() {
 
         let mut timed: Vec<f64> = Vec::new();
         for (tag, cfg) in [("cache_off", &off_cfg), ("cache_on", &on_cfg)] {
-            r.bench(&format!("{}_{}", s.name, tag), || {
-                black_box(run(cfg, black_box(&trace)));
-            });
+            let name = format!("{}_{}", s.name, tag);
+            r.bench_with_setup(&name, || sim(cfg, &trace), SsdSim::run);
             timed.push(r.last_ns_per_iter().expect("bench just ran"));
         }
         let (ns_off, ns_on) = (timed[0], timed[1]);

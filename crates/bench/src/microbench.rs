@@ -10,6 +10,7 @@
 //! `VENICE_RESULTS_DIR`) so successive runs leave a comparable perf
 //! trajectory on disk.
 
+use std::hint::black_box;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -57,20 +58,49 @@ impl Runner {
     }
 
     /// Times `f`, printing a `ns/iter` line and recording the measurement.
-    ///
-    /// Calibration: `f` is run repeatedly, doubling the iteration count until
-    /// one batch exceeds ~1/5 of the sample budget; that count is then used
-    /// for `self.samples` timed samples and the median is reported.
     pub fn bench<F: FnMut()>(&mut self, name: &str, mut f: F) {
-        // Warmup + calibration.
-        let mut iters: u64 = 1;
-        let calib_floor = self.sample_budget / 5;
-        loop {
+        self.measure(name, |iters| {
             let t = Instant::now();
             for _ in 0..iters {
                 f();
             }
-            let elapsed = t.elapsed();
+            t.elapsed()
+        });
+    }
+
+    /// Times `routine` on a fresh input from `setup` in each iteration, like
+    /// [`Runner::bench`] but with only `routine` inside the timer: one
+    /// `Instant` per iteration, so it suits routines that run for
+    /// milliseconds, such as a whole simulation built by `setup`.
+    pub fn bench_with_setup<S, R>(
+        &mut self,
+        name: &str,
+        mut setup: impl FnMut() -> S,
+        mut routine: impl FnMut(S) -> R,
+    ) {
+        self.measure(name, |iters| {
+            let mut timed = Duration::ZERO;
+            for _ in 0..iters {
+                let input = setup();
+                let t = Instant::now();
+                black_box(routine(black_box(input)));
+                timed += t.elapsed();
+            }
+            timed
+        });
+    }
+
+    /// Calibrates and samples `timed`, which runs the given number of
+    /// iterations and returns the time they took: iteration counts grow
+    /// until one batch exceeds ~1/5 of the sample budget, then
+    /// `self.samples` timed batches run and the median per iteration is
+    /// reported.
+    fn measure(&mut self, name: &str, mut timed: impl FnMut(u64) -> Duration) {
+        // Warmup + calibration.
+        let mut iters: u64 = 1;
+        let calib_floor = self.sample_budget / 5;
+        loop {
+            let elapsed = timed(iters);
             if elapsed >= calib_floor || iters >= 1 << 30 {
                 break;
             }
@@ -84,13 +114,7 @@ impl Runner {
             .max(iters + 1);
         }
         let mut per_iter: Vec<f64> = (0..self.samples)
-            .map(|_| {
-                let t = Instant::now();
-                for _ in 0..iters {
-                    f();
-                }
-                t.elapsed().as_nanos() as f64 / iters as f64
-            })
+            .map(|_| timed(iters).as_nanos() as f64 / iters as f64)
             .collect();
         per_iter.sort_by(|a, b| a.total_cmp(b));
         let median = per_iter[per_iter.len() / 2];
@@ -109,7 +133,7 @@ impl Runner {
         });
     }
 
-    /// The ns/iter of the most recent [`Runner::bench`] call, if any —
+    /// The ns/iter of the most recent measurement, if any —
     /// for benches that post-process their own timings (e.g. into
     /// events/sec) on top of the recorded trajectory.
     pub fn last_ns_per_iter(&self) -> Option<f64> {
@@ -147,16 +171,70 @@ pub fn read_array(json: &str, key: &str) -> Result<Vec<Json>, String> {
     }
 }
 
+/// The `(name, speedup)` pairs of a ratio-bench artifact or baseline.
+///
+/// # Errors
+///
+/// Says why when the document does not parse, or a scenario lacks its name
+/// or speedup.
+fn read_speedups(json: &str) -> Result<Vec<(String, f64)>, String> {
+    let pair = |s: &Json| {
+        let name = s.get("name").and_then(Json::as_str).map(str::to_string);
+        let speedup = s.get("speedup").and_then(Json::as_f64);
+        name.zip(speedup)
+            .ok_or_else(|| format!("scenario without name and speedup: {s}"))
+    };
+    read_array(json, "scenarios")?.iter().map(pair).collect()
+}
+
+/// Compares measured `(scenario name, speedup)` ratios with the pairs of a
+/// ratio-bench baseline document, one verdict per scenario: `Ok` with a
+/// report line when it held, `Err` with the reason when it failed. A
+/// scenario fails when its speedup fell below `floor_fraction` of the
+/// baseline's, and also when only one side names it: a renamed, added or
+/// dropped scenario needs a new baseline entry, or the gate would stop
+/// checking it. A malformed baseline fails as a whole.
+fn speedup_verdicts(
+    baseline: &str,
+    speedups: &[(String, f64)],
+    floor_fraction: f64,
+) -> Vec<Result<String, String>> {
+    let baseline = match read_speedups(baseline) {
+        Ok(pairs) => pairs,
+        Err(e) => return vec![Err(format!("malformed baseline: {e}"))],
+    };
+    let mut verdicts = Vec::new();
+    for (name, base) in &baseline {
+        let floor = base * floor_fraction;
+        verdicts.push(match speedups.iter().find(|(n, _)| n == name) {
+            None => Err(format!("{name}: in the baseline but not measured")),
+            Some((_, now)) if *now < floor => Err(format!(
+                "PERF REGRESSION {name}: speedup {now:.2}x < {floor:.2}x \
+                 (baseline {base:.2}x - {:.0}%)",
+                (1.0 - floor_fraction) * 100.0
+            )),
+            Some((_, now)) => Ok(format!(
+                "perf-smoke {name}: {now:.2}x vs baseline {base:.2}x ok"
+            )),
+        });
+    }
+    for (name, _) in speedups {
+        if !baseline.iter().any(|(n, _)| n == name) {
+            verdicts.push(Err(format!("{name}: measured but not in the baseline")));
+        }
+    }
+    verdicts
+}
+
 /// The perf-smoke gate shared by the ratio benches (`dispatch_scan`,
-/// `scout_walk`): compares each measured `(scenario name, speedup)` ratio
-/// against the matching `"name"`/`"speedup"` pair in the checked-in
-/// baseline file and **exits the process with status 1** when any scenario
-/// fell below `floor_fraction` of its baseline ratio, or the baseline is
-/// malformed. Speedups are wall-clock ratios on the same machine and
-/// binary, so the gate is robust to absolute machine speed. A missing
-/// baseline skips the gate (first run on a fresh machine);
-/// `VENICE_PERF_WARN_ONLY=1` downgrades failures to warnings on noisy
-/// runners.
+/// `scout_walk`): prints a verdict per scenario of `speedups` against the
+/// checked-in baseline file and **exits the process with status 1** when
+/// any scenario fell below `floor_fraction` of its baseline speedup, is
+/// named by only one side, or the baseline is malformed. Speedups are
+/// wall-clock ratios on the same machine and binary, so the gate is robust
+/// to absolute machine speed. A missing baseline skips the gate (first run
+/// on a fresh machine); `VENICE_PERF_WARN_ONLY=1` downgrades failures to
+/// warnings on noisy runners.
 pub fn enforce_speedup_baseline(
     bench: &str,
     baseline_path: &Path,
@@ -170,40 +248,23 @@ pub fn enforce_speedup_baseline(
         );
         return;
     };
-    let warn_only = std::env::var("VENICE_PERF_WARN_ONLY").is_ok();
-    let scenarios = read_array(&baseline, "scenarios");
-    if let Err(e) = &scenarios {
-        eprintln!("malformed baseline {}: {e}", baseline_path.display());
-    }
-    let mut regressed = scenarios.is_err();
-    for scenario in scenarios.iter().flatten() {
-        let (Some(name), Some(base)) = (
-            scenario.get("name").and_then(Json::as_str),
-            scenario.get("speedup").and_then(Json::as_f64),
-        ) else {
-            continue;
-        };
-        let Some((_, now)) = speedups.iter().find(|(n, _)| n == name) else {
-            continue;
-        };
-        let floor = base * floor_fraction;
-        if *now < floor {
-            regressed = true;
-            eprintln!(
-                "PERF REGRESSION {name}: speedup {now:.2}x < {floor:.2}x \
-                 (baseline {base:.2}x - {:.0}%)",
-                (1.0 - floor_fraction) * 100.0
-            );
-        } else {
-            println!("perf-smoke {name}: {now:.2}x vs baseline {base:.2}x ok");
+    let mut failed = false;
+    for verdict in speedup_verdicts(&baseline, speedups, floor_fraction) {
+        match verdict {
+            Ok(line) => println!("{line}"),
+            Err(why) => {
+                failed = true;
+                eprintln!("{why}");
+            }
         }
     }
-    if regressed {
-        if warn_only {
+    if failed {
+        if std::env::var("VENICE_PERF_WARN_ONLY").is_ok() {
             eprintln!("VENICE_PERF_WARN_ONLY set: reporting only");
         } else {
             eprintln!(
-                "{bench} perf-smoke failed (set VENICE_PERF_WARN_ONLY=1 on noisy runners)"
+                "{bench} perf-smoke failed against {} (set VENICE_PERF_WARN_ONLY=1 on noisy runners)",
+                baseline_path.display()
             );
             std::process::exit(1);
         }
@@ -214,25 +275,93 @@ pub fn enforce_speedup_baseline(
 mod tests {
     use super::*;
 
+    const BASELINE: &str = r#"{"bench": "b", "scenarios": [
+        {"name": "alpha", "speedup": 2.0},
+        {"name": "beta", "speedup": 1.0}
+    ]}"#;
+
+    /// The verdicts of `measured` against [`BASELINE`] at a 0.7 floor.
+    fn verdicts(measured: &[(&str, f64)]) -> Vec<Result<String, String>> {
+        let speedups: Vec<(String, f64)> = measured.iter().map(|&(n, s)| (n.into(), s)).collect();
+        speedup_verdicts(BASELINE, &speedups, 0.7)
+    }
+
+    #[test]
+    fn speedup_gate_passes_scenarios_above_the_floor() {
+        let v = verdicts(&[("beta", 0.75), ("alpha", 5.0)]);
+        assert_eq!(v.len(), 2);
+        assert!(v.iter().all(Result::is_ok), "{v:?}");
+    }
+
+    #[test]
+    fn speedup_gate_fails_a_regression() {
+        let v = verdicts(&[("alpha", 1.3), ("beta", 1.0)]);
+        assert!(
+            v[0].as_ref()
+                .is_err_and(|e| e.starts_with("PERF REGRESSION alpha")),
+            "{v:?}"
+        );
+        assert!(v[1].is_ok());
+    }
+
+    /// A renamed scenario leaves the old name unmeasured and the new one
+    /// unbaselined: both fail, so a rename cannot drop out of the gate.
+    #[test]
+    fn speedup_gate_fails_a_renamed_scenario() {
+        let v = verdicts(&[("alpha", 2.0), ("beta_v2", 1.0)]);
+        let failed: Vec<String> = v.into_iter().filter_map(Result::err).collect();
+        assert_eq!(
+            failed,
+            [
+                "beta: in the baseline but not measured",
+                "beta_v2: measured but not in the baseline"
+            ]
+        );
+    }
+
+    /// A scenario the baseline lacks, an entry without a speedup and a torn
+    /// baseline all fail.
+    #[test]
+    fn speedup_gate_fails_missing_entries() {
+        let v = verdicts(&[("alpha", 2.0), ("beta", 1.0), ("gamma", 9.0)]);
+        assert_eq!(v[2], Err("gamma: measured but not in the baseline".into()));
+        assert_eq!(v.iter().filter(|v| v.is_err()).count(), 1);
+        let no_speedup = r#"{"scenarios": [{"name": "alpha"}]}"#;
+        let v = speedup_verdicts(no_speedup, &[("alpha".into(), 2.0)], 0.7);
+        assert!(v.len() == 1 && v[0].as_ref().is_err_and(|e| e.contains("without name")));
+        let v = speedup_verdicts(&BASELINE[..20], &[("alpha".into(), 2.0)], 0.7);
+        assert!(v.len() == 1 && v[0].as_ref().is_err_and(|e| e.starts_with("malformed")));
+    }
+
     /// The checked-in perf baselines read back the exact `(name, speedup)`
     /// pairs the gates compare, and a torn baseline is an error.
     #[test]
     fn checked_in_baselines_read_back_exactly() {
         let dispatch = include_str!("../../../results/bench_dispatch_baseline.json");
         let scout = include_str!("../../../results/bench_scout_baseline.json");
-        let pairs = |json| -> Vec<(String, f64)> {
-            let scenarios = read_array(json, "scenarios").expect("baseline parses");
-            let name = |s: &Json| s.get("name").and_then(Json::as_str).map(str::to_string);
-            let speedup = |s: &Json| s.get("speedup").and_then(Json::as_f64);
-            scenarios.iter().map(|s| name(s).zip(speedup(s)).expect("name and speedup")).collect()
+        let pairs = |json| read_speedups(json).expect("baseline reads");
+        let expected = |names: [&str; 5], speedups: [f64; 5]| -> Vec<(String, f64)> {
+            let pairs = names.iter().zip(speedups);
+            pairs.map(|(n, s)| (format!("congested_{n}"), s)).collect()
         };
-        let names = ["8x8_venice", "16x16_nossd", "16x16_venice_auto", "32x32_nossd", "8x8_baseline"];
-        let expected = names.iter().zip([1.05, 2.3, 1.1, 5.5, 2.78]);
-        let expected: Vec<_> = expected.map(|(n, s)| (format!("congested_{n}"), s)).collect();
-        assert_eq!(pairs(dispatch), expected);
-        let scout_pairs = pairs(scout);
-        assert_eq!(scout_pairs.len(), 5);
-        assert_eq!(scout_pairs[4], ("congested_32x32_venice_auto".into(), 1.008));
-        assert!(read_array(&scout[..scout.len() / 2], "scenarios").is_err());
+        let names = [
+            "8x8_venice",
+            "16x16_nossd",
+            "16x16_venice_auto",
+            "32x32_nossd",
+            "8x8_baseline",
+        ];
+        let speedups = [1.05, 3.169, 1.383, 7.869, 3.704];
+        assert_eq!(pairs(dispatch), expected(names, speedups));
+        let names = [
+            "16x16_venice",
+            "16x16_venice_qd32",
+            "32x32_venice",
+            "32x32_venice_qd64",
+            "32x32_venice_auto",
+        ];
+        let speedups = [1.33, 1.423, 1.354, 1.57, 1.008];
+        assert_eq!(pairs(scout), expected(names, speedups));
+        assert!(read_speedups(&scout[..scout.len() / 2]).is_err());
     }
 }

@@ -620,7 +620,6 @@ impl<'a> SsdSim<'a> {
     fn spawn_user_write(&mut self, now: SimTime, req_id: u64, lpa: u64) -> bool {
         match self.ftl.allocate_write(lpa) {
             Ok(gppa) => {
-                self.cmt.mark_dirty(lpa);
                 self.pending_programs.insert(gppa.0 as usize);
                 let target = self.ftl.config().array.unpack(gppa);
                 self.spawn_txn(
@@ -651,9 +650,9 @@ impl<'a> SsdSim<'a> {
                 self.spawn_txn(now, TxnKind::MapRead, target, Some(lpa), None, NO_MIGRATION);
             }
         }
-        // Dirty write-backs are absorbed by the controller DRAM buffer; the
-        // covering cache used in the paper-scale experiments never evicts.
-        let _ = self.cmt.fill(lpa);
+        // The cache covers the whole logical space and mapping updates stay
+        // in DRAM: nothing is evicted or written back.
+        self.cmt.fill(lpa);
     }
 
     fn on_request_done(&mut self, now: SimTime, req_id: u64) {
@@ -857,7 +856,7 @@ impl<'a> SsdSim<'a> {
             NandCommandKind::Erase
         };
         let done = self.chips[usize::from(txn.target.chip.0)]
-            .start(kind, &[txn.target.addr], now)
+            .start(kind, txn.target.addr, now)
             .unwrap_or_else(|e| panic!("chip rejected {txn:?}: {e}"));
         self.queue.schedule(done, Event::ChipOpDone(txn_id));
         self.schedule_dispatch(now);
@@ -939,7 +938,7 @@ impl<'a> SsdSim<'a> {
             TxnKind::GcErase | TxnKind::WearErase => self.on_migration_erase_done(now, migration),
             TxnKind::RebuildRead => self.on_rebuild_read_done(now, txn),
             TxnKind::RebuildWrite => self.on_rebuild_write_done(now, txn),
-            TxnKind::MapRead | TxnKind::MapWrite => {}
+            TxnKind::MapRead => {}
         }
     }
 

@@ -1,101 +1,62 @@
-//! Cached mapping table (CMT): the DRAM-resident LRU cache of mapping-table
-//! translation pages, in the style of DFTL (the paper's §2.2 notes the FTL
-//! caches the L2P table in the SSD's DRAM).
+//! Cached mapping table (CMT): which translation pages of the L2P table the
+//! controller DRAM holds (the paper's §2.2 notes the FTL caches the L2P
+//! table in the SSD's DRAM).
 
-use std::collections::HashMap;
+use venice_sim::DenseBitSet;
 
-/// Statistics of the mapping cache.
+/// Hit and miss counts of the mapping cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that hit.
     pub hits: u64,
     /// Lookups that missed (requiring a mapping-table flash read).
     pub misses: u64,
-    /// Evictions of dirty translation pages (requiring a write-back).
-    pub dirty_evictions: u64,
 }
 
-impl CacheStats {
-    /// Hit ratio in `[0, 1]` (1.0 when no lookups happened).
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// An LRU cache of mapping-table translation pages.
+/// The resident translation pages of an L2P table that fits whole in
+/// controller DRAM.
 ///
-/// Each cached unit is a *translation page* covering
-/// `entries_per_page` consecutive logical pages. A lookup misses when the
-/// covering translation page is absent; the caller then issues a `MapRead`
-/// flash transaction and calls [`MappingCache::fill`]. Updates mark the
-/// translation page dirty; evicting a dirty page reports that a `MapWrite`
-/// is needed.
+/// Each *translation page* covers `entries_per_page` consecutive logical
+/// pages. The cache covers the whole logical space, so it never evicts: a
+/// lookup misses only on the first touch of its translation page, the
+/// caller then issues one `MapRead` flash transaction and calls
+/// [`MappingCache::fill`], and every later lookup of that page hits.
+/// Mapping updates stay in DRAM, so nothing is ever written back.
 ///
 /// # Example
 ///
 /// ```
 /// use venice_ftl::MappingCache;
-/// let mut c = MappingCache::new(2, 512);
+/// let mut c = MappingCache::covering(1024, 512);
 /// assert!(!c.lookup(0));        // cold miss on translation page 0
 /// c.fill(0);
 /// assert!(c.lookup(511));       // same translation page: hit
 /// assert!(!c.lookup(512));      // next translation page: miss
+/// assert_eq!((c.stats().hits, c.stats().misses), (1, 2));
 /// ```
 #[derive(Clone, Debug)]
 pub struct MappingCache {
-    capacity: usize,
     entries_per_page: u64,
-    /// translation-page id → (last-use stamp, dirty)
-    resident: HashMap<u64, (u64, bool)>,
-    clock: u64,
+    /// Indexed by translation page.
+    resident: DenseBitSet,
     stats: CacheStats,
 }
 
 impl MappingCache {
-    /// Creates a cache holding up to `capacity` translation pages, each
-    /// covering `entries_per_page` logical pages.
+    /// An empty cache over logical pages `0..logical_pages`, each
+    /// translation page covering `entries_per_page` of them.
     ///
     /// # Panics
     ///
-    /// Panics if either parameter is zero.
-    pub fn new(capacity: usize, entries_per_page: u64) -> Self {
-        assert!(capacity > 0, "cache capacity must be positive");
+    /// Panics if `entries_per_page` is zero.
+    pub fn covering(logical_pages: u64, entries_per_page: u64) -> Self {
         assert!(entries_per_page > 0, "entries per page must be positive");
+        let pages = logical_pages.div_ceil(entries_per_page);
         MappingCache {
-            capacity,
             entries_per_page,
-            resident: HashMap::with_capacity(capacity),
-            clock: 0,
+            resident: DenseBitSet::with_capacity(pages as usize),
             stats: CacheStats::default(),
         }
-    }
-
-    /// A cache sized to cover the whole logical space (no misses after
-    /// warm-up; the default for the paper-scale experiments, which assume a
-    /// fully cached mapping table).
-    pub fn covering(logical_pages: u64, entries_per_page: u64) -> Self {
-        let pages = logical_pages.div_ceil(entries_per_page).max(1);
-        Self::new(pages as usize, entries_per_page)
-    }
-
-    /// Translation page covering `lpa`.
-    pub fn translation_page(&self, lpa: u64) -> u64 {
-        lpa / self.entries_per_page
-    }
-
-    /// Number of resident translation pages.
-    pub fn len(&self) -> usize {
-        self.resident.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.resident.is_empty()
     }
 
     /// Statistics so far.
@@ -104,116 +65,71 @@ impl MappingCache {
     }
 
     /// Checks whether the translation page covering `lpa` is resident,
-    /// updating recency and hit/miss statistics.
+    /// counting a hit or a miss.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lpa` is outside the logical space.
     pub fn lookup(&mut self, lpa: u64) -> bool {
-        let tp = self.translation_page(lpa);
-        self.clock += 1;
-        match self.resident.get_mut(&tp) {
-            Some((stamp, _)) => {
-                *stamp = self.clock;
-                self.stats.hits += 1;
-                true
-            }
-            None => {
-                self.stats.misses += 1;
-                false
-            }
-        }
+        let hit = self.resident.contains(self.translation_page(lpa));
+        self.stats.hits += u64::from(hit);
+        self.stats.misses += u64::from(!hit);
+        hit
     }
 
-    /// Inserts the translation page covering `lpa` (after a `MapRead`
-    /// completes). Returns the id of a dirty translation page that must be
-    /// written back, if the insertion evicted one.
-    pub fn fill(&mut self, lpa: u64) -> Option<u64> {
-        let tp = self.translation_page(lpa);
-        self.clock += 1;
-        let mut writeback = None;
-        if !self.resident.contains_key(&tp) && self.resident.len() >= self.capacity {
-            // Evict the least recently used resident page.
-            let (&victim, &(_, dirty)) = self
-                .resident
-                .iter()
-                .min_by_key(|(_, (stamp, _))| *stamp)
-                .expect("cache non-empty at capacity");
-            self.resident.remove(&victim);
-            if dirty {
-                self.stats.dirty_evictions += 1;
-                writeback = Some(victim);
-            }
-        }
-        self.resident.entry(tp).or_insert((self.clock, false)).0 = self.clock;
-        writeback
+    /// Makes the translation page covering `lpa` resident (once its
+    /// `MapRead` is issued); filling a resident page changes nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lpa` is outside the logical space.
+    pub fn fill(&mut self, lpa: u64) {
+        self.resident.insert(self.translation_page(lpa));
     }
 
-    /// Marks the translation page covering `lpa` dirty (after a mapping
-    /// update). No-op if it is not resident.
-    pub fn mark_dirty(&mut self, lpa: u64) {
-        let tp = self.translation_page(lpa);
-        if let Some((_, dirty)) = self.resident.get_mut(&tp) {
-            *dirty = true;
-        }
+    fn translation_page(&self, lpa: u64) -> usize {
+        (lpa / self.entries_per_page) as usize
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use venice_sim::rng::Xorshift64Star;
 
+    /// Random lookups over a logical space whose last translation page is
+    /// partial: each translation page misses once, on its first touch, and
+    /// hits on every later lookup; filling it again changes nothing.
     #[test]
-    fn lru_evicts_least_recent() {
-        let mut c = MappingCache::new(2, 10);
-        c.fill(0); // tp 0
-        c.fill(10); // tp 1
-        assert!(c.lookup(5)); // touch tp 0 → tp 1 is now LRU
-        c.fill(20); // tp 2 evicts tp 1
-        assert!(c.lookup(0));
-        assert!(!c.lookup(10), "tp 1 must have been evicted");
-        assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn dirty_eviction_reports_writeback() {
-        let mut c = MappingCache::new(1, 10);
-        c.fill(0);
-        c.mark_dirty(3);
-        let wb = c.fill(10); // evicts dirty tp 0
-        assert_eq!(wb, Some(0));
-        assert_eq!(c.stats().dirty_evictions, 1);
-        // Clean eviction reports nothing.
-        let wb = c.fill(20);
-        assert_eq!(wb, None);
-    }
-
-    #[test]
-    fn covering_cache_never_misses_after_warmup() {
-        let mut c = MappingCache::covering(1000, 128);
-        for lpa in 0..1000 {
-            if !c.lookup(lpa) {
+    fn each_translation_page_misses_once_and_fill_is_idempotent() {
+        let (logical_pages, per_page) = (1000, 128); // 7 full pages + 104 entries
+        let mut c = MappingCache::covering(logical_pages, per_page);
+        let mut touched = vec![false; logical_pages.div_ceil(per_page) as usize];
+        let mut rng = Xorshift64Star::new(29);
+        for _ in 0..5000 {
+            let lpa = rng.next_bounded(logical_pages);
+            let tp = (lpa / per_page) as usize;
+            assert_eq!(c.lookup(lpa), touched[tp], "lpa {lpa}");
+            if !touched[tp] {
                 c.fill(lpa);
+                touched[tp] = true;
             }
+            c.fill(lpa);
+            let distinct = touched.iter().filter(|&&t| t).count();
+            assert_eq!(c.resident.len(), distinct);
+            assert_eq!(c.stats().misses, distinct as u64);
         }
-        let misses_after_warmup = {
-            let before = c.stats().misses;
-            for lpa in 0..1000 {
-                assert!(c.lookup(lpa));
-            }
-            c.stats().misses - before
-        };
-        assert_eq!(misses_after_warmup, 0);
-        assert!(c.stats().hit_ratio() > 0.9);
+        assert!(touched.iter().all(|&t| t), "every translation page touched");
+        assert!(
+            c.lookup(logical_pages - 1),
+            "the partial last page is resident"
+        );
+        assert_eq!(c.stats().hits + c.stats().misses, 5001);
     }
 
     #[test]
-    fn hit_ratio_of_idle_cache_is_one() {
-        let c = MappingCache::new(4, 4);
-        assert_eq!(c.stats().hit_ratio(), 1.0);
-        assert!(c.is_empty());
-    }
-
-    #[test]
-    fn mark_dirty_nonresident_is_noop() {
-        let mut c = MappingCache::new(1, 4);
-        c.mark_dirty(0);
-        assert!(c.is_empty());
+    #[should_panic(expected = "outside universe")]
+    fn lookups_past_the_logical_space_panic() {
+        MappingCache::covering(1000, 128).lookup(1024);
     }
 }

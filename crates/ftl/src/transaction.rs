@@ -31,8 +31,6 @@ pub enum TxnKind {
     WearErase,
     /// Mapping-table read (cached-mapping-table miss).
     MapRead,
-    /// Mapping-table write-back.
-    MapWrite,
     /// Survivor-page read issued by the redundancy rebuild engine
     /// (reconstructing a dead chip's page from its parity group). Lowest
     /// dispatch priority: the TSU serves these only when a chip has no
@@ -61,23 +59,13 @@ impl TxnKind {
     pub fn is_write(&self) -> bool {
         matches!(
             self,
-            TxnKind::UserWrite
-                | TxnKind::GcWrite
-                | TxnKind::WearWrite
-                | TxnKind::MapWrite
-                | TxnKind::RebuildWrite
+            TxnKind::UserWrite | TxnKind::GcWrite | TxnKind::WearWrite | TxnKind::RebuildWrite
         )
     }
 
     /// True for erases.
     pub fn is_erase(&self) -> bool {
         matches!(self, TxnKind::GcErase | TxnKind::WearErase)
-    }
-
-    /// True when the transaction serves internal maintenance rather than a
-    /// host request.
-    pub fn is_background(&self) -> bool {
-        !matches!(self, TxnKind::UserRead | TxnKind::UserWrite)
     }
 }
 
@@ -106,17 +94,11 @@ mod tests {
         use TxnKind::*;
         for k in [
             UserRead, UserWrite, GcRead, GcWrite, GcErase, WearRead, WearWrite, WearErase,
-            MapRead, MapWrite, RebuildRead, RebuildWrite,
+            MapRead, RebuildRead, RebuildWrite,
         ] {
             let classes =
                 u8::from(k.is_read()) + u8::from(k.is_write()) + u8::from(k.is_erase());
             assert_eq!(classes, 1, "{k:?} must be exactly one class");
         }
-        assert!(!UserRead.is_background());
-        assert!(!UserWrite.is_background());
-        assert!(GcRead.is_background());
-        assert!(MapWrite.is_background());
-        assert!(RebuildRead.is_background());
-        assert!(RebuildWrite.is_background());
     }
 }

@@ -40,9 +40,6 @@ pub enum ChipError {
     },
     /// An address is outside this chip's geometry.
     AddressOutOfRange(PageAddr),
-    /// A multi-plane command addressed the same plane twice, spanned
-    /// multiple dies, or used mismatched block/page offsets.
-    InvalidMultiPlane,
     /// Programming a page out of order within its block, or reprogramming a
     /// page without an intervening erase.
     ProgramOrderViolation {
@@ -53,8 +50,6 @@ pub enum ChipError {
     },
     /// Reading a page that has never been programmed since the last erase.
     ReadOfErasedPage(PageAddr),
-    /// The command list was empty.
-    EmptyCommand,
 }
 
 impl fmt::Display for ChipError {
@@ -64,7 +59,6 @@ impl fmt::Display for ChipError {
                 write!(f, "die {die} busy until {busy_until}")
             }
             ChipError::AddressOutOfRange(a) => write!(f, "address {a} out of range"),
-            ChipError::InvalidMultiPlane => write!(f, "invalid multi-plane command"),
             ChipError::ProgramOrderViolation {
                 addr,
                 expected_page,
@@ -73,7 +67,6 @@ impl fmt::Display for ChipError {
                 "program order violation at {addr}, expected page {expected_page}"
             ),
             ChipError::ReadOfErasedPage(a) => write!(f, "read of erased page {a}"),
-            ChipError::EmptyCommand => write!(f, "empty command"),
         }
     }
 }
@@ -89,18 +82,12 @@ struct BlockState {
     erase_count: u32,
 }
 
-/// Per-die state: one operation at a time.
-#[derive(Clone, Debug)]
-struct DieState {
-    busy_until: SimTime,
-}
-
 /// Cumulative statistics of one chip.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ChipStats {
     /// Page reads executed.
     pub reads: u64,
-    /// Page programs executed (counting each plane of a multi-plane op).
+    /// Page programs executed.
     pub programs: u64,
     /// Block erases executed.
     pub erases: u64,
@@ -113,17 +100,18 @@ pub struct ChipStats {
 /// A flash chip: dies, planes, blocks, and pages with their operational
 /// constraints, plus timing and statistics.
 ///
-/// The chip is a passive resource: the caller (the SSD model's transaction
-/// scheduler) asks whether a die is idle, then [`FlashChip::start`]s an
-/// operation, which returns the completion time the caller schedules an
-/// event for. The chip enforces geometry and NAND ordering invariants and
-/// tracks endurance and energy.
+/// The chip is a passive resource: the caller (the SSD engine, which
+/// tracks its own busy dies) [`FlashChip::start`]s an operation, which
+/// returns the completion time the caller schedules an event for. The chip
+/// enforces geometry, one operation per die and NAND ordering invariants,
+/// and tracks endurance and energy.
 #[derive(Clone, Debug)]
 pub struct FlashChip {
     geometry: ChipGeometry,
     timing: NandTiming,
     energy: OpEnergy,
-    dies: Vec<DieState>,
+    /// When each die's current operation completes: one at a time.
+    die_busy_until: Vec<SimTime>,
     /// Indexed by `(die * planes_per_die + plane) * blocks_per_plane + block`.
     blocks: Vec<BlockState>,
     /// Abandoned pages at or past their block's write pointer, as `(block
@@ -153,44 +141,16 @@ impl FlashChip {
             geometry,
             timing,
             energy,
-            dies: (0..geometry.dies)
-                .map(|_| DieState {
-                    busy_until: SimTime::ZERO,
-                })
-                .collect(),
+            die_busy_until: vec![SimTime::ZERO; geometry.dies as usize],
             blocks: vec![BlockState::default(); n_blocks],
             abandoned: Vec::new(),
             stats: ChipStats::default(),
         }
     }
 
-    /// This chip's geometry.
-    pub fn geometry(&self) -> ChipGeometry {
-        self.geometry
-    }
-
-    /// This chip's timing parameters.
-    pub fn timing(&self) -> NandTiming {
-        self.timing
-    }
-
     /// Cumulative statistics.
     pub fn stats(&self) -> ChipStats {
         self.stats
-    }
-
-    /// When the given die becomes idle (`SimTime::ZERO` if it never ran).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `die` is out of range.
-    pub fn die_busy_until(&self, die: u32) -> SimTime {
-        self.dies[die as usize].busy_until
-    }
-
-    /// True if the die is idle at time `now`.
-    pub fn is_die_idle(&self, die: u32, now: SimTime) -> bool {
-        self.die_busy_until(die) <= now
     }
 
     fn block_index(&self, a: PageAddr) -> usize {
@@ -209,82 +169,50 @@ impl FlashChip {
         self.blocks[self.block_index(addr)].write_pointer
     }
 
-    /// Starts an array operation at `now`, returning its completion time.
-    ///
-    /// `targets` contains one address for a single-plane operation or
-    /// several addresses for a multi-plane operation: all on the same die,
-    /// distinct planes, identical block and page offsets (the hardware
-    /// constraint described in §2.1 of the paper). A multi-plane operation
-    /// occupies the die for one operation latency but performs the work of
-    /// `targets.len()` operations (counted in the statistics accordingly).
+    /// Starts an array operation on one page at `now`, returning its
+    /// completion time. An erase addresses its block through any of the
+    /// block's pages.
     ///
     /// # Errors
     ///
+    /// * [`ChipError::AddressOutOfRange`] for a bad address,
     /// * [`ChipError::DieBusy`] if the die is mid-operation at `now`,
-    /// * [`ChipError::AddressOutOfRange`] for bad addresses,
-    /// * [`ChipError::InvalidMultiPlane`] for malformed multi-plane target sets,
     /// * [`ChipError::ProgramOrderViolation`] for out-of-order or in-place
     ///   programs (erase-before-write); a program may pass only abandoned
     ///   pages,
     /// * [`ChipError::ReadOfErasedPage`] for reads of pages neither
-    ///   programmed nor abandoned,
-    /// * [`ChipError::EmptyCommand`] if `targets` is empty.
+    ///   programmed nor abandoned.
     pub fn start(
         &mut self,
         kind: NandCommandKind,
-        targets: &[PageAddr],
+        addr: PageAddr,
         now: SimTime,
     ) -> Result<SimTime, ChipError> {
-        let &first = targets.first().ok_or(ChipError::EmptyCommand)?;
-        for &t in targets {
-            if !self.geometry.contains(t) {
-                return Err(ChipError::AddressOutOfRange(t));
-            }
+        if !self.geometry.contains(addr) {
+            return Err(ChipError::AddressOutOfRange(addr));
         }
-        // Multi-plane validity: same die, same block/page offset, distinct planes.
-        if targets.len() > 1 {
-            if targets.len() > self.geometry.planes_per_die as usize {
-                return Err(ChipError::InvalidMultiPlane);
-            }
-            let mut seen_planes = 0u64;
-            for &t in targets {
-                if t.die != first.die
-                    || t.block != first.block
-                    || t.page != first.page
-                    || seen_planes & (1 << t.plane) != 0
-                {
-                    return Err(ChipError::InvalidMultiPlane);
-                }
-                seen_planes |= 1 << t.plane;
-            }
-        }
-        let die = &self.dies[first.die as usize];
-        if die.busy_until > now {
+        let busy_until = self.die_busy_until[addr.die as usize];
+        if busy_until > now {
             return Err(ChipError::DieBusy {
-                die: first.die,
-                busy_until: die.busy_until,
+                die: addr.die,
+                busy_until,
             });
         }
-        // Validate data-state transitions before mutating anything.
+        // Validate the data-state transition before mutating anything.
+        let idx = self.block_index(addr);
+        let wp = self.blocks[idx].write_pointer;
         match kind {
             NandCommandKind::Program => {
-                for &t in targets {
-                    let idx = self.block_index(t);
-                    let wp = self.blocks[idx].write_pointer;
-                    if t.page < wp || (wp..t.page).any(|p| !self.is_abandoned(idx, p)) {
-                        return Err(ChipError::ProgramOrderViolation {
-                            addr: t,
-                            expected_page: wp,
-                        });
-                    }
+                if addr.page < wp || (wp..addr.page).any(|p| !self.is_abandoned(idx, p)) {
+                    return Err(ChipError::ProgramOrderViolation {
+                        addr,
+                        expected_page: wp,
+                    });
                 }
             }
             NandCommandKind::Read => {
-                for &t in targets {
-                    let idx = self.block_index(t);
-                    if t.page >= self.blocks[idx].write_pointer && !self.is_abandoned(idx, t.page) {
-                        return Err(ChipError::ReadOfErasedPage(t));
-                    }
+                if addr.page >= wp && !self.is_abandoned(idx, addr.page) {
+                    return Err(ChipError::ReadOfErasedPage(addr));
                 }
             }
             NandCommandKind::Erase => {}
@@ -292,30 +220,27 @@ impl FlashChip {
         // Commit.
         let latency = self.timing.latency(kind);
         let done = now + latency;
-        self.dies[first.die as usize].busy_until = done;
+        self.die_busy_until[addr.die as usize] = done;
         self.stats.busy_ns += latency.as_nanos();
-        for &t in targets {
-            let idx = self.block_index(t);
-            match kind {
-                NandCommandKind::Read => self.stats.reads += 1,
-                NandCommandKind::Program => {
-                    if !self.abandoned.is_empty() {
-                        self.abandoned.retain(|&(b, p)| b != idx || p > t.page);
-                    }
-                    self.blocks[idx].write_pointer = t.page + 1;
-                    self.stats.programs += 1;
+        match kind {
+            NandCommandKind::Read => self.stats.reads += 1,
+            NandCommandKind::Program => {
+                if !self.abandoned.is_empty() {
+                    self.abandoned.retain(|&(b, p)| b != idx || p > addr.page);
                 }
-                NandCommandKind::Erase => {
-                    if !self.abandoned.is_empty() {
-                        self.abandoned.retain(|&(b, _)| b != idx);
-                    }
-                    self.blocks[idx].write_pointer = 0;
-                    self.blocks[idx].erase_count += 1;
-                    self.stats.erases += 1;
-                }
+                self.blocks[idx].write_pointer = addr.page + 1;
+                self.stats.programs += 1;
             }
-            self.stats.energy_nj += self.energy.energy_nj(kind);
+            NandCommandKind::Erase => {
+                if !self.abandoned.is_empty() {
+                    self.abandoned.retain(|&(b, _)| b != idx);
+                }
+                self.blocks[idx].write_pointer = 0;
+                self.blocks[idx].erase_count += 1;
+                self.stats.erases += 1;
+            }
         }
+        self.stats.energy_nj += self.energy.energy_nj(kind);
         Ok(done)
     }
 
@@ -378,9 +303,11 @@ mod tests {
     fn program_then_read_roundtrip() {
         let mut c = chip();
         let t0 = SimTime::ZERO;
-        let done = c.start(NandCommandKind::Program, &[page(0, 0, 0)], t0).unwrap();
+        let done = c
+            .start(NandCommandKind::Program, page(0, 0, 0), t0)
+            .unwrap();
         assert_eq!(done, t0 + NandTiming::z_nand().t_prog);
-        let done2 = c.start(NandCommandKind::Read, &[page(0, 0, 0)], done).unwrap();
+        let done2 = c.start(NandCommandKind::Read, page(0, 0, 0), done).unwrap();
         assert_eq!(done2, done + NandTiming::z_nand().t_r);
         assert_eq!(c.stats().reads, 1);
         assert_eq!(c.stats().programs, 1);
@@ -389,10 +316,10 @@ mod tests {
     #[test]
     fn die_busy_rejects_overlapping_ops() {
         let mut c = chip();
-        c.start(NandCommandKind::Program, &[page(0, 0, 0)], SimTime::ZERO)
+        c.start(NandCommandKind::Program, page(0, 0, 0), SimTime::ZERO)
             .unwrap();
         let err = c
-            .start(NandCommandKind::Program, &[page(1, 0, 0)], SimTime::ZERO)
+            .start(NandCommandKind::Program, page(1, 0, 0), SimTime::ZERO)
             .unwrap_err();
         assert!(matches!(err, ChipError::DieBusy { die: 0, .. }));
     }
@@ -401,7 +328,7 @@ mod tests {
     fn read_of_erased_page_rejected() {
         let mut c = chip();
         let err = c
-            .start(NandCommandKind::Read, &[page(0, 0, 0)], SimTime::ZERO)
+            .start(NandCommandKind::Read, page(0, 0, 0), SimTime::ZERO)
             .unwrap_err();
         assert_eq!(err, ChipError::ReadOfErasedPage(page(0, 0, 0)));
     }
@@ -410,7 +337,7 @@ mod tests {
     fn out_of_order_program_rejected() {
         let mut c = chip();
         let err = c
-            .start(NandCommandKind::Program, &[page(0, 0, 5)], SimTime::ZERO)
+            .start(NandCommandKind::Program, page(0, 0, 5), SimTime::ZERO)
             .unwrap_err();
         assert_eq!(
             err,
@@ -425,52 +352,16 @@ mod tests {
     fn reprogram_requires_erase() {
         let mut c = chip();
         let mut t = SimTime::ZERO;
-        t = c.start(NandCommandKind::Program, &[page(0, 0, 0)], t).unwrap();
+        t = c.start(NandCommandKind::Program, page(0, 0, 0), t).unwrap();
         // Reprogramming page 0 must fail (write pointer moved to 1).
-        let err = c.start(NandCommandKind::Program, &[page(0, 0, 0)], t).unwrap_err();
+        let err = c
+            .start(NandCommandKind::Program, page(0, 0, 0), t)
+            .unwrap_err();
         assert!(matches!(err, ChipError::ProgramOrderViolation { .. }));
         // After erase the page is programmable again.
-        t = c.start(NandCommandKind::Erase, &[page(0, 0, 0)], t).unwrap();
-        c.start(NandCommandKind::Program, &[page(0, 0, 0)], t).unwrap();
+        t = c.start(NandCommandKind::Erase, page(0, 0, 0), t).unwrap();
+        c.start(NandCommandKind::Program, page(0, 0, 0), t).unwrap();
         assert_eq!(c.erase_count(page(0, 0, 0)), 1);
-    }
-
-    #[test]
-    fn multiplane_same_offset_accepted() {
-        let mut c = chip();
-        let done = c
-            .start(
-                NandCommandKind::Program,
-                &[page(0, 3, 0), page(1, 3, 0)],
-                SimTime::ZERO,
-            )
-            .unwrap();
-        // One die occupancy, two programs counted.
-        assert_eq!(done, SimTime::ZERO + NandTiming::z_nand().t_prog);
-        assert_eq!(c.stats().programs, 2);
-        assert_eq!(c.stats().busy_ns, NandTiming::z_nand().t_prog.as_nanos());
-    }
-
-    #[test]
-    fn multiplane_mismatched_offset_rejected() {
-        let mut c = chip();
-        let err = c
-            .start(
-                NandCommandKind::Program,
-                &[page(0, 3, 0), page(1, 4, 0)],
-                SimTime::ZERO,
-            )
-            .unwrap_err();
-        assert_eq!(err, ChipError::InvalidMultiPlane);
-        // Duplicate plane also rejected.
-        let err = c
-            .start(
-                NandCommandKind::Program,
-                &[page(0, 3, 0), page(0, 3, 0)],
-                SimTime::ZERO,
-            )
-            .unwrap_err();
-        assert_eq!(err, ChipError::InvalidMultiPlane);
     }
 
     #[test]
@@ -483,12 +374,8 @@ mod tests {
             page: 0,
         };
         assert_eq!(
-            c.start(NandCommandKind::Read, &[bad], SimTime::ZERO),
+            c.start(NandCommandKind::Read, bad, SimTime::ZERO),
             Err(ChipError::AddressOutOfRange(bad))
-        );
-        assert_eq!(
-            c.start(NandCommandKind::Read, &[], SimTime::ZERO),
-            Err(ChipError::EmptyCommand)
         );
     }
 
@@ -497,12 +384,14 @@ mod tests {
         let mut c = chip();
         let mut t = SimTime::ZERO;
         for p in 0..3 {
-            t = c.start(NandCommandKind::Program, &[page(0, 0, p)], t).unwrap();
+            t = c.start(NandCommandKind::Program, page(0, 0, p), t).unwrap();
         }
         assert_eq!(c.write_pointer(page(0, 0, 0)), 3);
-        t = c.start(NandCommandKind::Erase, &[page(0, 0, 0)], t).unwrap();
+        t = c.start(NandCommandKind::Erase, page(0, 0, 0), t).unwrap();
         assert_eq!(c.write_pointer(page(0, 0, 0)), 0);
-        let err = c.start(NandCommandKind::Read, &[page(0, 0, 0)], t).unwrap_err();
+        let err = c
+            .start(NandCommandKind::Read, page(0, 0, 0), t)
+            .unwrap_err();
         assert_eq!(err, ChipError::ReadOfErasedPage(page(0, 0, 0)));
     }
 
@@ -510,7 +399,7 @@ mod tests {
     fn precondition_marks_pages_readable() {
         let mut c = chip();
         c.precondition_block(page(0, 2, 0), 10);
-        c.start(NandCommandKind::Read, &[page(0, 2, 9)], SimTime::ZERO)
+        c.start(NandCommandKind::Read, page(0, 2, 9), SimTime::ZERO)
             .unwrap();
         assert_eq!(c.stats().reads, 1);
         assert_eq!(c.stats().programs, 0);
@@ -521,7 +410,7 @@ mod tests {
     fn programs_pass_abandoned_pages_only() {
         let mut c = chip();
         let mut t = c
-            .start(NandCommandKind::Program, &[page(0, 0, 0)], SimTime::ZERO)
+            .start(NandCommandKind::Program, page(0, 0, 0), SimTime::ZERO)
             .unwrap();
         // Page 1 programs in flight while pages 2 and 3 are abandoned, the
         // later one first.
@@ -529,7 +418,7 @@ mod tests {
         c.abandon_program(page(0, 0, 2));
         assert_eq!(c.write_pointer(page(0, 0, 0)), 1);
         let err = c
-            .start(NandCommandKind::Program, &[page(0, 0, 4)], t)
+            .start(NandCommandKind::Program, page(0, 0, 4), t)
             .unwrap_err();
         assert_eq!(
             err,
@@ -539,22 +428,16 @@ mod tests {
             }
         );
         // Abandoned pages read as erased without failing.
-        t = c.start(NandCommandKind::Read, &[page(0, 0, 3)], t).unwrap();
-        t = c
-            .start(NandCommandKind::Program, &[page(0, 0, 1)], t)
-            .unwrap();
-        t = c
-            .start(NandCommandKind::Program, &[page(0, 0, 4)], t)
-            .unwrap();
+        t = c.start(NandCommandKind::Read, page(0, 0, 3), t).unwrap();
+        t = c.start(NandCommandKind::Program, page(0, 0, 1), t).unwrap();
+        t = c.start(NandCommandKind::Program, page(0, 0, 4), t).unwrap();
         assert_eq!(c.write_pointer(page(0, 0, 0)), 5);
         assert_eq!(c.stats().programs, 3);
         // An erase forgets the block's abandoned pages.
         c.abandon_program(page(0, 0, 5));
-        t = c
-            .start(NandCommandKind::Erase, &[page(0, 0, 0)], t)
-            .unwrap();
+        t = c.start(NandCommandKind::Erase, page(0, 0, 0), t).unwrap();
         let err = c
-            .start(NandCommandKind::Read, &[page(0, 0, 5)], t)
+            .start(NandCommandKind::Read, page(0, 0, 5), t)
             .unwrap_err();
         assert_eq!(err, ChipError::ReadOfErasedPage(page(0, 0, 5)));
     }
@@ -563,8 +446,8 @@ mod tests {
     fn busy_time_accumulates() {
         let mut c = chip();
         let mut t = SimTime::ZERO;
-        t = c.start(NandCommandKind::Program, &[page(0, 0, 0)], t).unwrap();
-        c.start(NandCommandKind::Read, &[page(0, 0, 0)], t).unwrap();
+        t = c.start(NandCommandKind::Program, page(0, 0, 0), t).unwrap();
+        c.start(NandCommandKind::Read, page(0, 0, 0), t).unwrap();
         let expect = NandTiming::z_nand().t_prog + NandTiming::z_nand().t_r;
         assert_eq!(c.stats().busy_ns, expect.as_nanos());
     }
@@ -573,10 +456,19 @@ mod tests {
     fn idle_check_respects_time() {
         let mut c = chip();
         let done = c
-            .start(NandCommandKind::Program, &[page(0, 0, 0)], SimTime::ZERO)
+            .start(NandCommandKind::Program, page(0, 0, 0), SimTime::ZERO)
             .unwrap();
-        assert!(!c.is_die_idle(0, SimTime::ZERO));
-        assert!(!c.is_die_idle(0, done - SimDuration::from_nanos(1)));
-        assert!(c.is_die_idle(0, done));
+        let other_plane = page(1, 0, 0);
+        let just_before = done - SimDuration::from_nanos(1);
+        let err = c.start(NandCommandKind::Program, other_plane, just_before);
+        assert_eq!(
+            err,
+            Err(ChipError::DieBusy {
+                die: 0,
+                busy_until: done
+            })
+        );
+        c.start(NandCommandKind::Program, other_plane, done)
+            .unwrap();
     }
 }

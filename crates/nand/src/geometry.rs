@@ -21,7 +21,7 @@ impl fmt::Display for ChipId {
 pub struct ChipGeometry {
     /// Dies per chip (independent operation units), typically 1–4.
     pub dies: u32,
-    /// Planes per die (concurrent only via multi-plane ops), typically 2 or 4.
+    /// Planes per die, typically 2 or 4.
     pub planes_per_die: u32,
     /// Blocks per plane (erase units).
     pub blocks_per_plane: u32,

@@ -2,17 +2,22 @@
 //!
 //! Models the flash-chip array of §2.1 of the paper: each **chip** contains
 //! one or more **dies** (the unit of operation concurrency), each die has
-//! several **planes** (which can only operate together via multi-plane
-//! commands at the same block/page offset), planes contain **blocks** (the
-//! erase unit), and blocks contain **pages** (the read/program unit).
+//! several **planes**, planes contain **blocks** (the erase unit), and
+//! blocks contain **pages** (the read/program unit).
+//!
+//! The engine issues single-page commands: [`FlashChip::start`] takes one
+//! page address, and an erase names its block through any of its pages.
+//! Real dies can also run multi-plane commands (distinct planes at the same
+//! block/page offset); the model leaves them out, and planes matter only to
+//! the FTL, which stripes allocation across them and collects garbage plane
+//! by plane.
 //!
 //! The model enforces real NAND constraints:
 //!
 //! * pages within a block must be programmed strictly in order,
 //! * a page cannot be reprogrammed before its block is erased
 //!   (erase-before-write),
-//! * a die executes one operation at a time; multi-plane operations must
-//!   address distinct planes at identical block/page offsets,
+//! * a die executes one operation at a time,
 //! * erases count against block endurance.
 //!
 //! Timing ([`NandTiming`]) and per-operation energy ([`OpEnergy`]) presets
@@ -28,9 +33,10 @@
 //!
 //! let geom = ChipGeometry::z_nand_small();
 //! let mut chip = FlashChip::new(geom, NandTiming::z_nand());
+//! // One command programs one page.
 //! let page = PageAddr { die: 0, plane: 0, block: 0, page: 0 };
 //! let done = chip
-//!     .start(NandCommandKind::Program, &[page], SimTime::ZERO)
+//!     .start(NandCommandKind::Program, page, SimTime::ZERO)
 //!     .expect("die idle, page fresh");
 //! assert_eq!(done, SimTime::ZERO + NandTiming::z_nand().t_prog);
 //! ```

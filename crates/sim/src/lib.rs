@@ -16,8 +16,8 @@
 //! * [`rng`] — small deterministic generators: an `xorshift64*` PRNG with the
 //!   distributions the workload generators need, and the 2-bit linear-feedback
 //!   shift register the Venice router uses for random output-port selection,
-//! * [`stats`] — online mean/variance, latency histograms with percentile and
-//!   CDF extraction, and geometric-mean helpers used by the figure harnesses.
+//! * [`stats`] — latency sample sets with percentile and CDF extraction, and
+//!   the geometric-mean helpers used by the figure harnesses.
 //!
 //! # Example
 //!

@@ -10,9 +10,10 @@
 //!   places in each router chip for pseudo-random output-port selection
 //!   (§4.3, referencing Wang & McCluskey).
 //!
-//! Distributions (exponential, log-normal, Zipf, bounded uniform) are methods
-//! on [`Xorshift64Star`] because every caller in this workspace uses exactly
-//! that generator.
+//! Distributions (exponential, log-normal, bounded uniform) are methods on
+//! [`Xorshift64Star`] because every caller in this workspace uses exactly
+//! that generator; Zipf ranks come from [`ZipfSampler`], which precomputes
+//! its normalization.
 
 /// An `xorshift64*` pseudo-random generator.
 ///
@@ -102,40 +103,15 @@ impl Xorshift64Star {
         let u2 = self.next_f64();
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
-
-    /// Zipf-like rank sample over `[0, n)` with exponent `theta` in `[0, 1)`.
-    ///
-    /// `theta = 0` degenerates to uniform; larger values concentrate
-    /// probability on low ranks. Implemented with the classic approximate
-    /// inverse transform used by YCSB's scrambled-Zipfian generator.
-    pub fn next_zipf(&mut self, n: u64, theta: f64) -> u64 {
-        assert!(n > 0, "zipf population must be positive");
-        if theta <= f64::EPSILON {
-            return self.next_bounded(n);
-        }
-        let nf = n as f64;
-        let alpha = 1.0 / (1.0 - theta);
-        let zetan = zeta_approx(nf, theta);
-        let eta = (1.0 - (2.0 / nf).powf(1.0 - theta)) / (1.0 - zeta_approx(2.0, theta) / zetan);
-        let u = self.next_f64();
-        let uz = u * zetan;
-        if uz < 1.0 {
-            return 0;
-        }
-        if uz < 1.0 + 0.5f64.powf(theta) {
-            return 1;
-        }
-        let rank = (nf * (eta * u - eta + 1.0).powf(alpha)) as u64;
-        rank.min(n - 1)
-    }
 }
 
-/// A Zipf(θ) sampler with precomputed normalization constants.
+/// A Zipf(θ) rank sampler: the approximate inverse transform of YCSB's
+/// scrambled-Zipfian generator, with the harmonic normalization computed
+/// once at construction, since a workload generator draws hundreds of
+/// thousands of ranks from one distribution.
 ///
-/// [`Xorshift64Star::next_zipf`] recomputes the harmonic normalization on
-/// every draw, which is fine for a handful of samples but dominates when a
-/// workload generator draws hundreds of thousands. This sampler hoists the
-/// constants out of the loop.
+/// `theta = 0` degenerates to uniform; larger values concentrate
+/// probability on low ranks.
 ///
 /// # Example
 ///
@@ -345,8 +321,9 @@ mod tests {
         let mut r = Xorshift64Star::new(13);
         let n = 1000;
         let mut counts = vec![0u32; n as usize];
+        let zipf = ZipfSampler::new(n, 0.9);
         for _ in 0..100_000 {
-            let k = r.next_zipf(n, 0.9);
+            let k = zipf.sample(&mut r);
             assert!(k < n);
             counts[k as usize] += 1;
         }
@@ -359,8 +336,9 @@ mod tests {
         let mut r = Xorshift64Star::new(17);
         let n = 10;
         let mut counts = vec![0u32; n as usize];
+        let zipf = ZipfSampler::new(n, 0.0);
         for _ in 0..100_000 {
-            counts[r.next_zipf(n, 0.0) as usize] += 1;
+            counts[zipf.sample(&mut r) as usize] += 1;
         }
         for &c in &counts {
             assert!((7_000..13_000).contains(&c), "count {c}");

@@ -1,114 +1,7 @@
-//! Statistics collection: online moments, latency distributions, and the
-//! summary helpers the figure harnesses use (percentiles, CDFs, geometric
-//! means).
+//! Statistics collection: latency distributions and the summary helpers the
+//! figure harnesses use (percentiles, CDFs, geometric means).
 
 use crate::SimDuration;
-
-/// Online mean/variance accumulator (Welford's algorithm).
-///
-/// # Example
-///
-/// ```
-/// use venice_sim::stats::OnlineStats;
-/// let mut s = OnlineStats::new();
-/// for x in [2.0, 4.0, 6.0] { s.record(x); }
-/// assert_eq!(s.mean(), 4.0);
-/// assert_eq!(s.count(), 3);
-/// ```
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct OnlineStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean (zero when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (zero when fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        self.mean() * self.count as f64
-    }
-
-    /// Merges another accumulator into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// A latency sample set with exact percentile and CDF extraction.
 ///
@@ -261,46 +154,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn online_stats_moments() {
-        let mut s = OnlineStats::new();
-        for x in [1.0, 2.0, 3.0, 4.0] {
-            s.record(x);
-        }
-        assert_eq!(s.mean(), 2.5);
-        assert_eq!(s.count(), 4);
-        assert!((s.variance() - 1.25).abs() < 1e-12);
-        assert_eq!(s.min(), Some(1.0));
-        assert_eq!(s.max(), Some(4.0));
-        assert_eq!(s.sum(), 10.0);
-    }
-
-    #[test]
-    fn online_stats_merge_matches_sequential() {
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        let mut whole = OnlineStats::new();
-        for i in 0..50 {
-            let x = (i * 7 % 13) as f64;
-            a.record(x);
-            whole.record(x);
-        }
-        for i in 0..70 {
-            let x = (i * 3 % 17) as f64 + 0.5;
-            b.record(x);
-            whole.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_stats_are_benign() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
         let l = LatencySamples::new();
         assert!(l.is_empty());
         assert_eq!(l.mean(), SimDuration::ZERO);
