@@ -1315,17 +1315,25 @@ mod tests {
         }
     }
 
+    /// Both mesh routers on Equation 1, `(7 + 4096)` ns for a page over 7
+    /// hops: NoSSD adds its buffered routers' 2 ns per hop, Venice the
+    /// scout's round trip (8 forward steps, 7 back). Energy is the 7 links
+    /// plus the 8 routers they connect, at each router's power.
     #[test]
-    fn venice_transfer_follows_equation_1() {
-        let mut f = build_fabric(FabricKind::Venice, FabricParams::table1());
-        let g = acquire_ok(f.as_mut(), 7); // row 0, col 7 → 7 hops from FC0
-        assert_eq!(g.hops(), 7);
-        let d = f.transfer(&g, 4096);
-        // (distance + bytes/width) * link_lat = (7 + 4096) ns, plus the
-        // scout's round trip.
-        assert!(d.as_nanos() >= 7 + 4096, "duration {d}");
-        assert!(d.as_nanos() < 7 + 4096 + 200, "scout latency too large: {d}");
-        f.release(g);
+    fn mesh_transfers_follow_equation_1() {
+        let p = LinkPower::paper();
+        let nossd = (FabricKind::NoSsd, 7 + 4096 + 2 * 7, p.buffered_router_mw);
+        let venice = (FabricKind::Venice, 8 + 7 + 7 + 4096, p.router_mw);
+        for ((kind, ns, router_mw), nj) in [(nossd, 110.50028), (venice, 39.071584)] {
+            let mut f = build_fabric(kind, FabricParams::table1());
+            let g = acquire_ok(f.as_mut(), 7); // row 0, col 7 → 7 hops from FC0
+            assert_eq!((g.fc, g.hops()), (FcId(0), 7), "{kind}");
+            assert_eq!(f.transfer(&g, 4096).as_nanos(), ns, "{kind}");
+            let energy = (p.link_mw * 7.0 + router_mw * 8.0) * ns as f64 / 1e3;
+            assert_eq!(f.stats().transfer_energy_nj, energy, "{kind}");
+            assert!((energy - nj).abs() < 1e-9, "{kind}: {energy} nJ");
+            f.release(g);
+        }
     }
 
     #[test]
