@@ -6,21 +6,28 @@
 //! the service timeline of Figure 3: the path is free while the flash array
 //! operation (tR/tPROG/tBERS) executes inside the chip.
 //!
-//! Designs (§3 and §4 of the paper):
+//! The six designs (§3 and §4 of the paper) come in three organizations:
 //!
-//! * [`FabricKind::Baseline`] — multi-channel shared bus, one channel per row.
-//! * [`FabricKind::Pssd`] — packetized SSD: same topology, 2× bus bandwidth.
-//! * [`FabricKind::PnSsd`] — packetized network SSD: a row bus *and* a column
-//!   bus reach every chip; each controller drives one row and one column bus.
-//! * [`FabricKind::NoSsd`] — 2D mesh with buffered routers and deterministic
-//!   dimension-order (XY) routing.
-//! * [`FabricKind::Venice`] — 2D mesh of router chips, circuit switching via
-//!   scout-packet path reservation, non-minimal fully-adaptive routing.
-//! * [`FabricKind::Ideal`] — the path-conflict-free SSD: a dedicated channel
-//!   (and controller) per chip; requests only ever wait on the chip itself.
-//!
-//! The three bus designs run on one bus fabric that differs only in its
-//! table: the bus bandwidth, and whether every column has a bus too.
+//! * **Bus**: one bus fabric that differs only in its table, the bus
+//!   bandwidth and whether every column has a bus too.
+//!   * [`FabricKind::Baseline`] — multi-channel shared bus, one channel per
+//!     row.
+//!   * [`FabricKind::Pssd`] — packetized SSD: same topology, 2× bus
+//!     bandwidth.
+//!   * [`FabricKind::PnSsd`] — packetized network SSD: a row bus *and* a
+//!     column bus reach every chip; each controller drives one row and one
+//!     column bus.
+//! * **Mesh**: one 2D mesh with one controller pool (a controller at the
+//!   west edge of every row, nearest-free first) and one transfer model
+//!   (Equation 1), under two different routers.
+//!   * [`FabricKind::NoSsd`] — buffered routers and deterministic
+//!     dimension-order (XY) routing.
+//!   * [`FabricKind::Venice`] — router chips with scout-packet path
+//!     reservation, non-minimal fully-adaptive routing and circuit
+//!     switching.
+//! * **Dedicated**: [`FabricKind::Ideal`], the path-conflict-free SSD, with a
+//!   channel (and controller) per chip; requests only ever wait on the chip
+//!   itself.
 
 use std::fmt;
 
@@ -196,13 +203,13 @@ impl std::error::Error for AcquireError {}
 enum Route {
     /// A shared bus (row bus `0..rows`, or `rows + c` for pnSSD column buses).
     Bus { bus: u16 },
-    /// A reserved Venice circuit, with the scout's round-trip latency.
-    Circuit {
+    /// A mesh path held for the burst (a Venice circuit, or NoSSD's whole
+    /// XY path), with the latency before its first flit: the scout's round
+    /// trip on Venice, zero on NoSSD.
+    Mesh {
         path: ReservedPath,
-        scout_latency: SimDuration,
+        setup: SimDuration,
     },
-    /// A NoSSD wormhole path (whole XY path held for the burst).
-    Wormhole { path: ReservedPath },
     /// The ideal SSD's dedicated channel to one chip.
     Dedicated { chip: NodeId },
 }
@@ -224,7 +231,7 @@ impl PathGrant {
     /// Number of mesh hops held by this grant (0 for bus/dedicated routes).
     pub fn hops(&self) -> u32 {
         match &self.route {
-            Route::Circuit { path, .. } | Route::Wormhole { path } => path.hops(),
+            Route::Mesh { path, .. } => path.hops(),
             _ => 0,
         }
     }
@@ -436,75 +443,21 @@ pub fn build_fabric(kind: FabricKind, params: FabricParams) -> Box<dyn Fabric> {
         FabricKind::Baseline => Box::new(BusFabric::new(params, 1.0, false)),
         FabricKind::Pssd => Box::new(BusFabric::new(params, 2.0, false)),
         FabricKind::PnSsd => Box::new(BusFabric::new(params, 1.0, true)),
-        FabricKind::NoSsd => Box::new(NoSsdFabric::new(params)),
-        FabricKind::Venice => Box::new(VeniceFabric::new(params)),
+        FabricKind::NoSsd => {
+            let (latency, mw) = (params.nossd_router_latency, params.power.buffered_router_mw);
+            Box::new(MeshFabric::new(params, None, latency, mw))
+        }
+        FabricKind::Venice => {
+            let (scout, mw) = (Scout::new(&params), params.power.router_mw);
+            Box::new(MeshFabric::new(params, Some(scout), SimDuration::ZERO, mw))
+        }
         FabricKind::Ideal => Box::new(IdealFabric::new(params)),
     }
 }
 
 // ---------------------------------------------------------------------------
-// Shared helpers
+// Baseline / pSSD / pnSSD: shared channel buses
 // ---------------------------------------------------------------------------
-
-/// Controller availability tracking shared by the mesh fabrics.
-#[derive(Clone, Debug)]
-struct ControllerPool {
-    busy: Vec<bool>,
-    /// Controllers whose west-edge attach router is masked down by a fault:
-    /// excluded from selection (a scout could not even leave the router).
-    dead: Vec<bool>,
-    rows: u16,
-}
-
-impl ControllerPool {
-    fn new(rows: u16) -> Self {
-        ControllerPool {
-            busy: vec![false; usize::from(rows)],
-            dead: vec![false; usize::from(rows)],
-            rows,
-        }
-    }
-
-    /// The paper's §4.2 policy: the closest controller to the target chip if
-    /// free, otherwise the nearest free controller (distance = row offset,
-    /// since controllers sit one per row on the west edge).
-    fn nearest_free(&self, chip_row: u16) -> Option<FcId> {
-        let n = i32::from(self.rows);
-        let target = i32::from(chip_row);
-        (0..n)
-            .filter(|&fc| !self.busy[fc as usize] && !self.dead[fc as usize])
-            .min_by_key(|&fc| ((fc - target).abs(), fc))
-            .map(|fc| FcId(fc as u8))
-    }
-
-    /// The next free controller after `prev` in [`ControllerPool::nearest_free`]'s
-    /// `(distance, id)` ordering — the NoSSD fault fallback walks this chain
-    /// when a deterministic XY route is severed by a downed link or router,
-    /// so the fixed-route fabric still reaches the chip from a controller
-    /// whose route avoids the fault. Strictly increasing keys guarantee
-    /// termination.
-    fn next_free_after(&self, prev: FcId, chip_row: u16) -> Option<FcId> {
-        let n = i32::from(self.rows);
-        let target = i32::from(chip_row);
-        let prev_key = ((i32::from(prev.0) - target).abs(), i32::from(prev.0));
-        (0..n)
-            .filter(|&fc| !self.busy[fc as usize] && !self.dead[fc as usize])
-            .map(|fc| ((fc - target).abs(), fc))
-            .filter(|&k| k > prev_key)
-            .min()
-            .map(|(_, fc)| FcId(fc as u8))
-    }
-
-    fn acquire(&mut self, fc: FcId) {
-        debug_assert!(!self.busy[usize::from(fc.0)], "controller already busy");
-        self.busy[usize::from(fc.0)] = true;
-    }
-
-    fn release(&mut self, fc: FcId) {
-        debug_assert!(self.busy[usize::from(fc.0)], "controller not busy");
-        self.busy[usize::from(fc.0)] = false;
-    }
-}
 
 /// Charges one burst over a bus-style channel — a shared bus at `mult`×
 /// the base bandwidth, or the ideal SSD's dedicated channel at 1× — and
@@ -522,44 +475,6 @@ fn bus_transfer(
     stats.transfer_energy_nj += params.power.bus_mw * mult * d.as_nanos() as f64 / 1e3;
     d
 }
-
-/// Shared [`Fabric::inject_fault`] body of the two mesh fabrics (NoSSD and
-/// Venice): maps the fault onto [`MeshState`]'s down-masks — whose setters
-/// stamp the generation counters, invalidating every intersecting
-/// scout-cache extent — and computes the blast radius. A link fault strands
-/// no chips (the mesh routes around it); a router fault kills exactly the
-/// chip at that node, and when the node is a west-edge controller attach
-/// point it takes the controller out of the pool too.
-fn mesh_inject_fault(
-    mesh: &mut MeshState,
-    fcs: &mut ControllerPool,
-    fault: FabricFault,
-) -> FaultImpact {
-    let topo = mesh.topology();
-    let up = !fault.is_down();
-    let mut impact = FaultImpact::default();
-    match fault {
-        FabricFault::LinkDown { a, b } | FabricFault::LinkUp { a, b } => {
-            mesh.set_link_state(a, b, up);
-        }
-        FabricFault::RouterDown(n) | FabricFault::RouterUp(n) => {
-            mesh.set_router_state(n, up);
-            if topo.col(n) == 0 {
-                fcs.dead[usize::from(topo.row(n))] = !up;
-            }
-            if up {
-                impact.revived_chips.push(n);
-            } else {
-                impact.dead_chips.push(n);
-            }
-        }
-    }
-    impact
-}
-
-// ---------------------------------------------------------------------------
-// Baseline / pSSD / pnSSD: shared channel buses
-// ---------------------------------------------------------------------------
 
 /// Baseline, pSSD and pnSSD: one bus organization with different tables.
 /// Every row has a shared bus driven by the row's controller; pSSD runs the
@@ -775,205 +690,102 @@ impl Fabric for BusFabric {
 }
 
 // ---------------------------------------------------------------------------
-// NoSSD: buffered-router mesh, deterministic XY routing
+// NoSSD / Venice: one mesh, two routers
 // ---------------------------------------------------------------------------
 
-/// NoSSD: the chips form a mesh, but routing is deterministic dimension-order
-/// and there is no reservation/backtracking — a transfer whose fixed XY path
-/// is blocked simply waits.
-#[derive(Debug)]
-struct NoSsdFabric {
-    params: FabricParams,
-    mesh: MeshState,
-    fcs: ControllerPool,
-    stats: FabricStats,
+/// The mesh's flash controllers, one at the west edge of every row.
+#[derive(Clone, Debug)]
+struct ControllerPool {
+    busy: Vec<bool>,
+    /// Controllers whose west-edge attach router is masked down by a fault:
+    /// excluded from selection (a scout could not even leave the router).
+    dead: Vec<bool>,
 }
 
-impl NoSsdFabric {
-    fn new(params: FabricParams) -> Self {
-        NoSsdFabric {
-            mesh: MeshState::new(params.mesh(), usize::from(params.rows)),
-            fcs: ControllerPool::new(params.rows),
-            params,
-            stats: FabricStats::default(),
-        }
-    }
-}
-
-impl Fabric for NoSsdFabric {
-    fn controller_count(&self) -> usize {
-        usize::from(self.params.rows)
-    }
-
-    fn try_acquire(&mut self, chip: NodeId) -> Result<PathGrant, AcquireError> {
-        let topo = self.mesh.topology();
-        let Some(first) = self.fcs.nearest_free(topo.row(chip)) else {
-            self.stats.controller_unavailable += 1;
-            return Err(AcquireError::NoFreeController);
-        };
-        let mut fc = first;
-        loop {
-            let mut path = self.mesh.xy_path(topo.fc_node(fc), chip);
-            path.packet_id = fc.0;
-            if self.mesh.try_reserve_path(fc.0, &path) {
-                self.fcs.acquire(fc);
-                self.stats.acquisitions += 1;
-                self.stats.hops_total += u64::from(path.hops());
-                return Ok(PathGrant {
-                    fc,
-                    chip,
-                    route: Route::Wormhole { path },
-                });
-            }
-            let fault_blocked = self.mesh.path_fault_blocked(&path);
-            self.mesh.recycle(path);
-            if !fault_blocked {
-                // Ordinary contention on the deterministic route: NoSSD has
-                // no adaptivity, so the transfer waits (pre-fault behavior,
-                // bit-identical when no faults are injected).
-                self.stats.conflicts += 1;
-                return Err(AcquireError::PathConflict);
-            }
-            // The fixed XY route is severed by a downed link/router, which
-            // no amount of waiting fixes. Fall back to the next-nearest free
-            // controller — its XY route takes a different row spine, so a
-            // single fault never strands a live chip. Exhausting the pool
-            // leaves a retryable conflict (a repair event re-opens routes).
-            match self.fcs.next_free_after(fc, topo.row(chip)) {
-                Some(next) => fc = next,
-                None => {
-                    self.stats.conflicts += 1;
-                    return Err(AcquireError::PathConflict);
-                }
-            }
+impl ControllerPool {
+    fn new(rows: u16) -> Self {
+        ControllerPool {
+            busy: vec![false; usize::from(rows)],
+            dead: vec![false; usize::from(rows)],
         }
     }
 
-    fn transfer(&mut self, grant: &PathGrant, bytes: u64) -> SimDuration {
-        let Route::Wormhole { path } = &grant.route else {
-            panic!("NoSSD fabric received a non-wormhole grant");
-        };
-        let hops = path.hops();
-        let d = self.params.circuit_duration(hops, bytes)
-            + self.params.nossd_router_latency * u64::from(hops);
-        self.stats.transfers += 1;
-        self.stats.bytes += bytes;
-        let ns = d.as_nanos() as f64;
-        let p = &self.params.power;
-        // Links along the path plus the buffered routers they connect.
-        self.stats.transfer_energy_nj += (p.link_mw * hops as f64
-            + p.buffered_router_mw * (hops + 1) as f64)
-            * ns
-            / 1e3;
-        d
-    }
-
-    fn release(&mut self, grant: PathGrant) {
-        let Route::Wormhole { path } = grant.route else {
-            panic!("NoSSD fabric received a non-wormhole grant");
-        };
-        self.mesh.release_owned(path);
-        self.fcs.release(grant.fc);
-    }
-
-    fn home_controller_free(&self, chip: NodeId) -> bool {
-        let row = usize::from(self.mesh.topology().row(chip));
-        !self.fcs.busy[row] && !self.fcs.dead[row]
-    }
-
-    fn inject_fault(&mut self, fault: FabricFault) -> FaultImpact {
-        mesh_inject_fault(&mut self.mesh, &mut self.fcs, fault)
-    }
-
-    fn stats(&self) -> FabricStats {
-        self.stats
+    /// The paper's §4.2 policy: the free controller closest to the target
+    /// chip, the lower id on a tie (distance = row offset, since controllers
+    /// sit one per row on the west edge). With `after`, the next free one
+    /// after it in that `(distance, id)` order: NoSSD's fault fallback walks
+    /// this chain, which ends because the keys strictly increase.
+    fn nearest_free(&self, chip_row: u16, after: Option<FcId>) -> Option<FcId> {
+        let key = |fc: u16| (fc.abs_diff(chip_row), fc);
+        let floor = after.map(|fc| key(u16::from(fc.0)));
+        (0..self.busy.len() as u16)
+            .filter(|&fc| !self.busy[usize::from(fc)] && !self.dead[usize::from(fc)])
+            .map(key)
+            .filter(|&k| Some(k) > floor)
+            .min()
+            .map(|(_, fc)| FcId(fc as u8))
     }
 }
 
-// ---------------------------------------------------------------------------
-// Venice: circuit switching with scout-packet reservation
-// ---------------------------------------------------------------------------
+/// A reservation granted by a mesh router: the controller, the path and
+/// the latency before the first flit (the scout round trip on Venice).
+type Reserved = Result<(FcId, ReservedPath, SimDuration), AcquireError>;
 
-/// Venice: the paper's design. Nearest-free controller, scout-packet path
-/// reservation with the non-minimal fully-adaptive routing of Algorithm 1,
-/// and circuit-switched bursts over the reserved bidirectional path.
+/// Venice's router: scout-packet path reservation with the non-minimal
+/// fully-adaptive routing of Algorithm 1, its tie-breaks drawn from one
+/// LFSR, and the optional fast-fail cache that replays failed walks.
 #[derive(Debug)]
-struct VeniceFabric {
-    params: FabricParams,
-    mesh: MeshState,
-    fcs: ControllerPool,
+struct Scout {
     lfsr: Lfsr2,
-    stats: FabricStats,
     /// The fast-fail cache, present unless [`ScoutCacheKind::Off`].
     cache: Option<ScoutCache>,
 }
 
-impl VeniceFabric {
-    fn new(params: FabricParams) -> Self {
-        let mesh = MeshState::new(params.mesh(), usize::from(params.rows));
-        let cache = (params.scout_cache != ScoutCacheKind::Off).then(|| {
-            ScoutCache::new(usize::from(params.rows), params.mesh().node_count())
-        });
-        VeniceFabric {
-            mesh,
-            fcs: ControllerPool::new(params.rows),
+impl Scout {
+    fn new(params: &FabricParams) -> Self {
+        let cache = (params.scout_cache != ScoutCacheKind::Off)
+            .then(|| ScoutCache::new(usize::from(params.rows), params.mesh().node_count()));
+        Scout {
             lfsr: Lfsr2::new(),
-            params,
-            stats: FabricStats::default(),
             cache,
         }
     }
 
-    /// Charges the stats of one failed path reservation (live or replayed)
-    /// and produces the acquire error. Keeping the two failure paths on one
-    /// accounting routine is what makes a fast-fail indistinguishable from
-    /// the walk it memoized — conflicts and scout steps match the uncached
-    /// engine exactly.
-    fn charge_failed_walk(&mut self, steps: u32, misroutes: u32) -> AcquireError {
-        self.stats.conflicts += 1;
-        self.stats.scout_steps += u64::from(steps);
-        self.stats.scout_failed_steps += u64::from(steps);
-        self.stats.scout_misroutes += u64::from(misroutes);
-        AcquireError::PathConflict
-    }
-}
-
-impl Fabric for VeniceFabric {
-    fn controller_count(&self) -> usize {
-        usize::from(self.params.rows)
-    }
-
-    fn try_acquire(&mut self, chip: NodeId) -> Result<PathGrant, AcquireError> {
-        let topo = self.mesh.topology();
-        let Some(fc) = self.fcs.nearest_free(topo.row(chip)) else {
-            self.stats.controller_unavailable += 1;
-            return Err(AcquireError::NoFreeController);
-        };
+    /// Reserves a circuit from `fc` to `chip` with a scout walk, or replays
+    /// the cached failure of one.
+    fn reserve(
+        &mut self,
+        params: &FabricParams,
+        mesh: &mut MeshState,
+        stats: &mut FabricStats,
+        fc: FcId,
+        chip: NodeId,
+    ) -> Reserved {
         // Fast-fail cache consult: while every generation the recorded walk
         // observed is unchanged, the failure replays in O(frontier tiles).
         let phase = self.lfsr.state();
         let mut predicted: Option<FailedWalk> = None;
         if let Some(cache) = self.cache.as_mut() {
-            if let Some(fw) = cache.lookup(fc, chip, phase, &self.mesh) {
-                if self.params.scout_cache == ScoutCacheKind::On {
-                    self.stats.scout_fastfails += 1;
+            if let Some(fw) = cache.lookup(fc, chip, phase, mesh) {
+                if params.scout_cache == ScoutCacheKind::On {
+                    stats.scout_fastfails += 1;
                     // The skipped walk would have consumed exactly these
                     // LFSR bits (same phase, or a phase-invariant cap-free
                     // entry); replaying them keeps every later walk's
                     // tie-breaks bit-identical to the uncached engine.
                     self.lfsr.advance(fw.lfsr_draws);
-                    return Err(self.charge_failed_walk(fw.steps, fw.misroutes));
+                    return Err(charge_failed_walk(stats, fw.steps, fw.misroutes));
                 }
                 // Checked: run the real walk below and cross-assert.
                 predicted = Some(fw);
             }
         }
-        match self.mesh.scout_walk_opts(
+        match mesh.scout_walk_opts(
             fc.0,
-            topo.fc_node(fc),
+            mesh.topology().fc_node(fc),
             chip,
             &mut self.lfsr,
-            !self.params.venice_minimal_only,
+            !params.venice_minimal_only,
         ) {
             Ok((path, outcome)) => {
                 assert!(
@@ -983,24 +795,13 @@ impl Fabric for VeniceFabric {
                     fc.0,
                     chip.0
                 );
-                self.fcs.acquire(fc);
-                self.stats.acquisitions += 1;
-                self.stats.scout_steps += u64::from(outcome.steps);
-                self.stats.scout_detours += u64::from(outcome.detoured);
-                self.stats.scout_misroutes += u64::from(outcome.misroutes);
-                self.stats.hops_total += u64::from(path.hops());
+                stats.scout_steps += u64::from(outcome.steps);
+                stats.scout_detours += u64::from(outcome.detoured);
+                stats.scout_misroutes += u64::from(outcome.misroutes);
                 // Scout round trip: forward walk steps plus the return along
                 // the reserved path, one link latency per flit hop.
-                let scout_latency =
-                    self.params.link_latency * u64::from(outcome.steps + path.hops());
-                Ok(PathGrant {
-                    fc,
-                    chip,
-                    route: Route::Circuit {
-                        path,
-                        scout_latency,
-                    },
-                })
+                let round_trip = params.link_latency * u64::from(outcome.steps + path.hops());
+                Ok((fc, path, round_trip))
             }
             Err(fail) => {
                 if let Some(fw) = predicted {
@@ -1014,7 +815,7 @@ impl Fabric for VeniceFabric {
                         fc.0,
                         chip.0
                     );
-                    self.stats.scout_fastfails += 1; // verified prediction
+                    stats.scout_fastfails += 1; // verified prediction
                 }
                 if let Some(cache) = self.cache.as_mut() {
                     cache.record(
@@ -1022,7 +823,7 @@ impl Fabric for VeniceFabric {
                         chip,
                         FailedWalk {
                             extent: fail.extent,
-                            seq: self.mesh.change_seq(),
+                            seq: mesh.change_seq(),
                             steps: fail.steps,
                             misroutes: fail.misroutes,
                             lfsr_draws: fail.lfsr_draws,
@@ -1031,36 +832,141 @@ impl Fabric for VeniceFabric {
                         },
                     );
                 }
-                Err(self.charge_failed_walk(fail.steps, fail.misroutes))
+                Err(charge_failed_walk(stats, fail.steps, fail.misroutes))
             }
         }
     }
+}
+
+/// Charges the stats of one failed scout reservation (live or replayed) and
+/// produces the acquire error. Keeping the two failure paths on one
+/// accounting routine is what makes a fast-fail indistinguishable from the
+/// walk it memoized — conflicts and scout steps match the uncached engine
+/// exactly.
+fn charge_failed_walk(stats: &mut FabricStats, steps: u32, misroutes: u32) -> AcquireError {
+    stats.conflicts += 1;
+    stats.scout_steps += u64::from(steps);
+    stats.scout_failed_steps += u64::from(steps);
+    stats.scout_misroutes += u64::from(misroutes);
+    AcquireError::PathConflict
+}
+
+/// NoSSD and Venice: one 2D mesh of routers beside the chips, a controller
+/// at the west edge of every row, the §4.2 nearest-free controller policy,
+/// and Equation 1's transfer model. The two differ only in their router,
+/// which is data here: Venice's [`Scout`] or NoSSD's deterministic XY
+/// routing, and the router's per-hop latency and power.
+#[derive(Debug)]
+struct MeshFabric {
+    params: FabricParams,
+    mesh: MeshState,
+    fcs: ControllerPool,
+    /// Venice's router; `None` is NoSSD's, which has no reservation or
+    /// backtracking: a transfer whose fixed XY path is held simply waits.
+    scout: Option<Scout>,
+    /// Per-hop pipeline latency of the routers a burst crosses (NoSSD's
+    /// buffered routers; zero for Venice's circuit switches).
+    router_latency: SimDuration,
+    /// Power of one router while a burst crosses it, in mW.
+    router_mw: f64,
+    stats: FabricStats,
+}
+
+impl MeshFabric {
+    fn new(params: FabricParams, scout: Option<Scout>, latency: SimDuration, mw: f64) -> Self {
+        MeshFabric {
+            mesh: MeshState::new(params.mesh(), usize::from(params.rows)),
+            fcs: ControllerPool::new(params.rows),
+            scout,
+            router_latency: latency,
+            router_mw: mw,
+            params,
+            stats: FabricStats::default(),
+        }
+    }
+
+    /// NoSSD's router: reserves the whole XY path from `fc` to `chip`.
+    fn reserve_xy(&mut self, mut fc: FcId, chip: NodeId) -> Reserved {
+        let topo = self.mesh.topology();
+        loop {
+            let mut path = self.mesh.xy_path(topo.fc_node(fc), chip);
+            path.packet_id = fc.0;
+            if self.mesh.try_reserve_path(fc.0, &path) {
+                return Ok((fc, path, SimDuration::ZERO));
+            }
+            let fault_blocked = self.mesh.path_fault_blocked(&path);
+            self.mesh.recycle(path);
+            // Ordinary contention on the deterministic route waits: NoSSD
+            // has no adaptivity. A route severed by a downed link or router,
+            // which no amount of waiting fixes, falls back to the next free
+            // controller in nearest-first order: its XY route takes another
+            // row spine, so a single fault never strands a live chip.
+            // Exhausting the pool leaves a retryable conflict (a repair
+            // event re-opens routes).
+            let next = fault_blocked.then(|| self.fcs.nearest_free(topo.row(chip), Some(fc)));
+            match next.flatten() {
+                Some(next) => fc = next,
+                None => {
+                    self.stats.conflicts += 1;
+                    return Err(AcquireError::PathConflict);
+                }
+            }
+        }
+    }
+}
+
+impl Fabric for MeshFabric {
+    fn controller_count(&self) -> usize {
+        usize::from(self.params.rows)
+    }
+
+    fn try_acquire(&mut self, chip: NodeId) -> Result<PathGrant, AcquireError> {
+        let Some(first) = self.fcs.nearest_free(self.mesh.topology().row(chip), None) else {
+            self.stats.controller_unavailable += 1;
+            return Err(AcquireError::NoFreeController);
+        };
+        let (fc, path, setup) = match &mut self.scout {
+            Some(scout) => {
+                scout.reserve(&self.params, &mut self.mesh, &mut self.stats, first, chip)?
+            }
+            None => self.reserve_xy(first, chip)?,
+        };
+        debug_assert!(!self.fcs.busy[usize::from(fc.0)], "controller already busy");
+        self.fcs.busy[usize::from(fc.0)] = true;
+        self.stats.acquisitions += 1;
+        self.stats.hops_total += u64::from(path.hops());
+        Ok(PathGrant {
+            fc,
+            chip,
+            route: Route::Mesh { path, setup },
+        })
+    }
 
     fn transfer(&mut self, grant: &PathGrant, bytes: u64) -> SimDuration {
-        let Route::Circuit {
-            path,
-            scout_latency,
-        } = &grant.route
-        else {
-            panic!("Venice fabric received a non-circuit grant");
+        let Route::Mesh { path, setup } = &grant.route else {
+            panic!("mesh fabric received a non-mesh grant");
         };
         let hops = path.hops();
-        let d = *scout_latency + self.params.circuit_duration(hops, bytes);
+        let d = *setup
+            + self.params.circuit_duration(hops, bytes)
+            + self.router_latency * u64::from(hops);
         self.stats.transfers += 1;
         self.stats.bytes += bytes;
-        let ns = d.as_nanos() as f64;
-        let p = &self.params.power;
+        let (ns, link_mw) = (d.as_nanos() as f64, self.params.power.link_mw);
+        // Links along the path plus the routers they connect.
         self.stats.transfer_energy_nj +=
-            (p.link_mw * hops as f64 + p.router_mw * (hops + 1) as f64) * ns / 1e3;
+            (link_mw * hops as f64 + self.router_mw * (hops + 1) as f64) * ns / 1e3;
         d
     }
 
     fn release(&mut self, grant: PathGrant) {
-        let Route::Circuit { path, .. } = grant.route else {
-            panic!("Venice fabric received a non-circuit grant");
+        let Route::Mesh { path, .. } = grant.route else {
+            panic!("mesh fabric received a non-mesh grant");
         };
         self.mesh.release_owned(path);
-        self.fcs.release(grant.fc);
+        let fc = usize::from(grant.fc.0);
+        debug_assert!(self.fcs.busy[fc], "controller not busy");
+        self.fcs.busy[fc] = false;
     }
 
     fn home_controller_free(&self, chip: NodeId) -> bool {
@@ -1068,17 +974,38 @@ impl Fabric for VeniceFabric {
         !self.fcs.busy[row] && !self.fcs.dead[row]
     }
 
+    /// Masks the link or router in [`MeshState`], whose setters stamp the
+    /// generation counters, so every intersecting fast-fail cache entry
+    /// self-invalidates on its next lookup, after faults and repairs alike.
+    /// A link fault strands no chips (the mesh routes around it); a router
+    /// fault kills exactly the chip at that node, and at a west-edge
+    /// controller attach point it takes the controller out of the pool too.
     fn inject_fault(&mut self, fault: FabricFault) -> FaultImpact {
-        // The mask setters stamp the generation counters, so intersecting
-        // fast-fail cache entries self-invalidate on their next lookup —
-        // both for faults (a cached *success* region now blocked) and for
-        // repairs (a cached *failure* that the freed link could un-block).
-        mesh_inject_fault(&mut self.mesh, &mut self.fcs, fault)
+        let topo = self.mesh.topology();
+        let up = !fault.is_down();
+        let mut impact = FaultImpact::default();
+        match fault {
+            FabricFault::LinkDown { a, b } | FabricFault::LinkUp { a, b } => {
+                self.mesh.set_link_state(a, b, up);
+            }
+            FabricFault::RouterDown(n) | FabricFault::RouterUp(n) => {
+                self.mesh.set_router_state(n, up);
+                if topo.col(n) == 0 {
+                    self.fcs.dead[usize::from(topo.row(n))] = !up;
+                }
+                if up {
+                    impact.revived_chips.push(n);
+                } else {
+                    impact.dead_chips.push(n);
+                }
+            }
+        }
+        impact
     }
 
     fn stats(&self) -> FabricStats {
         let mut stats = self.stats;
-        if let Some(cache) = &self.cache {
+        if let Some(cache) = self.scout.as_ref().and_then(|s| s.cache.as_ref()) {
             stats.scout_cache_invalidations = cache.invalidations();
         }
         stats
@@ -1183,6 +1110,12 @@ mod tests {
 
     fn acquire_ok(f: &mut dyn Fabric, chip: u16) -> PathGrant {
         f.try_acquire(NodeId(chip)).expect("acquire should succeed")
+    }
+
+    /// The Venice fabric [`build_fabric`] makes, with its router in reach.
+    fn venice(params: FabricParams) -> MeshFabric {
+        let scout = Some(Scout::new(&params));
+        MeshFabric::new(params, scout, SimDuration::ZERO, params.power.router_mw)
     }
 
     #[test]
@@ -1500,11 +1433,11 @@ mod tests {
         let mut params = FabricParams::table1();
         params.rows = 4;
         params.cols = 4;
-        let mut off = VeniceFabric::new(FabricParams {
+        let mut off = venice(FabricParams {
             scout_cache: crate::ScoutCacheKind::Off,
             ..params
         });
-        let mut on = VeniceFabric::new(FabricParams {
+        let mut on = venice(FabricParams {
             scout_cache: crate::ScoutCacheKind::On,
             ..params
         });
@@ -1563,7 +1496,8 @@ mod tests {
         assert_eq!(so.scout_fastfails, 0);
         // And the two LFSRs end in the same state — the draw-replay
         // contract that keeps later walks aligned.
-        assert_eq!(off.lfsr.state(), on.lfsr.state());
+        let lfsr = |f: &MeshFabric| f.scout.as_ref().map(|s| s.lfsr.state());
+        assert_eq!(lfsr(&off), lfsr(&on));
     }
 
     #[test]
@@ -1575,7 +1509,7 @@ mod tests {
         params.rows = 4;
         params.cols = 4;
         params.scout_cache = crate::ScoutCacheKind::Checked;
-        let mut f = VeniceFabric::new(params);
+        let mut f = venice(params);
         let mut rng = venice_sim::rng::Xorshift64Star::new(0xC4EC);
         let mut grants: Vec<PathGrant> = Vec::new();
         for _ in 0..4_000 {
