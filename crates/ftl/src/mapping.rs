@@ -104,18 +104,6 @@ impl PageMap {
         }
         self.mapped = self.logical_pages();
     }
-
-    /// Removes the mapping of `lpa` (e.g. TRIM), returning the old physical
-    /// page if there was one.
-    pub fn unmap(&mut self, lpa: u64) -> Option<Gppa> {
-        let slot = &mut self.entries[lpa as usize];
-        let old = decode(*slot);
-        *slot = UNMAPPED;
-        if old.is_some() {
-            self.mapped -= 1;
-        }
-        old
-    }
 }
 
 fn decode(entry: u32) -> Option<Gppa> {
@@ -148,16 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn unmap_roundtrip() {
-        let mut m = PageMap::new(4);
-        m.update(2, Gppa(5));
-        assert_eq!(m.unmap(2), Some(Gppa(5)));
-        assert_eq!(m.unmap(2), None);
-        assert_eq!(m.translate(2), None);
-        assert_eq!(m.mapped_pages(), 0);
-    }
-
-    #[test]
     fn entries_hold_physical_pages_up_to_the_u32_bound() {
         let mut m = PageMap::new(3);
         let top = Gppa(PageMap::MAX_GPPA);
@@ -168,8 +146,7 @@ mod tests {
         assert_eq!(m.translate(1), Some(Gppa(0)));
         assert_eq!(m.translate(2), None);
         assert_eq!(m.update(0, Gppa(PageMap::MAX_GPPA - 1)), Some(top));
-        assert_eq!(m.unmap(0), Some(Gppa(PageMap::MAX_GPPA - 1)));
-        assert_eq!(m.mapped_pages(), 1);
+        assert_eq!(m.mapped_pages(), 2);
     }
 
     #[test]

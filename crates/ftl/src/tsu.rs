@@ -107,11 +107,6 @@ impl TransactionScheduler {
         }
     }
 
-    /// Number of chips covered.
-    pub fn chip_count(&self) -> usize {
-        self.chips.len()
-    }
-
     /// Total queued transactions.
     pub fn pending(&self) -> usize {
         self.pending
@@ -372,7 +367,6 @@ mod tests {
         assert_eq!(tsu.pending_for(0), 0);
         assert_eq!(tsu.pending(), 2);
         assert!(!tsu.is_empty());
-        assert_eq!(tsu.chip_count(), 4);
     }
 
     #[test]

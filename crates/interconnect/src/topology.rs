@@ -241,11 +241,6 @@ impl Mesh2D {
         self.node_at(u16::from(fc.0), 0)
     }
 
-    /// Number of flash controllers (one per row).
-    pub fn fc_count(&self) -> usize {
-        usize::from(self.rows)
-    }
-
     /// Iterates over all node ids.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
         (0..self.node_count() as u16).map(NodeId)
@@ -329,7 +324,6 @@ mod tests {
             assert_eq!(m.col(n), 0);
             assert_eq!(m.row(n), u16::from(fc));
         }
-        assert_eq!(m.fc_count(), 8);
     }
 
     #[test]

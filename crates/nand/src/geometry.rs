@@ -83,11 +83,6 @@ impl ChipGeometry {
         self.pages_per_die() * self.dies as u64
     }
 
-    /// Total bytes in the chip.
-    pub const fn bytes_per_chip(&self) -> u64 {
-        self.pages_per_chip() * self.page_size as u64
-    }
-
     /// Number of planes in the chip.
     pub const fn planes_per_chip(&self) -> u32 {
         self.dies * self.planes_per_die
@@ -182,7 +177,6 @@ mod tests {
         // 2 planes * 1024 blocks * 768 pages * 4KiB = 6 GiB per chip;
         // 64 chips ≈ 384 GiB raw (240 GB user capacity after OP in the paper).
         assert_eq!(g.pages_per_chip(), 2 * 1024 * 768);
-        assert_eq!(g.bytes_per_chip(), 2 * 1024 * 768 * 4096);
         let c = ChipGeometry::tlc_3d();
         assert_eq!(c.planes_per_chip(), 2);
         assert_eq!(c.page_size, 16 * 1024);

@@ -317,30 +317,6 @@ impl<E> EventQueue<E> {
         true
     }
 
-    /// Timestamp of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if !self.batch.is_empty() {
-            return Some(self.batch_time);
-        }
-        if self.pending == 0 {
-            return None;
-        }
-        let wheel_min = self.next_occupied_bucket().map(|b| {
-            let slot = (b % WHEEL_BUCKETS as u64) as usize;
-            self.wheel[slot]
-                .iter()
-                .map(|e| e.time)
-                .min()
-                .expect("occupied bucket")
-        });
-        let over_min = self.overflow.peek().map(|e| e.time);
-        match (wheel_min, over_min) {
-            (Some(w), Some(o)) => Some(w.min(o)),
-            (Some(w), None) => Some(w),
-            (None, o) => o,
-        }
-    }
-
     /// Removes and returns the earliest event, advancing [`EventQueue::now`].
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         if self.batch.is_empty() && !self.refill_batch() {
@@ -457,11 +433,6 @@ impl<E> ReferenceHeapQueue<E> {
         self.heap.push(Entry { time, seq, event });
     }
 
-    /// Timestamp of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Removes and returns the earliest event, advancing the clock.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let entry = self.heap.pop()?;
@@ -512,14 +483,6 @@ mod tests {
         q.schedule(SimTime::from_nanos(10), ());
         q.pop();
         q.schedule(SimTime::from_nanos(5), ());
-    }
-
-    #[test]
-    fn peek_does_not_advance_time() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(42), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(42)));
-        assert_eq!(q.now(), SimTime::ZERO);
     }
 
     #[test]

@@ -207,17 +207,6 @@ impl Trace {
                 .unwrap_or(0),
         }
     }
-
-    /// Returns a copy truncated to the first `n` requests (harness knob for
-    /// quick runs).
-    pub fn truncated(&self, n: usize) -> Trace {
-        Trace {
-            name: self.name.clone(),
-            footprint_bytes: self.footprint_bytes,
-            events: self.events.iter().take(n).copied().collect(),
-            tenants: self.tenants.iter().take(n).copied().collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -270,19 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn truncated_keeps_prefix() {
-        let t = Trace::new(
-            "t",
-            1 << 20,
-            (0..10).map(|i| ev(i, IoOp::Read, 0, 4096)).collect(),
-        );
-        let t2 = t.truncated(3);
-        assert_eq!(t2.len(), 3);
-        assert_eq!(t2.name(), "t");
-        assert!(!t2.is_empty());
-    }
-
-    #[test]
     fn tenant_tags_follow_events() {
         let events: Vec<TraceEvent> = (0..6).map(|i| ev(i, IoOp::Read, 0, 4096)).collect();
         let tags = vec![0u8, 1, 0, 2, 1, 0];
@@ -290,11 +266,6 @@ mod tests {
         assert!(t.is_tenant_tagged());
         assert_eq!(t.tenant_count(), 3);
         assert_eq!(t.tenant_of(3), 2);
-        // Truncation slices the tags in step with the events.
-        let cut = t.truncated(2);
-        assert_eq!(cut.len(), 2);
-        assert_eq!(cut.tenant_of(1), 1);
-        assert_eq!(cut.tenant_count(), 2);
         // Untagged traces are tenant 0 everywhere.
         let plain = Trace::new("plain", 1 << 20, vec![ev(0, IoOp::Read, 0, 4096)]);
         assert!(!plain.is_tenant_tagged());
