@@ -113,16 +113,15 @@ fn main() {
         assert_eq!(m_incr, m_full, "{}: engines diverged", s.name);
         let events = m_incr.events;
 
-        let mut timed: Vec<f64> = Vec::new();
-        for (tag, cfg) in [("incremental", &incr_cfg), ("full_scan", &full_cfg)] {
-            let name = format!("{}_{}", s.name, tag);
-            r.bench_with_setup(&name, || sim(cfg, s.fabric, &trace), SsdSim::run);
-            timed.push(r.last_ns_per_iter().expect("bench just ran"));
-        }
-        let (ns_incr, ns_full) = (timed[0], timed[1]);
-        let evps_incr = events as f64 / (ns_incr / 1e9);
-        let evps_full = events as f64 / (ns_full / 1e9);
-        let speedup = evps_incr / evps_full;
+        let engines = [&incr_cfg, &full_cfg];
+        let paired = r.bench_pair(
+            s.name,
+            ["incremental", "full_scan"],
+            |side| sim(engines[side], s.fabric, &trace),
+            SsdSim::run,
+        );
+        let [evps_incr, evps_full] = paired.ns_per_iter.map(|ns| events as f64 / (ns / 1e9));
+        let speedup = paired.speedup;
         println!(
             "dispatch_scan {:<28} {:>7.2}M ev/s incremental vs {:>7.2}M full-scan  ({:.2}x)",
             s.name,

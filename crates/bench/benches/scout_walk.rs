@@ -138,16 +138,15 @@ fn main() {
         let invalidations = m_on.fabric.scout_cache_invalidations;
         let failed_steps = m_off.fabric.scout_failed_steps;
 
-        let mut timed: Vec<f64> = Vec::new();
-        for (tag, cfg) in [("cache_off", &off_cfg), ("cache_on", &on_cfg)] {
-            let name = format!("{}_{}", s.name, tag);
-            r.bench_with_setup(&name, || sim(cfg, &trace), SsdSim::run);
-            timed.push(r.last_ns_per_iter().expect("bench just ran"));
-        }
-        let (ns_off, ns_on) = (timed[0], timed[1]);
-        let evps_off = events as f64 / (ns_off / 1e9);
-        let evps_on = events as f64 / (ns_on / 1e9);
-        let speedup = evps_on / evps_off;
+        let engines = [&on_cfg, &off_cfg];
+        let paired = r.bench_pair(
+            s.name,
+            ["cache_on", "cache_off"],
+            |side| sim(engines[side], &trace),
+            SsdSim::run,
+        );
+        let [evps_on, evps_off] = paired.ns_per_iter.map(|ns| events as f64 / (ns / 1e9));
+        let speedup = paired.speedup;
         println!(
             "scout_walk {:<30} {:>7.2}M ev/s cache-on vs {:>7.2}M cache-off  ({:.2}x, \
              {} fast-fails / {} invalidations)",

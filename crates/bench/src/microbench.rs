@@ -3,7 +3,9 @@
 //! The build environment for this workspace has no access to a crates
 //! registry, so the `benches/` targets cannot use criterion. This module
 //! provides the small subset we need: warmup, automatic iteration-count
-//! calibration, median-of-samples timing, and machine-readable output.
+//! calibration, median-of-samples timing, paired timing of two engines in
+//! alternating batches ([`Runner::bench_pair`]), and machine-readable
+//! output.
 //!
 //! Every [`Runner`] prints one `ns/iter` line per benchmark to stdout and, on
 //! [`Runner::finish`], writes `results/bench_<name>.json` (honoring
@@ -27,6 +29,22 @@ pub struct Measurement {
     pub iters_per_sample: u64,
     /// Number of timed samples.
     pub samples: usize,
+}
+
+/// What [`Runner::bench_pair`] measured of engines A and B.
+#[derive(Clone, Copy, Debug)]
+pub struct Paired {
+    /// Median wall-clock nanoseconds per iteration of A and of B.
+    pub ns_per_iter: [f64; 2],
+    /// Median over rounds of B's time per iteration over A's in the same
+    /// round: how many times faster A ran.
+    pub speedup: f64,
+}
+
+/// The median of `values` (the upper one of an even count).
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(|a, b| a.total_cmp(b));
+    values[values.len() / 2]
 }
 
 /// Collects measurements for one bench target and writes them out as JSON.
@@ -68,41 +86,74 @@ impl Runner {
         });
     }
 
-    /// Times `routine` on a fresh input from `setup` in each iteration, like
-    /// [`Runner::bench`] but with only `routine` inside the timer: one
-    /// `Instant` per iteration, so it suits routines that run for
-    /// milliseconds, such as a whole simulation built by `setup`.
-    pub fn bench_with_setup<S, R>(
+    /// Times engine A against engine B on one scenario, each iteration on
+    /// a fresh input from `setup(side)` (0 for A, 1 for B) with only
+    /// `routine` inside the timer, so it suits routines that run for
+    /// milliseconds, such as a whole simulation built by `setup`. Both
+    /// sides are calibrated first; then each of `self.samples` rounds times
+    /// one batch of each, alternating which goes first (A B, B A, ...), so
+    /// a swing in machine speed lands on both sides of a round instead of
+    /// between two blocks of samples. Records one measurement per side,
+    /// named `<scenario>_<tag>`.
+    pub fn bench_pair<S, R>(
         &mut self,
-        name: &str,
-        mut setup: impl FnMut() -> S,
+        scenario: &str,
+        tags: [&str; 2],
+        mut setup: impl FnMut(usize) -> S,
         mut routine: impl FnMut(S) -> R,
-    ) {
-        self.measure(name, |iters| {
-            let mut timed = Duration::ZERO;
+    ) -> Paired {
+        let mut timed = |side: usize, iters: u64| {
+            let mut total = Duration::ZERO;
             for _ in 0..iters {
-                let input = setup();
+                let input = setup(side);
                 let t = Instant::now();
                 black_box(routine(black_box(input)));
-                timed += t.elapsed();
+                total += t.elapsed();
             }
-            timed
-        });
+            total
+        };
+        let iters = [0, 1].map(|side| self.calibrate(|n| timed(side, n)));
+        let mut per_iter: [Vec<f64>; 2] = Default::default();
+        let mut ratios = Vec::new();
+        for round in 0..self.samples {
+            let order = if round % 2 == 0 { [0, 1] } else { [1, 0] };
+            for side in order {
+                let ns = timed(side, iters[side]).as_nanos() as f64 / iters[side] as f64;
+                per_iter[side].push(ns);
+            }
+            ratios.push(per_iter[1][round] / per_iter[0][round]);
+        }
+        let [a, b] = per_iter;
+        let ns_per_iter = [
+            self.record(&format!("{scenario}_{}", tags[0]), a, iters[0]),
+            self.record(&format!("{scenario}_{}", tags[1]), b, iters[1]),
+        ];
+        Paired {
+            ns_per_iter,
+            speedup: median(ratios),
+        }
     }
 
     /// Calibrates and samples `timed`, which runs the given number of
-    /// iterations and returns the time they took: iteration counts grow
-    /// until one batch exceeds ~1/5 of the sample budget, then
-    /// `self.samples` timed batches run and the median per iteration is
-    /// reported.
+    /// iterations and returns the time they took, then records the median
+    /// of `self.samples` timed batches per iteration.
     fn measure(&mut self, name: &str, mut timed: impl FnMut(u64) -> Duration) {
-        // Warmup + calibration.
+        let iters = self.calibrate(&mut timed);
+        let per_iter = (0..self.samples)
+            .map(|_| timed(iters).as_nanos() as f64 / iters as f64)
+            .collect();
+        self.record(name, per_iter, iters);
+    }
+
+    /// Warmup and calibration: the iteration count of `timed` grows until
+    /// one batch exceeds ~1/5 of the sample budget.
+    fn calibrate(&self, mut timed: impl FnMut(u64) -> Duration) -> u64 {
         let mut iters: u64 = 1;
         let calib_floor = self.sample_budget / 5;
         loop {
             let elapsed = timed(iters);
             if elapsed >= calib_floor || iters >= 1 << 30 {
-                break;
+                return iters;
             }
             // Aim straight for the budget once we have a usable estimate.
             iters = if elapsed.is_zero() {
@@ -113,31 +164,27 @@ impl Runner {
             }
             .max(iters + 1);
         }
-        let mut per_iter: Vec<f64> = (0..self.samples)
-            .map(|_| timed(iters).as_nanos() as f64 / iters as f64)
-            .collect();
-        per_iter.sort_by(|a, b| a.total_cmp(b));
-        let median = per_iter[per_iter.len() / 2];
+    }
+
+    /// Prints a `ns/iter` line for the median of `per_iter` (batches of
+    /// `iters` iterations), records it as a measurement and returns it.
+    fn record(&mut self, name: &str, per_iter: Vec<f64>, iters: u64) -> f64 {
+        let samples = per_iter.len();
+        let median = median(per_iter);
         println!(
             "bench {:<44} {:>14.1} ns/iter  ({} iters x {} samples)",
             format!("{}::{}", self.target, name),
             median,
             iters,
-            self.samples
+            samples
         );
         self.measurements.push(Measurement {
             name: name.to_string(),
             ns_per_iter: median,
             iters_per_sample: iters,
-            samples: self.samples,
+            samples,
         });
-    }
-
-    /// The ns/iter of the most recent measurement, if any —
-    /// for benches that post-process their own timings (e.g. into
-    /// events/sec) on top of the recorded trajectory.
-    pub fn last_ns_per_iter(&self) -> Option<f64> {
-        self.measurements.last().map(|m| m.ns_per_iter)
+        median
     }
 
     /// Writes `results/bench_<target>.json` and returns the measurements:
@@ -279,6 +326,21 @@ mod tests {
         {"name": "alpha", "speedup": 2.0},
         {"name": "beta", "speedup": 1.0}
     ]}"#;
+
+    /// A paired run records both sides as `<scenario>_<tag>` and reports how
+    /// many times faster A ran than B, which does 20× the work.
+    #[test]
+    fn bench_pair_reports_how_many_times_faster_a_ran() {
+        let mut r = Runner::new("t").sample_budget(Duration::from_millis(2));
+        let spin = |n: u64| (0..n).fold(0u64, |acc, i| black_box(acc ^ i));
+        let work = |side: usize| 1_000 * (1 + 19 * side as u64);
+        let paired = r.bench_pair("s", ["fast", "slow"], work, spin);
+        let names: Vec<&str> = r.measurements.iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(names, ["s_fast", "s_slow"]);
+        assert!(paired.speedup > 2.0, "{paired:?}");
+        let [a, b] = paired.ns_per_iter;
+        assert!(b > 2.0 * a, "{paired:?}");
+    }
 
     /// The verdicts of `measured` against [`BASELINE`] at a 0.7 floor.
     fn verdicts(measured: &[(&str, f64)]) -> Vec<Result<String, String>> {
