@@ -17,17 +17,20 @@
 //! per-PR trajectory accumulates across revisions.
 //!
 //! Flags: `--dir <path>` (ledger directory, default `.` — the repo top
-//! when run via cargo).
+//! when run via cargo). A bad argument prints the error and a usage line
+//! and exits 2.
 
 use std::path::{Path, PathBuf};
 
+use venice_bench::flag_value;
 use venice_bench::microbench::read_array;
 use venice_bench::sweep::{fnv1a, git_describe, FNV_OFFSET};
-use venice_ssd::report::{f2, Json};
+use venice_ssd::report::Json;
 
-/// Mean of `values` (`None` when empty).
-fn mean(values: &[f64]) -> Option<f64> {
-    (!values.is_empty()).then(|| values.iter().sum::<f64>() / values.len() as f64)
+/// Mean of `values` to two decimals (zero when empty).
+fn mean(values: &[f64]) -> Json {
+    let mean = values.iter().sum::<f64>() / values.len().max(1) as f64;
+    Json::fixed(mean, 2)
 }
 
 /// Folds one microbench artifact into one ledger entry, or explains why
@@ -48,27 +51,21 @@ fn entry_for(source: &Path, throughput_key: &str) -> Result<Json, String> {
     if scenarios.is_empty() || speedups.is_empty() {
         return Err(format!("{} has no scenarios", source.display()));
     }
-    let num = |values: &[f64]| Json::Num(f2(mean(values).unwrap_or(0.0)));
-    Ok(Json::Object(vec![
-        ("git".to_string(), Json::Str(git_describe())),
-        (
-            "fingerprint".to_string(),
-            Json::Str(format!("{:016x}", fnv1a(json.as_bytes(), FNV_OFFSET))),
-        ),
-        ("scenarios".to_string(), Json::Num(scenarios.len().to_string())),
-        ("mean_speedup".to_string(), num(&speedups)),
-        (format!("mean_{throughput_key}"), num(&throughput)),
-    ]))
+    let fingerprint = format!("{:016x}", fnv1a(json.as_bytes(), FNV_OFFSET));
+    Ok(Json::object()
+        .with("git", git_describe())
+        .with("fingerprint", fingerprint)
+        .with("scenarios", scenarios.len() as u64)
+        .with("mean_speedup", mean(&speedups))
+        .with(&format!("mean_{throughput_key}"), mean(&throughput)))
 }
 
 /// The ledger document: one entry per line.
 fn ledger_doc(ledger_name: &str, entries: &[Json]) -> String {
-    let lines: Vec<String> = entries.iter().map(|e| format!("  {e}")).collect();
-    format!(
-        "{{\n \"ledger\": {},\n \"entries\": [\n{}\n ]\n}}\n",
-        Json::from(ledger_name),
-        lines.join(",\n"),
-    )
+    Json::object()
+        .with("ledger", ledger_name)
+        .with("entries", Json::Array(entries.to_vec()))
+        .document(true)
 }
 
 /// Appends `entry` to the ledger at `path` (creating it), unless the last
@@ -89,20 +86,25 @@ fn append(path: &Path, ledger_name: &str, entry: Json) -> std::io::Result<bool> 
     Ok(true)
 }
 
+/// Parses `--dir <path>` from the arguments after the program name.
+fn parse_args(args: &[String]) -> Result<PathBuf, String> {
+    let mut dir = PathBuf::from(".");
+    let mut rest = args.iter();
+    while let Some(flag) = rest.next() {
+        match flag.as_str() {
+            "--dir" => dir = flag_value(flag, &mut rest)?,
+            other => return Err(format!("unknown flag {other:?}")),
+        }
+    }
+    Ok(dir)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut dir = PathBuf::from(".");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--dir" => {
-                i += 1;
-                dir = PathBuf::from(args.get(i).expect("missing value after --dir"));
-            }
-            other => panic!("unknown flag {other:?} (only --dir is supported)"),
-        }
-        i += 1;
-    }
+    let dir = parse_args(&args).unwrap_or_else(|err| {
+        eprintln!("perf_ledger: {err}\nusage: perf_ledger [--dir <path>]");
+        std::process::exit(2);
+    });
     let results = venice_bench::results_dir();
     let ledgers = [
         ("dispatch", "events_per_sec_incremental", "BENCH_dispatch.json"),
@@ -131,6 +133,20 @@ mod tests {
     use super::*;
 
     const DISPATCH: &str = include_str!("../../../../BENCH_dispatch.json");
+
+    /// `--dir` takes a path; an unknown flag and a missing value are
+    /// errors, not panics.
+    #[test]
+    fn bad_arguments_are_errors() {
+        let parse = |line: &str| {
+            let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+            parse_args(&args)
+        };
+        assert_eq!(parse(""), Ok(PathBuf::from(".")));
+        assert_eq!(parse("--dir ledgers"), Ok(PathBuf::from("ledgers")));
+        assert_eq!(parse("--bogus"), Err("unknown flag \"--bogus\"".into()));
+        assert_eq!(parse("--dir"), Err("missing value after --dir".into()));
+    }
 
     /// The checked-in ledgers read back and re-render byte for byte; the
     /// checked-in artifact is the one the dispatch ledger last recorded, so

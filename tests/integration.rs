@@ -540,8 +540,9 @@ fn catalog_sweep_is_deterministic_across_parallelism() {
 /// its parsed value: point records one field per line (`rows = false`),
 /// sweep manifests and `results/*.json` with their arrays one item per
 /// line (`rows = true`), and the `grid.json` stamps on one line. For the
-/// wall-clock artifacts (`policy_ablation.json`, `bench_*.json`), which no
-/// run reproduces, this is the only byte check.
+/// wall-clock artifacts (`policy_ablation.json`, `bench_*.json` and the
+/// `BENCH_*.json` ledgers), which no run reproduces, this is the only byte
+/// check.
 #[test]
 fn checked_in_artifacts_rerender_byte_for_byte() {
     use std::path::{Path, PathBuf};
@@ -585,7 +586,8 @@ fn checked_in_artifacts_rerender_byte_for_byte() {
         results.len() >= 9,
         "four ablations, the policy ablation, four bench files"
     );
-    for path in results {
+    let ledgers = ["BENCH_dispatch.json", "BENCH_scout.json"].map(|name| root.join(name));
+    for path in results.into_iter().chain(ledgers) {
         let (text, doc) = read(&path);
         assert_eq!(doc.document(true), text, "{}", path.display());
     }
