@@ -10,7 +10,8 @@
 //! back to the default):
 //!
 //! * `VENICE_REQUESTS` — requests per workload (default 3000),
-//! * `VENICE_RESULTS_DIR` — where CSVs land (default `./results`),
+//! * `VENICE_RESULTS_DIR` — where CSVs land (default: the workspace's
+//!   `results/`, wherever the binary or bench runs from),
 //! * `VENICE_PAR` — thread budget of the shared worker pool (default:
 //!   available cores, read once when the pool is first used). Every
 //!   (workload × system) sweep point is one pool job; results are returned
@@ -63,20 +64,34 @@ pub fn requests() -> usize {
     parsed_env("VENICE_REQUESTS", 3000)
 }
 
-/// Directory CSV outputs are written to (`VENICE_RESULTS_DIR`, default
-/// `./results`). Warns and falls back when the override names an existing
-/// non-directory.
+/// Directory result files are written to and baselines read from
+/// (`VENICE_RESULTS_DIR`, default the workspace's `results/`). The default
+/// is resolved from this crate's manifest directory, so `cargo bench`,
+/// which runs in `crates/bench/`, uses the same directory as a binary run
+/// from the workspace root. Warns and falls back when the override names
+/// an existing non-directory.
 pub fn results_dir() -> PathBuf {
+    // This crate is `<workspace>/crates/bench`.
+    let default = || {
+        let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+        manifest
+            .ancestors()
+            .nth(2)
+            .expect("crate sits in <workspace>/crates")
+            .join("results")
+    };
     match std::env::var("VENICE_RESULTS_DIR") {
-        Err(_) => PathBuf::from("results"),
+        Err(_) => default(),
         Ok(raw) => {
             let p = PathBuf::from(&raw);
             if p.exists() && !p.is_dir() {
+                let fallback = default();
                 eprintln!(
                     "warning: VENICE_RESULTS_DIR={raw:?} is not a directory; \
-                     using the default ./results"
+                     using the default {}",
+                    fallback.display()
                 );
-                PathBuf::from("results")
+                fallback
             } else {
                 p
             }

@@ -240,12 +240,16 @@ fn read_speedups(json: &str) -> Result<Vec<(String, f64)>, String> {
 /// scenario fails when its speedup fell below `floor_fraction` of the
 /// baseline's, and also when only one side names it: a renamed, added or
 /// dropped scenario needs a new baseline entry, or the gate would stop
-/// checking it. A malformed baseline fails as a whole.
+/// checking it. A missing (`None`: absent or unreadable) or malformed
+/// baseline fails as a whole.
 fn speedup_verdicts(
-    baseline: &str,
+    baseline: Option<&str>,
     speedups: &[(String, f64)],
     floor_fraction: f64,
 ) -> Vec<Result<String, String>> {
+    let Some(baseline) = baseline else {
+        return vec![Err("no readable baseline".into())];
+    };
     let baseline = match read_speedups(baseline) {
         Ok(pairs) => pairs,
         Err(e) => return vec![Err(format!("malformed baseline: {e}"))],
@@ -277,26 +281,18 @@ fn speedup_verdicts(
 /// `scout_walk`): prints a verdict per scenario of `speedups` against the
 /// checked-in baseline file and **exits the process with status 1** when
 /// any scenario fell below `floor_fraction` of its baseline speedup, is
-/// named by only one side, or the baseline is malformed. Speedups are
-/// wall-clock ratios on the same machine and binary, so the gate is robust
-/// to absolute machine speed. A missing baseline skips the gate (first run
-/// on a fresh machine); `VENICE_PERF_WARN_ONLY=1` downgrades failures to
-/// warnings on noisy runners.
+/// named by only one side, or the baseline is missing, unreadable or
+/// malformed. Speedups are wall-clock ratios on the same machine and
+/// binary, so the gate is robust to absolute machine speed.
 pub fn enforce_speedup_baseline(
     bench: &str,
     baseline_path: &Path,
     speedups: &[(String, f64)],
     floor_fraction: f64,
 ) {
-    let Ok(baseline) = std::fs::read_to_string(baseline_path) else {
-        println!(
-            "no baseline at {}; skipping regression gate",
-            baseline_path.display()
-        );
-        return;
-    };
+    let baseline = std::fs::read_to_string(baseline_path).ok();
     let mut failed = false;
-    for verdict in speedup_verdicts(&baseline, speedups, floor_fraction) {
+    for verdict in speedup_verdicts(baseline.as_deref(), speedups, floor_fraction) {
         match verdict {
             Ok(line) => println!("{line}"),
             Err(why) => {
@@ -306,15 +302,11 @@ pub fn enforce_speedup_baseline(
         }
     }
     if failed {
-        if std::env::var("VENICE_PERF_WARN_ONLY").is_ok() {
-            eprintln!("VENICE_PERF_WARN_ONLY set: reporting only");
-        } else {
-            eprintln!(
-                "{bench} perf-smoke failed against {} (set VENICE_PERF_WARN_ONLY=1 on noisy runners)",
-                baseline_path.display()
-            );
-            std::process::exit(1);
-        }
+        eprintln!(
+            "{bench} perf-smoke failed against {}",
+            baseline_path.display()
+        );
+        std::process::exit(1);
     }
 }
 
@@ -345,7 +337,7 @@ mod tests {
     /// The verdicts of `measured` against [`BASELINE`] at a 0.7 floor.
     fn verdicts(measured: &[(&str, f64)]) -> Vec<Result<String, String>> {
         let speedups: Vec<(String, f64)> = measured.iter().map(|&(n, s)| (n.into(), s)).collect();
-        speedup_verdicts(BASELINE, &speedups, 0.7)
+        speedup_verdicts(Some(BASELINE), &speedups, 0.7)
     }
 
     #[test]
@@ -389,10 +381,17 @@ mod tests {
         assert_eq!(v[2], Err("gamma: measured but not in the baseline".into()));
         assert_eq!(v.iter().filter(|v| v.is_err()).count(), 1);
         let no_speedup = r#"{"scenarios": [{"name": "alpha"}]}"#;
-        let v = speedup_verdicts(no_speedup, &[("alpha".into(), 2.0)], 0.7);
+        let v = speedup_verdicts(Some(no_speedup), &[("alpha".into(), 2.0)], 0.7);
         assert!(v.len() == 1 && v[0].as_ref().is_err_and(|e| e.contains("without name")));
-        let v = speedup_verdicts(&BASELINE[..20], &[("alpha".into(), 2.0)], 0.7);
+        let v = speedup_verdicts(Some(&BASELINE[..20]), &[("alpha".into(), 2.0)], 0.7);
         assert!(v.len() == 1 && v[0].as_ref().is_err_and(|e| e.starts_with("malformed")));
+    }
+
+    /// A missing or unreadable baseline fails the gate; it used to skip it.
+    #[test]
+    fn speedup_gate_fails_without_a_baseline() {
+        let v = speedup_verdicts(None, &[("alpha".into(), 2.0)], 0.7);
+        assert_eq!(v, [Err("no readable baseline".to_string())]);
     }
 
     /// The checked-in perf baselines read back the exact `(name, speedup)`
@@ -413,7 +412,7 @@ mod tests {
             "32x32_nossd",
             "8x8_baseline",
         ];
-        let speedups = [1.05, 3.169, 1.383, 7.869, 3.704];
+        let speedups = [1.308, 3.912, 1.479, 8.504, 4.241];
         assert_eq!(pairs(dispatch), expected(names, speedups));
         let names = [
             "16x16_venice",
@@ -422,7 +421,7 @@ mod tests {
             "32x32_venice_qd64",
             "32x32_venice_auto",
         ];
-        let speedups = [1.33, 1.423, 1.354, 1.57, 1.008];
+        let speedups = [1.366, 1.567, 1.354, 1.57, 1.012];
         assert_eq!(pairs(scout), expected(names, speedups));
         assert!(read_speedups(&scout[..scout.len() / 2]).is_err());
     }

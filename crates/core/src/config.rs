@@ -434,10 +434,8 @@ mod tests {
     fn dispatch_scan_defaults_to_incremental() {
         let cfg = SsdConfig::performance_optimized();
         assert_eq!(cfg.scan, DispatchScanKind::Incremental);
-        assert_eq!(cfg.scan.label(), "incremental");
         let full = cfg.with_dispatch_scan(DispatchScanKind::FullScan);
         assert_eq!(full.scan, DispatchScanKind::FullScan);
-        assert_eq!(full.scan.label(), "full-scan");
     }
 
     #[test]

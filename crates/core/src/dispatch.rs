@@ -153,16 +153,6 @@ pub enum DispatchScanKind {
     FullScan,
 }
 
-impl DispatchScanKind {
-    /// Diagnostic label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            DispatchScanKind::Incremental => "incremental",
-            DispatchScanKind::FullScan => "full-scan",
-        }
-    }
-}
-
 /// Live per-simulation policy state: the [`DispatchPolicyKind`] plus dense
 /// per-chip arrays (see the module docs for the storage rule).
 #[derive(Clone, Debug)]

@@ -45,16 +45,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders as a GitHub-flavored markdown table.
     pub fn to_markdown(&self) -> String {
         let mut s = String::new();
@@ -519,8 +509,6 @@ mod tests {
         let mut t = Table::new(vec!["a".into(), "b".into()]);
         t.row(vec!["1".into(), "2".into()]);
         t.row(vec!["3".into(), "4".into()]);
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
         let md = t.to_markdown();
         assert!(md.starts_with("| a | b |"));
         assert!(md.contains("| 3 | 4 |"));

@@ -16,11 +16,11 @@
 //! # Example
 //!
 //! ```
-//! use venice_hil::{HilConfig, HostInterface, HostRequest};
+//! use venice_hil::{HilConfig, HostInterface, HostRequest, TenantSet};
 //! use venice_sim::SimTime;
 //! use venice_workloads::IoOp;
 //!
-//! let mut hil = HostInterface::new(HilConfig::default());
+//! let mut hil = HostInterface::with_tenants(HilConfig::default(), TenantSet::single());
 //! let accepted = hil.submit(HostRequest {
 //!     id: 1,
 //!     tenant: 0,

@@ -111,16 +111,6 @@ pub struct HostInterface {
 }
 
 impl HostInterface {
-    /// Creates an idle single-tenant host interface (the pre-tenancy
-    /// behavior; equivalent to `with_tenants(config, TenantSet::single())`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queues` or `queue_depth` is zero.
-    pub fn new(config: HilConfig) -> Self {
-        HostInterface::with_tenants(config, TenantSet::single())
-    }
-
     /// Creates an idle host interface with the given tenant set. Queues are
     /// partitioned into contiguous per-tenant ranges.
     ///
@@ -154,11 +144,6 @@ impl HostInterface {
             stats: HilStats::default(),
             last_completion: SimTime::ZERO,
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &HilConfig {
-        &self.config
     }
 
     /// Statistics so far.
@@ -322,6 +307,11 @@ mod tests {
     use super::*;
     use crate::tenant::TenantSpec;
 
+    /// An idle single-tenant host interface.
+    fn single(config: HilConfig) -> HostInterface {
+        HostInterface::with_tenants(config, TenantSet::single())
+    }
+
     fn req(id: u64, offset: u64) -> HostRequest {
         treq(id, 0, offset)
     }
@@ -340,7 +330,7 @@ mod tests {
 
     #[test]
     fn submit_fetch_complete_roundtrip() {
-        let mut hil = HostInterface::new(HilConfig::default());
+        let mut hil = single(HilConfig::default());
         assert!(hil.submit(req(1, 0)));
         assert_eq!(hil.queued(), 1);
         let r = hil.fetch().unwrap();
@@ -353,7 +343,7 @@ mod tests {
 
     #[test]
     fn full_queue_backpressures() {
-        let mut hil = HostInterface::new(HilConfig {
+        let mut hil = single(HilConfig {
             queues: 1,
             queue_depth: 2,
             ..HilConfig::default()
@@ -366,7 +356,7 @@ mod tests {
 
     #[test]
     fn round_robin_across_queues() {
-        let mut hil = HostInterface::new(HilConfig {
+        let mut hil = single(HilConfig {
             queues: 4,
             ..HilConfig::default()
         });
@@ -384,21 +374,21 @@ mod tests {
 
     #[test]
     fn fetch_from_empty_is_none() {
-        let mut hil = HostInterface::new(HilConfig::default());
+        let mut hil = single(HilConfig::default());
         assert!(hil.fetch().is_none());
     }
 
     #[test]
     #[should_panic(expected = "without in-flight")]
     fn double_completion_panics() {
-        let mut hil = HostInterface::new(HilConfig::default());
+        let mut hil = single(HilConfig::default());
         hil.complete(1, SimTime::ZERO);
     }
 
     #[test]
     #[should_panic(expected = "not in flight")]
     fn double_completion_panics_while_other_requests_are_in_flight() {
-        let mut hil = HostInterface::new(HilConfig::default());
+        let mut hil = single(HilConfig::default());
         assert!(hil.submit(req(1, 0)));
         assert!(hil.submit(req(2, 0)));
         assert_eq!(hil.fetch().map(|r| r.id), Some(1));

@@ -7,11 +7,12 @@
 //!   **pnSSD** (row + column buses) of Kim et al.,
 //! * **NoSSD** — a 2D mesh of buffered routers with deterministic
 //!   dimension-order routing (Tavakkol et al.),
-//! * **Venice** — router chips beside each flash chip, *scout packet* path
-//!   reservation ([`scout`]), router reservation tables ([`router`]), and
-//!   the non-minimal fully-adaptive routing algorithm of the paper's
-//!   Algorithm 1 ([`mesh::MeshState::scout_walk`]) over circuit-switched
-//!   bidirectional links,
+//! * **Venice** — router chips beside each flash chip, a scout that reserves
+//!   a path with the non-minimal fully-adaptive routing algorithm of the
+//!   paper's Algorithm 1 ([`mesh::MeshState::scout_walk`]) over
+//!   circuit-switched bidirectional links, router reservation tables
+//!   ([`router`]), and the scout fast-fail cache ([`scout`]) that replays
+//!   failed walks,
 //! * the **Ideal** path-conflict-free SSD used as the upper bound.
 //!
 //! The [`area_power`] module encodes the paper's Table 4 power/area

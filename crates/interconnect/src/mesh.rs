@@ -271,12 +271,6 @@ impl MeshState {
         self.change_seq
     }
 
-    /// The change-sequence stamp of the last reservation change touching
-    /// router `n` (0 when never touched).
-    pub fn node_stamp(&self, n: NodeId) -> u64 {
-        self.stamps[n.0 as usize]
-    }
-
     /// True when any router inside the `(min_row, max_row, min_col,
     /// max_col)` box has seen a reservation change after `snapshot` — the
     /// O(extent tiles) validity test of the scout fast-fail cache.
@@ -359,26 +353,11 @@ impl MeshState {
         self.topo
     }
 
-    /// Number of controllers (packet ID space).
-    pub fn controllers(&self) -> usize {
-        self.controllers
-    }
-
     /// True if the link is currently unreserved **and** not masked down by
     /// a fault: the single gate every reservation path (scout walk, XY
     /// circuit, explicit reserve) goes through.
     pub fn link_free(&self, l: LinkId) -> bool {
         self.links[l.0 as usize].is_none() && !self.link_down[l.0 as usize]
-    }
-
-    /// True when the link is masked down by a fault.
-    pub fn link_is_down(&self, l: LinkId) -> bool {
-        self.link_down[l.0 as usize]
-    }
-
-    /// True when the router is masked down by a fault.
-    pub fn router_is_down(&self, n: NodeId) -> bool {
-        self.router_down[n.0 as usize]
     }
 
     /// Sets the fault mask of the link between adjacent nodes `a` and `b`
@@ -1118,7 +1097,7 @@ mod tests {
                 Direction::ALL.into_iter().fold(0, |mask, d| {
                     let (closed, reserved) = match (topo.neighbor(n, d), topo.link(n, d)) {
                         (Some(nb), Some(l)) => (
-                            m.link_is_down(l) || m.router_is_down(nb),
+                            m.link_down[l.0 as usize] || m.router_down[nb.0 as usize],
                             m.link_owner(l).is_some(),
                         ),
                         _ => (true, false),
@@ -1474,9 +1453,9 @@ mod tests {
         // Installing a circuit stamps exactly its nodes.
         assert_eq!(m.change_seq(), 1);
         for n in [t.node_at(1, 0), t.node_at(1, 1), t.node_at(1, 2)] {
-            assert_eq!(m.node_stamp(n), 1);
+            assert_eq!(m.stamps[n.0 as usize], 1);
         }
-        assert_eq!(m.node_stamp(t.node_at(0, 0)), 0, "untouched router");
+        assert_eq!(m.stamps[t.node_at(0, 0).0 as usize], 0, "untouched router");
         // A region containing a stamped node is "changed since 0"...
         assert!(m.region_changed_since(0, (1, 1, 0, 2)));
         // ...but not since the stamp itself, and untouched regions never.
@@ -1507,7 +1486,7 @@ mod tests {
         let (p, _) = m.scout_walk(0, t.node_at(0, 0), t.node_at(0, 3), &mut lfsr).unwrap();
         assert_eq!(m.change_seq(), 1);
         for &n in &p.nodes {
-            assert_eq!(m.node_stamp(n), 1);
+            assert_eq!(m.stamps[n.0 as usize], 1);
         }
         m.release(&p);
         assert_eq!(m.change_seq(), 2);
@@ -1631,7 +1610,10 @@ mod tests {
         // blocked entering `dead` only recorded the probing neighbor in its
         // extent.
         for n in [dead, t.node_at(0, 1), t.node_at(2, 1), t.node_at(1, 0), t.node_at(1, 2)] {
-            assert!(m.node_stamp(n) > 0, "neighborhood of {n} must be stamped");
+            assert!(
+                m.stamps[n.0 as usize] > 0,
+                "neighborhood of {n} must be stamped"
+            );
         }
         let (p, _) = m
             .scout_walk(1, t.node_at(1, 0), t.node_at(1, 3), &mut lfsr)

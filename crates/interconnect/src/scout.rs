@@ -1,15 +1,5 @@
-//! Scout packets: the two-flit path-reservation probes of §4.2 (Figure 6) —
-//! and the generation-stamped **scout fast-fail cache** that memoizes
-//! failed path reservations between attempts.
-//!
-//! A scout packet consists of two 8-bit flits. Each flit carries a 2-bit
-//! type field: the most significant bit distinguishes header (`0`) from tail
-//! (`1`), the least significant bit distinguishes cancel (`0`) from reserve
-//! (`1`) mode. The header flit's remaining 6 bits carry the destination
-//! flash chip ID (enough for 64 chips); the tail flit carries the 3-bit
-//! source flash-controller ID, which doubles as the packet ID.
-//!
-//! # The fast-fail cache
+//! The generation-stamped **scout fast-fail cache**, which memoizes failed
+//! path reservations between attempts, and its knob [`ScoutCacheKind`].
 //!
 //! Congested big-mesh Venice runs are scout-walk-bound: every retry of a
 //! doomed request re-runs a full DFS over the same saturated region and
@@ -51,141 +41,6 @@
 
 use crate::mesh::MeshState;
 use crate::{FcId, NodeId};
-
-/// Reservation mode of a scout packet (bit 0 of the type field).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ScoutMode {
-    /// Cancel a previous reservation while backtracking.
-    Cancel,
-    /// Reserve links along the path.
-    Reserve,
-}
-
-/// A decoded scout packet.
-///
-/// # Example
-///
-/// ```
-/// use venice_interconnect::{FcId, NodeId};
-/// use venice_interconnect::scout::{ScoutMode, ScoutPacket};
-///
-/// let p = ScoutPacket::new(FcId(5), NodeId(37), ScoutMode::Reserve);
-/// let bytes = p.encode();
-/// assert_eq!(ScoutPacket::decode(bytes).unwrap(), p);
-/// assert_eq!(p.packet_id(), 5);
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct ScoutPacket {
-    /// Source flash controller (also the packet ID).
-    pub source: FcId,
-    /// Destination flash node.
-    pub destination: NodeId,
-    /// Reserve or cancel mode.
-    pub mode: ScoutMode,
-}
-
-/// Errors produced when decoding a malformed scout packet.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScoutDecodeError {
-    /// First byte did not have the header-flit type bit pattern.
-    NotAHeaderFlit,
-    /// Second byte did not have the tail-flit type bit pattern.
-    NotATailFlit,
-    /// Header and tail flits disagreed on reserve/cancel mode.
-    ModeMismatch,
-}
-
-impl std::fmt::Display for ScoutDecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            ScoutDecodeError::NotAHeaderFlit => "first flit is not a header flit",
-            ScoutDecodeError::NotATailFlit => "second flit is not a tail flit",
-            ScoutDecodeError::ModeMismatch => "header and tail flits disagree on mode",
-        };
-        f.write_str(s)
-    }
-}
-
-impl std::error::Error for ScoutDecodeError {}
-
-impl ScoutPacket {
-    /// Number of bytes (flits) in a scout packet.
-    pub const WIRE_BYTES: u64 = 2;
-
-    /// Creates a scout packet.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the destination does not fit in 6 bits (the Figure 6 layout
-    /// supports 64 flash chips) or the controller in 3 bits (8 controllers).
-    pub fn new(source: FcId, destination: NodeId, mode: ScoutMode) -> Self {
-        assert!(destination.0 < 64, "destination must fit in 6 bits");
-        assert!(source.0 < 8, "controller id must fit in 3 bits");
-        ScoutPacket {
-            source,
-            destination,
-            mode,
-        }
-    }
-
-    /// The packet ID: equal to the source flash-controller ID (§4.2), so at
-    /// most `n_controllers` scouts can be in flight simultaneously.
-    pub fn packet_id(&self) -> u8 {
-        self.source.0
-    }
-
-    /// Encodes to the Figure 6 wire format: `[header_flit, tail_flit]`.
-    pub fn encode(&self) -> [u8; 2] {
-        let mode_bit = match self.mode {
-            ScoutMode::Cancel => 0,
-            ScoutMode::Reserve => 1,
-        };
-        // Header flit: type (0b0M) in bits 7..6, destination in bits 5..0.
-        let header = (mode_bit << 6) | (self.destination.0 as u8 & 0x3F);
-        // Tail flit: type (0b1M) in bits 7..6, source FC in bits 5..3.
-        let tail = (0b10 << 6) | (mode_bit << 6) | ((self.source.0 & 0x7) << 3);
-        [header, tail]
-    }
-
-    /// Decodes from the wire format.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ScoutDecodeError`] if the flit type bits are malformed or
-    /// the two flits disagree on the mode.
-    pub fn decode(bytes: [u8; 2]) -> Result<Self, ScoutDecodeError> {
-        let [header, tail] = bytes;
-        if header >> 7 != 0 {
-            return Err(ScoutDecodeError::NotAHeaderFlit);
-        }
-        if tail >> 7 != 1 {
-            return Err(ScoutDecodeError::NotATailFlit);
-        }
-        let header_mode = (header >> 6) & 1;
-        let tail_mode = (tail >> 6) & 1;
-        if header_mode != tail_mode {
-            return Err(ScoutDecodeError::ModeMismatch);
-        }
-        Ok(ScoutPacket {
-            source: FcId((tail >> 3) & 0x7),
-            destination: NodeId(u16::from(header & 0x3F)),
-            mode: if header_mode == 1 {
-                ScoutMode::Reserve
-            } else {
-                ScoutMode::Cancel
-            },
-        })
-    }
-
-    /// Returns a copy of this packet switched to cancel mode (what a router
-    /// does when the scout cannot find a free link and must backtrack).
-    pub fn cancelled(self) -> Self {
-        ScoutPacket {
-            mode: ScoutMode::Cancel,
-            ..self
-        }
-    }
-}
 
 /// Whether the Venice fabric runs the scout fast-fail cache (an
 /// `SsdConfig` knob and sweep axis, like the dispatch policy and scan kind).
@@ -352,90 +207,14 @@ impl ScoutCache {
     pub fn invalidations(&self) -> u64 {
         self.invalidations
     }
-
-    /// The entry cached for a pair at `phase`, if any (diagnostics/tests).
-    pub fn entry(&self, fc: FcId, dst: NodeId, phase: u8) -> Option<FailedWalk> {
-        self.slots[self.idx(fc, dst)][usize::from(phase - 1)]
-    }
-
-    /// Number of live entries (diagnostics/tests).
-    pub fn len(&self) -> usize {
-        self.slots
-            .iter()
-            .map(|s| s.iter().filter(|e| e.is_some()).count())
-            .sum()
-    }
-
-    /// True when no entry is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn encode_decode_roundtrip_all_fields() {
-        for fc in 0..8u8 {
-            for dst in [0u16, 1, 31, 63] {
-                for mode in [ScoutMode::Reserve, ScoutMode::Cancel] {
-                    let p = ScoutPacket::new(FcId(fc), NodeId(dst), mode);
-                    assert_eq!(ScoutPacket::decode(p.encode()).unwrap(), p);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn figure6_bit_layout() {
-        let p = ScoutPacket::new(FcId(0b101), NodeId(0b10_1101), ScoutMode::Reserve);
-        let [header, tail] = p.encode();
-        // Header: type=01 (header, reserve), destination 0b101101.
-        assert_eq!(header, 0b0110_1101);
-        // Tail: type=11 (tail, reserve), source FC 0b101, 3 unused zero bits.
-        assert_eq!(tail, 0b1110_1000);
-    }
-
-    #[test]
-    fn cancel_mode_flips_bit() {
-        let p = ScoutPacket::new(FcId(1), NodeId(2), ScoutMode::Reserve).cancelled();
-        assert_eq!(p.mode, ScoutMode::Cancel);
-        let [header, tail] = p.encode();
-        assert_eq!(header >> 6, 0b00);
-        assert_eq!(tail >> 6, 0b10);
-    }
-
-    #[test]
-    fn decode_rejects_malformed() {
-        // Two header flits.
-        assert_eq!(
-            ScoutPacket::decode([0b0100_0000, 0b0100_0000]),
-            Err(ScoutDecodeError::NotATailFlit)
-        );
-        // Two tail flits.
-        assert_eq!(
-            ScoutPacket::decode([0b1100_0000, 0b1100_0000]),
-            Err(ScoutDecodeError::NotAHeaderFlit)
-        );
-        // Mode mismatch.
-        assert_eq!(
-            ScoutPacket::decode([0b0100_0000, 0b1000_0000]),
-            Err(ScoutDecodeError::ModeMismatch)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "6 bits")]
-    fn oversized_destination_rejected() {
-        ScoutPacket::new(FcId(0), NodeId(64), ScoutMode::Reserve);
-    }
-
-    #[test]
-    #[should_panic(expected = "3 bits")]
-    fn oversized_controller_rejected() {
-        ScoutPacket::new(FcId(8), NodeId(0), ScoutMode::Reserve);
+    fn live_entries(cache: &ScoutCache) -> usize {
+        cache.slots.iter().flatten().filter(|e| e.is_some()).count()
     }
 
     #[test]
@@ -459,7 +238,7 @@ mod tests {
         use crate::Mesh2D;
         let mut mesh = MeshState::new(Mesh2D::new(4, 4), 4);
         let mut cache = ScoutCache::new(4, 16);
-        assert!(cache.is_empty());
+        assert_eq!(live_entries(&cache), 0);
         let fc = FcId(1);
         let dst = NodeId(7);
         // Record a cap-free failure observed over rows 0..=1 × cols 0..=2
@@ -474,7 +253,7 @@ mod tests {
             cap_pruned: false,
         };
         cache.record(fc, dst, walk);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(live_entries(&cache), 1);
         // A hit fast-forwards the entry's snapshot to the current change
         // sequence (sound: the region is unchanged in between), so compare
         // hits modulo `seq`.
@@ -496,7 +275,7 @@ mod tests {
         let inside = mesh.reserve_explicit(0, &[topo.node_at(1, 1), topo.node_at(1, 2)]);
         assert_eq!(cache.lookup(fc, dst, 2, &mesh), None);
         assert_eq!(cache.invalidations(), 1);
-        assert!(cache.is_empty());
+        assert_eq!(live_entries(&cache), 0);
         mesh.release(&inside);
         // Slots are per (controller, destination): other pairs unaffected.
         let walk2 = FailedWalk {
@@ -506,7 +285,8 @@ mod tests {
         cache.record(fc, dst, walk2);
         assert_eq!(cache.lookup(FcId(2), dst, 2, &mesh), None);
         assert_eq!(cache.lookup(fc, NodeId(8), 2, &mesh), None);
-        assert_eq!(cache.entry(fc, dst, 2).map(|w| w.steps), Some(9));
+        let slot = cache.slots[cache.idx(fc, dst)];
+        assert_eq!(slot[1].map(|w| w.steps), Some(9));
     }
 
     #[test]
@@ -535,7 +315,7 @@ mod tests {
         // retry phase hits its own entry.
         cache.record(fc, dst, FailedWalk { phase: 2, ..capped });
         cache.record(fc, dst, FailedWalk { phase: 3, ..capped });
-        assert_eq!(cache.len(), 3);
+        assert_eq!(live_entries(&cache), 3);
         for phase in 1..=3u8 {
             assert_eq!(
                 cache.lookup(fc, dst, phase, &mesh).map(|w| w.phase),

@@ -73,15 +73,6 @@ impl fmt::Display for ChipError {
 
 impl std::error::Error for ChipError {}
 
-/// Per-block bookkeeping: program write pointer and endurance.
-#[derive(Clone, Debug, Default)]
-struct BlockState {
-    /// Next page index that may legally be programmed (0 = freshly erased).
-    write_pointer: u32,
-    /// Number of erases this block has sustained.
-    erase_count: u32,
-}
-
 /// Cumulative statistics of one chip.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ChipStats {
@@ -104,7 +95,7 @@ pub struct ChipStats {
 /// tracks its own busy dies) [`FlashChip::start`]s an operation, which
 /// returns the completion time the caller schedules an event for. The chip
 /// enforces geometry, one operation per die and NAND ordering invariants,
-/// and tracks endurance and energy.
+/// and tracks energy.
 #[derive(Clone, Debug)]
 pub struct FlashChip {
     geometry: ChipGeometry,
@@ -112,8 +103,10 @@ pub struct FlashChip {
     energy: OpEnergy,
     /// When each die's current operation completes: one at a time.
     die_busy_until: Vec<SimTime>,
-    /// Indexed by `(die * planes_per_die + plane) * blocks_per_plane + block`.
-    blocks: Vec<BlockState>,
+    /// Each block's write pointer: the next page index that may legally be
+    /// programmed (0 = freshly erased). Indexed by `(die * planes_per_die +
+    /// plane) * blocks_per_plane + block`.
+    write_pointers: Vec<u32>,
     /// Abandoned pages at or past their block's write pointer, as `(block
     /// index, page)` (see [`FlashChip::abandon_program`]); empty unless a
     /// fault failed queued programs.
@@ -122,18 +115,7 @@ pub struct FlashChip {
 }
 
 impl FlashChip {
-    /// Creates an idle, fully erased chip with the default energy preset for
-    /// its timing.
-    pub fn new(geometry: ChipGeometry, timing: NandTiming) -> Self {
-        let energy = if timing == NandTiming::z_nand() {
-            OpEnergy::z_nand()
-        } else {
-            OpEnergy::tlc_3d()
-        };
-        Self::with_energy(geometry, timing, energy)
-    }
-
-    /// Creates a chip with an explicit energy preset.
+    /// Creates an idle, fully erased chip.
     pub fn with_energy(geometry: ChipGeometry, timing: NandTiming, energy: OpEnergy) -> Self {
         let n_blocks =
             (geometry.dies * geometry.planes_per_die * geometry.blocks_per_plane) as usize;
@@ -142,7 +124,7 @@ impl FlashChip {
             timing,
             energy,
             die_busy_until: vec![SimTime::ZERO; geometry.dies as usize],
-            blocks: vec![BlockState::default(); n_blocks],
+            write_pointers: vec![0; n_blocks],
             abandoned: Vec::new(),
             stats: ChipStats::default(),
         }
@@ -158,15 +140,10 @@ impl FlashChip {
             + a.block) as usize
     }
 
-    /// Erase count of the block containing `addr`.
-    pub fn erase_count(&self, addr: PageAddr) -> u32 {
-        self.blocks[self.block_index(addr)].erase_count
-    }
-
     /// Next programmable page of the block containing `addr` (its write
     /// pointer); equals `pages_per_block` when the block is full.
     pub fn write_pointer(&self, addr: PageAddr) -> u32 {
-        self.blocks[self.block_index(addr)].write_pointer
+        self.write_pointers[self.block_index(addr)]
     }
 
     /// Starts an array operation on one page at `now`, returning its
@@ -200,7 +177,7 @@ impl FlashChip {
         }
         // Validate the data-state transition before mutating anything.
         let idx = self.block_index(addr);
-        let wp = self.blocks[idx].write_pointer;
+        let wp = self.write_pointers[idx];
         match kind {
             NandCommandKind::Program => {
                 if addr.page < wp || (wp..addr.page).any(|p| !self.is_abandoned(idx, p)) {
@@ -228,15 +205,14 @@ impl FlashChip {
                 if !self.abandoned.is_empty() {
                     self.abandoned.retain(|&(b, p)| b != idx || p > addr.page);
                 }
-                self.blocks[idx].write_pointer = addr.page + 1;
+                self.write_pointers[idx] = addr.page + 1;
                 self.stats.programs += 1;
             }
             NandCommandKind::Erase => {
                 if !self.abandoned.is_empty() {
                     self.abandoned.retain(|&(b, _)| b != idx);
                 }
-                self.blocks[idx].write_pointer = 0;
-                self.blocks[idx].erase_count += 1;
+                self.write_pointers[idx] = 0;
                 self.stats.erases += 1;
             }
         }
@@ -252,7 +228,7 @@ impl FlashChip {
         assert!(self.geometry.contains(addr), "precondition out of range");
         assert!(pages <= self.geometry.pages_per_block);
         let idx = self.block_index(addr);
-        self.blocks[idx].write_pointer = self.blocks[idx].write_pointer.max(pages);
+        self.write_pointers[idx] = self.write_pointers[idx].max(pages);
     }
 
     /// Gives up `addr`'s page without programming it: a program that its
@@ -270,7 +246,7 @@ impl FlashChip {
         assert!(self.geometry.contains(addr), "abandon out of range");
         let idx = self.block_index(addr);
         assert!(
-            addr.page >= self.blocks[idx].write_pointer,
+            addr.page >= self.write_pointers[idx],
             "abandoning programmed page {addr}"
         );
         self.abandoned.push((idx, addr.page));
@@ -287,7 +263,11 @@ mod tests {
     use venice_sim::SimDuration;
 
     fn chip() -> FlashChip {
-        FlashChip::new(ChipGeometry::z_nand_small(), NandTiming::z_nand())
+        FlashChip::with_energy(
+            ChipGeometry::z_nand_small(),
+            NandTiming::z_nand(),
+            OpEnergy::z_nand(),
+        )
     }
 
     fn page(plane: u32, block: u32, page: u32) -> PageAddr {
@@ -361,7 +341,6 @@ mod tests {
         // After erase the page is programmable again.
         t = c.start(NandCommandKind::Erase, page(0, 0, 0), t).unwrap();
         c.start(NandCommandKind::Program, page(0, 0, 0), t).unwrap();
-        assert_eq!(c.erase_count(page(0, 0, 0)), 1);
     }
 
     #[test]

@@ -32,30 +32,6 @@ pub struct ChipGeometry {
 }
 
 impl ChipGeometry {
-    /// Table 1 performance-optimized geometry: 1 die, 2 planes, 1024
-    /// blocks/plane, 768 pages/block, 4 KiB pages.
-    pub const fn z_nand() -> Self {
-        ChipGeometry {
-            dies: 1,
-            planes_per_die: 2,
-            blocks_per_plane: 1024,
-            pages_per_block: 768,
-            page_size: 4 * 1024,
-        }
-    }
-
-    /// Table 1 cost-optimized geometry: 1 die, 2 planes, 1024 blocks/die
-    /// (512 per plane), 16 KiB pages.
-    pub const fn tlc_3d() -> Self {
-        ChipGeometry {
-            dies: 1,
-            planes_per_die: 2,
-            blocks_per_plane: 512,
-            pages_per_block: 768,
-            page_size: 16 * 1024,
-        }
-    }
-
     /// A scaled-down Z-NAND geometry for fast unit tests (same shape, fewer
     /// blocks/pages).
     pub const fn z_nand_small() -> Self {
@@ -170,17 +146,6 @@ impl fmt::Display for PhysicalPageAddr {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table1_geometries_have_expected_capacity() {
-        let g = ChipGeometry::z_nand();
-        // 2 planes * 1024 blocks * 768 pages * 4KiB = 6 GiB per chip;
-        // 64 chips ≈ 384 GiB raw (240 GB user capacity after OP in the paper).
-        assert_eq!(g.pages_per_chip(), 2 * 1024 * 768);
-        let c = ChipGeometry::tlc_3d();
-        assert_eq!(c.planes_per_chip(), 2);
-        assert_eq!(c.page_size, 16 * 1024);
-    }
 
     #[test]
     fn page_index_roundtrips() {

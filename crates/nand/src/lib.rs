@@ -17,8 +17,7 @@
 //! * pages within a block must be programmed strictly in order,
 //! * a page cannot be reprogrammed before its block is erased
 //!   (erase-before-write),
-//! * a die executes one operation at a time,
-//! * erases count against block endurance.
+//! * a die executes one operation at a time.
 //!
 //! Timing ([`NandTiming`]) and per-operation energy ([`OpEnergy`]) presets
 //! correspond to the paper's Table 1 configurations: `z_nand()`
@@ -28,11 +27,11 @@
 //! # Example
 //!
 //! ```
-//! use venice_nand::{ChipGeometry, FlashChip, NandCommandKind, NandTiming, PageAddr};
+//! use venice_nand::{ChipGeometry, FlashChip, NandCommandKind, NandTiming, OpEnergy, PageAddr};
 //! use venice_sim::SimTime;
 //!
 //! let geom = ChipGeometry::z_nand_small();
-//! let mut chip = FlashChip::new(geom, NandTiming::z_nand());
+//! let mut chip = FlashChip::with_energy(geom, NandTiming::z_nand(), OpEnergy::z_nand());
 //! // One command programs one page.
 //! let page = PageAddr { die: 0, plane: 0, block: 0, page: 0 };
 //! let done = chip

@@ -47,15 +47,6 @@ impl NandTiming {
         ("tlc-3d", NandTiming::tlc_3d()),
     ];
 
-    /// Looks up a preset by name (`"z-nand"` or `"tlc-3d"`) — the
-    /// config-from-axis constructor used by sweep grids and CLIs.
-    pub fn named(name: &str) -> Option<NandTiming> {
-        Self::PRESETS
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|&(_, t)| t)
-    }
-
     /// The preset name of this timing, or `None` for a custom one (used to
     /// label sweep points and manifests).
     pub fn preset_name(&self) -> Option<&'static str> {
@@ -83,10 +74,8 @@ mod tests {
     #[test]
     fn named_presets_round_trip() {
         for (name, timing) in NandTiming::PRESETS {
-            assert_eq!(NandTiming::named(name), Some(timing));
             assert_eq!(timing.preset_name(), Some(name));
         }
-        assert_eq!(NandTiming::named("qlc"), None);
         let custom = NandTiming {
             t_r: SimDuration::from_micros(7),
             ..NandTiming::z_nand()

@@ -52,11 +52,6 @@ impl DenseBitSet {
         }
     }
 
-    /// The universe size the set was constructed with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of members.
     pub fn len(&self) -> usize {
         self.len
@@ -288,7 +283,6 @@ mod tests {
         assert_eq!(s.len(), 1);
         s.clear();
         assert!(s.is_empty() && !s.contains(129));
-        assert_eq!(s.capacity(), 130);
     }
 
     #[test]

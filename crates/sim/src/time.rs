@@ -60,30 +60,6 @@ impl SimTime {
         self.0
     }
 
-    /// Seconds since simulation start, as a float (for reporting only).
-    #[inline]
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
-    /// Microseconds since simulation start, as a float (for reporting only).
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
-    /// The later of `self` and `other`.
-    #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
-        SimTime(self.0.max(other.0))
-    }
-
-    /// The earlier of `self` and `other`.
-    #[inline]
-    pub fn min(self, other: SimTime) -> SimTime {
-        SimTime(self.0.min(other.0))
-    }
-
     /// Duration since `earlier`, saturating to zero if `earlier` is later.
     #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
@@ -140,18 +116,6 @@ impl SimDuration {
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// True if this is the zero duration.
-    #[inline]
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
-    /// The longer of `self` and `other`.
-    #[inline]
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.max(other.0))
     }
 }
 
@@ -319,17 +283,5 @@ mod tests {
     fn from_nanos_f64_rounds_and_clamps() {
         assert_eq!(SimDuration::from_nanos_f64(2.6).as_nanos(), 3);
         assert_eq!(SimDuration::from_nanos_f64(-5.0).as_nanos(), 0);
-    }
-
-    #[test]
-    fn min_max_orderings() {
-        let a = SimTime::from_nanos(5);
-        let b = SimTime::from_nanos(9);
-        assert_eq!(a.max(b), b);
-        assert_eq!(a.min(b), a);
-        assert_eq!(
-            SimDuration::from_nanos(3).max(SimDuration::from_nanos(7)),
-            SimDuration::from_nanos(7)
-        );
     }
 }

@@ -49,11 +49,6 @@ pub const TABLE2: [CatalogEntry; 19] = [
     CatalogEntry { name: "ssd-10", suite: "YCSB-RocksDB", read_pct: 99.0, avg_request_kb: 11.5, avg_interarrival_us: 2.0 },
 ];
 
-/// All workload names, in Table 2 (and figure x-axis) order.
-pub fn names() -> Vec<&'static str> {
-    TABLE2.iter().map(|e| e.name).collect()
-}
-
 /// Builds the calibrated [`WorkloadSpec`] for a catalog entry.
 pub fn spec(entry: &CatalogEntry) -> WorkloadSpec {
     let base = WorkloadSpec::new(
@@ -104,12 +99,11 @@ mod tests {
     #[test]
     fn nineteen_workloads() {
         assert_eq!(TABLE2.len(), 19);
-        assert_eq!(names().len(), 19);
     }
 
     #[test]
     fn names_are_unique() {
-        let set: std::collections::HashSet<_> = names().into_iter().collect();
+        let set: std::collections::HashSet<_> = TABLE2.iter().map(|e| e.name).collect();
         assert_eq!(set.len(), 19);
     }
 

@@ -4,9 +4,9 @@
 //! The paper evaluates nineteen real data-intensive storage traces (MSR
 //! Cambridge, YCSB, Slacker, SYSTOR '17, YCSB-RocksDB — its Table 2) plus
 //! six mixed workloads (Table 3). The raw trace files are external
-//! artifacts, so this crate generates deterministic synthetic traces whose
-//! published first-order statistics match Table 2 exactly; see
-//! [`WorkloadSpec`] for the generator's knobs.
+//! artifacts, and no trace file is read: this crate generates deterministic
+//! synthetic traces whose published first-order statistics match Table 2
+//! exactly; see [`WorkloadSpec`] for the generator's knobs.
 //!
 //! * [`catalog`] — the nineteen named workloads with calibrated specs,
 //! * [`mix`] — the six Table 3 mixes (partitioned address space, merged and
@@ -33,7 +33,6 @@ pub mod catalog;
 pub mod mix;
 mod synth;
 mod trace;
-pub mod trace_io;
 
 pub use axis::WorkloadAxis;
 pub use synth::{WorkloadSpec, SECTOR_BYTES};

@@ -64,11 +64,6 @@ pub const TABLE3: [MixEntry; 6] = [
     },
 ];
 
-/// All mix names in Table 3 order.
-pub fn names() -> Vec<&'static str> {
-    TABLE3.iter().map(|m| m.name).collect()
-}
-
 /// Looks up a mix by name.
 pub fn by_name(name: &str) -> Option<&'static MixEntry> {
     TABLE3.iter().find(|m| m.name == name)
@@ -294,7 +289,7 @@ mod tests {
 
     #[test]
     fn names_lookup() {
-        assert_eq!(names().len(), 6);
+        assert_eq!(TABLE3.len(), 6);
         assert!(by_name("mix7").is_none());
     }
 

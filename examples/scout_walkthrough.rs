@@ -7,7 +7,6 @@
 //! ```
 
 use venice::interconnect::mesh::MeshState;
-use venice::interconnect::scout::{ScoutMode, ScoutPacket};
 use venice::interconnect::{FcId, Mesh2D, NodeId};
 use venice::sim::rng::Lfsr2;
 
@@ -25,12 +24,6 @@ fn main() {
     println!("reserved 3 circuits; {} links busy", mesh.reserved_link_count());
 
     // Request R: FC3 → F2. Every minimal path is blocked.
-    let packet = ScoutPacket::new(FcId(3), n(2), ScoutMode::Reserve);
-    println!(
-        "scout packet on the wire: {:02x?} (header flit, tail flit)",
-        packet.encode()
-    );
-
     let mut lfsr = Lfsr2::new();
     let (path, outcome) = mesh
         .scout_walk(3, topo.fc_node(FcId(3)), n(2), &mut lfsr)
