@@ -1,8 +1,12 @@
 //! Setup cost: host time of `SsdSim::new` plus its drop on an SSD sized
-//! for each catalog footprint (2, 4 and 8 GiB) — the FTL map, the
-//! precondition, the chips' write pointers and the engine's own state,
-//! everything a simulated point pays before its first event. Prints one
-//! `ns/iter` line per footprint and writes `results/bench_setup.json`.
+//! for each catalog footprint (2, 4 and 8 GiB) — the FTL map's zeroed
+//! allocation, the precondition, the chips' write pointers and the
+//! engine's own state, everything a simulated point pays before its first
+//! event. The precondition does no per-page work: the map records its
+//! stripe and each written block its page count, so what is left scales
+//! with blocks, chips and the per-chip engine state, plus the allocations
+//! themselves. Prints one `ns/iter` line per footprint and writes
+//! `results/bench_setup.json`.
 
 use std::hint::black_box;
 use std::time::Duration;

@@ -103,12 +103,16 @@ impl FtlStats {
     }
 }
 
+/// One erase block. A block the precondition wrote is in *closed form*
+/// while `written > 0` and it has no bitmap: pages `0..written` are valid
+/// and page `p` holds the logical page [`Ftl::stripe`] derives from where
+/// the block sits. Its first program or invalidation materializes the
+/// bitmap and reverse map ([`Block::materialize`]).
 #[derive(Clone, Debug)]
-#[cfg_attr(test, derive(PartialEq))]
 struct Block {
-    /// Valid-page bitmap (lazily allocated on first program).
+    /// Valid-page bitmap (allocated on first program or materialization).
     valid: Option<Box<[u64]>>,
-    /// LPA stored in each written page (lazily allocated).
+    /// LPA stored in each written page (allocated with `valid`).
     lpas: Option<Box<[u32]>>,
     valid_count: u32,
     written: u32,
@@ -141,11 +145,25 @@ impl Block {
         self.valid_count += 1;
     }
 
-    /// Programs pages `0..pages` of an erased block at once, page `p`
-    /// holding logical page `first_lpa + p × lpa_stride`: the bulk
-    /// counterpart of `set_valid` plus `written`.
-    fn fill(&mut self, pages_per_block: u32, pages: u32, first_lpa: u64, lpa_stride: u64) {
-        debug_assert!(self.written == 0 && pages > 0 && pages <= pages_per_block);
+    /// Programs pages `0..pages` of an erased block at once, in closed
+    /// form: the block allocates nothing until [`Block::materialize`].
+    fn fill(&mut self, pages: u32) {
+        debug_assert!(self.written == 0 && self.valid.is_none() && pages > 0);
+        self.valid_count = pages;
+        self.written = pages;
+    }
+
+    /// True while the block is as [`Block::fill`] left it.
+    fn is_closed_form(&self) -> bool {
+        self.written > 0 && self.valid.is_none()
+    }
+
+    /// Builds a closed-form block's bitmap and reverse map, page `p`
+    /// holding logical page `first_lpa + p × lpa_stride`: what
+    /// `set_valid` would have built for each of its pages.
+    fn materialize(&mut self, pages_per_block: u32, first_lpa: u64, lpa_stride: u64) {
+        debug_assert!(self.is_closed_form() && self.valid_count == self.written);
+        let pages = self.written;
         let words = (pages_per_block as usize).div_ceil(64);
         let mut valid = vec![0u64; words].into_boxed_slice();
         let full_words = pages as usize / 64;
@@ -160,11 +178,10 @@ impl Block {
         }
         self.valid = Some(valid);
         self.lpas = Some(lpas);
-        self.valid_count = pages;
-        self.written = pages;
     }
 
     fn clear_valid(&mut self, page: u32) {
+        debug_assert!(!self.is_closed_form(), "invalidating a closed-form block");
         if let Some(valid) = &mut self.valid {
             let word = &mut valid[(page / 64) as usize];
             let bit = 1u64 << (page % 64);
@@ -175,15 +192,20 @@ impl Block {
     }
 
     fn is_valid(&self, page: u32) -> bool {
-        self.valid
-            .as_ref()
-            .is_some_and(|v| v[(page / 64) as usize] & (1 << (page % 64)) != 0)
+        match &self.valid {
+            Some(v) => v[(page / 64) as usize] & (1 << (page % 64)) != 0,
+            // Closed form, or never written (no page valid).
+            None => page < self.written,
+        }
     }
 
-    fn lpa_of(&self, page: u32) -> u64 {
-        u64::from(
-            self.lpas.as_ref().expect("written block has lpas")[page as usize],
-        )
+    /// The logical page that valid page `page` holds; the pair is the
+    /// block's [`Ftl::stripe`], which only a closed-form block reads.
+    fn lpa_of(&self, page: u32, (first_lpa, lpa_stride): (u64, u64)) -> u64 {
+        match &self.lpas {
+            Some(lpas) => u64::from(lpas[page as usize]),
+            None => first_lpa + u64::from(page) * lpa_stride,
+        }
     }
 }
 
@@ -295,6 +317,27 @@ impl Ftl {
         (plane, p.addr.block, p.addr.page)
     }
 
+    /// Where the precondition put block `bi`'s pages: page `p` of block
+    /// `b` on plane `q` holds logical page `(b·ppb + p)·P + q`, returned
+    /// as `(first, stride)` with page `p` at `first + p × stride`.
+    fn stripe(&self, bi: usize) -> (u64, u64) {
+        let bpp = self.config.array.chip.blocks_per_plane as usize;
+        let ppb = u64::from(self.config.array.chip.pages_per_block);
+        let planes = self.planes.len() as u64;
+        let (plane, block) = ((bi / bpp) as u64, (bi % bpp) as u64);
+        (block * ppb * planes + plane, planes)
+    }
+
+    /// Gives block `bi` its bitmap and reverse map if it is still in
+    /// closed form, before a program or invalidation changes them.
+    fn materialize(&mut self, bi: usize) {
+        if self.blocks[bi].is_closed_form() {
+            let (first_lpa, lpa_stride) = self.stripe(bi);
+            let ppb = self.config.array.chip.pages_per_block;
+            self.blocks[bi].materialize(ppb, first_lpa, lpa_stride);
+        }
+    }
+
     /// Translates a host read. Returns the physical page, or `None` for a
     /// never-written page (served from the controller without flash access).
     ///
@@ -376,6 +419,7 @@ impl Ftl {
             plane.next_page = 0;
         }
         let bi = self.block_index(plane_idx, active);
+        self.materialize(bi);
         self.blocks[bi].set_valid(page, pages_per_block, lpa);
         self.blocks[bi].written += 1;
         let addr = self.config.array.page_at(plane_idx, active, page);
@@ -387,6 +431,7 @@ impl Ftl {
         if let Some(old) = self.map.update(lpa, gppa) {
             let (plane, block, page) = self.block_of(old);
             let bi = self.block_index(plane, block);
+            self.materialize(bi);
             self.blocks[bi].clear_valid(page);
         }
     }
@@ -435,10 +480,11 @@ impl Ftl {
         let pages_per_block = self.config.array.chip.pages_per_block;
         let bi = self.block_index(plane_idx, victim);
         self.blocks[bi].under_migration = true;
+        let stripe = self.stripe(bi);
         let mut pages = Vec::with_capacity(self.blocks[bi].valid_count as usize);
         for page in 0..pages_per_block {
             if self.blocks[bi].is_valid(page) {
-                let lpa = self.blocks[bi].lpa_of(page);
+                let lpa = self.blocks[bi].lpa_of(page, stripe);
                 let addr = self.config.array.page_at(plane_idx, victim, page);
                 pages.push((lpa, self.config.array.pack(addr)));
             }
@@ -558,11 +604,13 @@ impl Ftl {
     /// models' write pointers.
     ///
     /// The result is what host writes of logical pages `0, 1, …` would
-    /// leave on the fresh array, computed in one pass: round-robin
-    /// striping puts logical page `i` on plane `i mod P` at in-plane
-    /// offset `k = i div P` (block `k div ppb`, page `k mod ppb`), so the
-    /// map, each written block's valid bits and reverse map, and each
-    /// plane's write point and free list follow from its page count.
+    /// leave on the fresh array, in closed form: round-robin striping
+    /// puts logical page `i` on plane `i mod P` at in-plane offset
+    /// `k = i div P` (block `k div ppb`, page `k mod ppb`), so the map
+    /// records only the stripe, each written block only its page count
+    /// (its valid bits and reverse map follow from where it sits until
+    /// its first program or invalidation), and each plane's write point
+    /// and free list follow from its page count. No per-page work is done.
     ///
     /// # Panics
     ///
@@ -598,9 +646,7 @@ impl Ftl {
                 } else {
                     rest
                 };
-                let first_lpa = u64::from(block) * ppb * planes + q as u64;
-                let bi = q * bpp as usize + block as usize;
-                self.blocks[bi].fill(chip.pages_per_block, written, first_lpa, planes);
+                self.blocks[q * bpp as usize + block as usize].fill(written);
                 let first = self.config.array.page_at(q, block, 0);
                 // The map's runs follow the geometry's page packing.
                 assert_eq!(
@@ -656,9 +702,10 @@ impl Ftl {
         for lpa in 0..self.config.logical_pages {
             if let Some(g) = self.map.translate(lpa) {
                 let (plane, block, page) = self.block_of(g);
-                let b = &self.blocks[self.block_index(plane, block)];
+                let bi = self.block_index(plane, block);
+                let b = &self.blocks[bi];
                 assert!(b.is_valid(page), "lpa {lpa} maps to invalid page");
-                assert_eq!(b.lpa_of(page), lpa, "reverse map mismatch");
+                assert_eq!(b.lpa_of(page, self.stripe(bi)), lpa, "reverse map mismatch");
             }
         }
     }
@@ -824,15 +871,28 @@ mod tests {
         ftl.check_invariants();
     }
 
-    /// Asserts that two FTLs hold the same state: every translation, every
-    /// block's valid bits, reverse map, fill and valid count, every plane's
-    /// active block, write point and free list, the cursor and the stats.
+    /// Asserts that two FTLs answer the same: every translation, every
+    /// block's valid pages and the logical page each holds, its fill,
+    /// valid count, erase count and migration flag, every plane's active
+    /// block, write point and free list, the cursor and the stats. How a
+    /// block stores its pages (closed form or bitmap) is not compared.
     fn assert_same_state(a: &Ftl, b: &Ftl, label: &str) {
         for lpa in 0..a.logical_pages() {
             assert_eq!(a.translate(lpa), b.translate(lpa), "{label}: lpa {lpa}");
         }
+        let ppb = a.config.array.chip.pages_per_block;
+        let counts = |k: &Block| (k.written, k.valid_count, k.erase_count, k.under_migration);
         for (i, (x, y)) in a.blocks.iter().zip(&b.blocks).enumerate() {
-            assert_eq!(x, y, "{label}: block {i}");
+            let (sa, sb) = (a.stripe(i), b.stripe(i));
+            for page in 0..ppb {
+                let valid = x.is_valid(page);
+                assert_eq!(valid, y.is_valid(page), "{label}: block {i} page {page}");
+                if valid {
+                    let lpa = x.lpa_of(page, sa);
+                    assert_eq!(lpa, y.lpa_of(page, sb), "{label}: block {i} page {page}");
+                }
+            }
+            assert_eq!(counts(x), counts(y), "{label}: block {i}");
         }
         assert_eq!(a.planes, b.planes, "{label}: planes");
         assert_eq!(a.plane_cursor, b.plane_cursor, "{label}: cursor");
@@ -864,6 +924,7 @@ mod tests {
     #[test]
     fn closed_form_precondition_matches_the_per_page_loop() {
         let mut rng = Xorshift64Star::new(0x5EED_0F71);
+        let mut closed_form_blocks_kept = 0;
         for case in 0..150 {
             let gc_threshold_blocks = 1 + rng.next_bounded(4) as u32;
             let chip = ChipGeometry {
@@ -898,6 +959,7 @@ mod tests {
                 "{label}: block fills"
             );
             assert_same_state(&bulk, &reference, &label);
+            let preconditioned: Vec<u32> = bulk.blocks.iter().map(|b| b.written).collect();
 
             // Enough writes to use up the spare blocks a few times over.
             let steps = (200 + 3 * spare * planes).min(12_000);
@@ -934,7 +996,26 @@ mod tests {
                 }
             }
             assert_same_state(&bulk, &reference, &label);
+            // A block the traffic never programmed, invalidated or erased
+            // still allocates nothing.
+            for (i, b) in bulk.blocks.iter().enumerate() {
+                let untouched = b.erase_count == 0
+                    && b.written == preconditioned[i]
+                    && b.valid_count == b.written;
+                if untouched {
+                    assert!(b.valid.is_none() && b.lpas.is_none(), "{label}: block {i}");
+                    closed_form_blocks_kept += u32::from(b.written > 0);
+                }
+            }
         }
+        assert!(closed_form_blocks_kept > 0, "no block kept its closed form");
+    }
+
+    /// A block stays 48 bytes: two boxed slices, three counters and a
+    /// flag. A per-block field for the closed form would cost every block.
+    #[test]
+    fn a_block_fits_in_48_bytes() {
+        assert!(std::mem::size_of::<Block>() <= 48);
     }
 
     #[test]

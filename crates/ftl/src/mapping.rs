@@ -13,7 +13,10 @@ const UNMAPPED: u32 = 0;
 /// Each entry is a `u32` holding the physical page plus one, zero meaning
 /// unmapped: a fresh table is one zeroed allocation (which the allocator
 /// can take straight from zero pages), and it maps physical pages up to
-/// [`PageMap::MAX_GPPA`], so arrays stay below 2^32 pages.
+/// [`PageMap::MAX_GPPA`], so arrays stay below 2^32 pages. Once
+/// `map_striped` has run, a zero entry means the page's striped location
+/// instead, so a preconditioned table holds entries only for pages
+/// written since.
 ///
 /// # Example
 ///
@@ -29,6 +32,9 @@ const UNMAPPED: u32 = 0;
 pub struct PageMap {
     entries: Vec<u32>,
     mapped: u64,
+    /// `(planes, plane_stride)` of a striped table, whose zero entries
+    /// read as `(lpa % planes) * plane_stride + lpa / planes`.
+    stripe: Option<(u32, u32)>,
 }
 
 impl PageMap {
@@ -40,6 +46,7 @@ impl PageMap {
         PageMap {
             entries: vec![UNMAPPED; logical_pages as usize],
             mapped: 0,
+            stripe: None,
         }
     }
 
@@ -59,7 +66,18 @@ impl PageMap {
     ///
     /// Panics if `lpa` is outside the logical space.
     pub fn translate(&self, lpa: u64) -> Option<Gppa> {
-        decode(self.entries[lpa as usize])
+        match self.entries[lpa as usize] {
+            UNMAPPED => self.striped(lpa),
+            entry => Some(Gppa(u64::from(entry - 1))),
+        }
+    }
+
+    /// Where `map_striped` put `lpa`, or `None` on a table it never
+    /// striped. `map_striped`'s asserts keep the sum below 2^32.
+    fn striped(&self, lpa: u64) -> Option<Gppa> {
+        let (planes, stride) = self.stripe?;
+        let lpa = lpa as u32;
+        Some(Gppa(u64::from(lpa % planes * stride + lpa / planes)))
     }
 
     /// Points `lpa` at a new physical page, returning the previous physical
@@ -72,9 +90,8 @@ impl PageMap {
     /// [`PageMap::MAX_GPPA`].
     pub fn update(&mut self, lpa: u64, gppa: Gppa) -> Option<Gppa> {
         assert!(gppa.0 <= Self::MAX_GPPA, "{gppa} exceeds the u32 map");
-        let slot = &mut self.entries[lpa as usize];
-        let old = decode(*slot);
-        *slot = gppa.0 as u32 + 1;
+        let old = self.translate(lpa);
+        self.entries[lpa as usize] = gppa.0 as u32 + 1;
         if old.is_none() {
             self.mapped += 1;
         }
@@ -84,8 +101,9 @@ impl PageMap {
     /// Maps every logical page of an empty table round-robin over
     /// `planes` runs of `plane_stride` physical pages: page `lpa` maps to
     /// `(lpa % planes) * plane_stride + lpa / planes`. The caller says
-    /// where a run starts; the map knows no address layout. Writes each
-    /// entry once.
+    /// where a run starts; the map knows no address layout. Writes no
+    /// entry: it records the stripe, and every entry still zero reads as
+    /// its striped page.
     ///
     /// # Panics
     ///
@@ -95,19 +113,9 @@ impl PageMap {
         let rows = self.logical_pages().div_ceil(planes as u64);
         assert!(rows <= plane_stride, "{rows} pages overflow a plane");
         assert!(planes as u64 * plane_stride <= Self::MAX_GPPA + 1);
-        let stride = plane_stride as u32;
-        for (row, entries) in self.entries.chunks_mut(planes).enumerate() {
-            let first = row as u32 + 1;
-            for (plane, e) in entries.iter_mut().enumerate() {
-                *e = first + plane as u32 * stride;
-            }
-        }
+        self.stripe = Some((planes as u32, plane_stride as u32));
         self.mapped = self.logical_pages();
     }
-}
-
-fn decode(entry: u32) -> Option<Gppa> {
-    entry.checked_sub(1).map(|g| Gppa(u64::from(g)))
 }
 
 #[cfg(test)]
@@ -173,6 +181,51 @@ mod tests {
         m.map_striped(3, stride);
         assert_eq!(m.translate(2), Some(Gppa(2 * stride)));
         assert_eq!(m.translate(3), Some(Gppa(1)));
+    }
+
+    /// `(lpa mod P)·stride + lpa div P`, the page `map_striped` documents.
+    fn striped_page(lpa: u64, planes: u64, stride: u64) -> Gppa {
+        Gppa(lpa % planes * stride + lpa / planes)
+    }
+
+    #[test]
+    fn a_striped_table_translates_every_page_by_the_formula() {
+        // (pages, planes, stride): partial last rows, one page per plane
+        // run, and the three planes that fill the u32 bound.
+        let top = u64::from(u32::MAX) / 3;
+        let cases = [
+            (7, 3, 100),
+            (100, 7, 15),
+            (64, 64, 1),
+            (1, 1, 1),
+            (4, 3, top),
+        ];
+        for (pages, planes, stride) in cases {
+            let mut m = PageMap::new(pages);
+            m.map_striped(planes as usize, stride);
+            for lpa in 0..pages {
+                let expect = Some(striped_page(lpa, planes, stride));
+                assert_eq!(m.translate(lpa), expect, "{pages}/{planes}/{stride}: {lpa}");
+            }
+            assert_eq!(m.mapped_pages(), pages);
+        }
+    }
+
+    #[test]
+    fn updating_a_striped_page_returns_its_striped_page() {
+        let (planes, stride) = (4, 3);
+        let mut m = PageMap::new(10);
+        m.map_striped(planes as usize, stride);
+        let striped = striped_page(5, planes, stride);
+        assert_eq!(m.update(5, Gppa(0)), Some(striped));
+        assert_eq!(m.mapped_pages(), 10);
+        // A written entry wins over the stripe, page 0 included.
+        assert_eq!(m.translate(5), Some(Gppa(0)));
+        assert_eq!(m.update(5, Gppa(11)), Some(Gppa(0)));
+        assert_eq!(m.mapped_pages(), 10);
+        for lpa in (0..10).filter(|&l| l != 5) {
+            assert_eq!(m.translate(lpa), Some(striped_page(lpa, planes, stride)));
+        }
     }
 
     #[test]
